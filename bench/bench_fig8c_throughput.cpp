@@ -9,7 +9,6 @@
 // 1/100 rising to ~77 Mbps (~50K events/s) at 1/2000; HANSEL peaks at
 // ~1.6K messages/s because it stitches on every message.
 #include <cstdio>
-#include <thread>
 
 #include "bench/harness.h"
 #include "hansel/hansel.h"
@@ -101,45 +100,6 @@ int main() {
                 static_cast<unsigned long long>(report.records),
                 baseline.chains().size(), report.events_per_second(),
                 report.mbps());
-  }
-
-  // Sharded pipeline sweep: the same 1/1000 capture replayed through the
-  // concurrent analyzer at increasing shard counts.  num_shards = 1 is the
-  // serial reference; reports are identical at every point (see
-  // docs/ARCHITECTURE.md "Determinism"), only throughput moves.  Scaling
-  // requires real cores — on a single-CPU host the sweep degenerates to
-  // ~1x and mostly measures hand-off overhead.
-  {
-    std::printf("\nsharded pipeline sweep (1/1000 capture, %u hardware "
-                "threads)\n",
-                std::thread::hardware_concurrency());
-    std::size_t fault_count = 0;
-    const auto records = build_capture(env, 1000, 1000, &fault_count);
-    const auto base_options = env.analyzer_options(
-        static_cast<double>(records.size()) /
-        (records.back().ts - records.front().ts).to_seconds());
-
-    double serial_eps = 0.0;
-    std::printf("%-10s %-10s %-14s %-12s %-14s %-10s\n", "shards",
-                "workers", "events", "reports", "events/s", "speedup");
-    for (std::size_t shards : {1u, 2u, 4u, 8u}) {
-      auto options = base_options;
-      options.config.num_shards = shards;
-      options.config.num_match_workers = shards > 1 ? shards : 0;
-      core::Analyzer analyzer(&env.training.db, &env.catalog.apis(),
-                              &env.deployment, options);
-      const auto report = net::ReplayEngine::replay(
-          records, [&](const net::WireRecord& r) { analyzer.on_wire(r); });
-      analyzer.finish();
-      const double eps = report.events_per_second();
-      if (shards == 1) serial_eps = eps;
-      std::printf("%-10zu %-10zu %-14llu %-12llu %-14.0f %-10.2f\n", shards,
-                  options.config.num_match_workers,
-                  static_cast<unsigned long long>(report.records),
-                  static_cast<unsigned long long>(
-                      analyzer.detector_stats().operational_reports),
-                  eps, serial_eps > 0 ? eps / serial_eps : 0.0);
-    }
   }
 
   std::printf("\npaper: ~7.5 Mbps at 1/100 -> near line rate (~77 Mbps, "

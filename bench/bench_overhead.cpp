@@ -82,29 +82,5 @@ int main() {
                   analyzer.detector_stats().events),
               analyzer.detector_stats().events / cpu_seconds,
               static_cast<double>(bytes) * 8.0 / 1e6 / cpu_seconds);
-
-  // The same capture through the sharded pipeline.  Wall-clock drops with
-  // real cores; total CPU across the coordinator and shard workers is what
-  // an operator pays, so both are reported.
-  {
-    auto sharded = options;
-    sharded.config.num_shards = 4;
-    sharded.config.num_match_workers = 2;
-    const double rss0 = rss_mb();
-    core::Analyzer concurrent(&env.training.db, &env.catalog.apis(),
-                              &env.deployment, sharded);
-    const auto s0 = std::chrono::steady_clock::now();
-    for (const auto& r : records) concurrent.on_wire(r);
-    concurrent.finish();
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - s0)
-            .count();
-    std::printf("\nsharded (4 shards, 2 match workers):\n");
-    std::printf("wall-clock: %.3f s -> %.3f%% of one core equivalent "
-                "(serial path: %.3f s)\n",
-                wall, 100.0 * wall / workload_span, cpu_seconds);
-    std::printf("memory growth: %.1f MB (ring buffers + per-shard "
-                "trackers)\n", rss_mb() - rss0);
-  }
   return 0;
 }

@@ -23,7 +23,6 @@
 //   --fraction F         Tempest catalog fraction (default 0.12)
 //   --seed S             root seed (default 0x57A71E57)
 //   --tick-ms T          detection tick cadence (default 250)
-//   --shards N           analysis shards (default 1)
 //   --overload-ring N    source-ring size for the overload leg (default 96)
 //   --out PATH           JSON path (default BENCH_stream_latency.json)
 //   --tripwire           fail (exit 1) on: p99 above --max-p99-ms, peak
@@ -67,7 +66,7 @@ struct RunOutcome {
 
 RunOutcome run_stream(bench::BenchEnv& env, std::uint64_t seed, int tests,
                       int faults, long window_s, double tick_ms,
-                      std::size_t shards, std::size_t ring) {
+                      std::size_t ring) {
   tempest::WorkloadSpec wspec;
   wspec.concurrent_tests = tests;
   wspec.faults = faults;
@@ -88,7 +87,6 @@ RunOutcome run_stream(bench::BenchEnv& env, std::uint64_t seed, int tests,
       span_s > 0 ? static_cast<double>(records.size()) / span_s : 150.0;
 
   auto opt = env.analyzer_options(std::max(p_rate, 150.0));
-  opt.config.num_shards = shards;
   opt.config.stream_tick_ms = tick_ms;
   if (ring > 0) opt.config.stream_source_ring = ring;
 
@@ -138,8 +136,6 @@ int main(int argc, char** argv) {
   const auto seed =
       static_cast<std::uint64_t>(args.get_int("--seed", 0x57A71E57L));
   const double tick_ms = args.get_double("--tick-ms", 250.0);
-  const auto shards =
-      static_cast<std::size_t>(args.get_int("--shards", 1));
   const auto overload_ring =
       static_cast<std::size_t>(args.get_int("--overload-ring", 96));
   const std::string out_path =
@@ -159,7 +155,7 @@ int main(int argc, char** argv) {
   std::uint64_t total_offered = 0, total_shed = 0, total_ticks = 0;
   for (std::size_t r = 0; r < runs; ++r) {
     const auto out = run_stream(env, util::derive_seed(seed, 0x11CE, r),
-                                tests, faults, window_s, tick_ms, shards,
+                                tests, faults, window_s, tick_ms,
                                 /*ring=*/0);
     faults_total += out.faults;
     faults_detected += out.detected;
@@ -193,7 +189,7 @@ int main(int argc, char** argv) {
       args.get_double("--overload-tick-ms", 2000.0);
   const auto overload =
       run_stream(env, util::derive_seed(seed, 0x11CE, 0), tests, faults,
-                 window_s, overload_tick_ms, shards, overload_ring);
+                 window_s, overload_tick_ms, overload_ring);
   const bool overload_reconciles =
       overload.counters.offered ==
           overload.counters.ingested + overload.counters.shed &&
@@ -226,11 +222,11 @@ int main(int argc, char** argv) {
   bench::write_bench_meta(f, meta);
   std::fprintf(
       f,
-      ",\n  \"stream\": {\"runs\": %zu, \"tick_ms\": %.1f, \"shards\": %zu, "
+      ",\n  \"stream\": {\"runs\": %zu, \"tick_ms\": %.1f, "
       "\"faults_total\": %zu, \"faults_detected\": %zu, "
       "\"detected_fraction\": %.4f, \"ticks\": %llu, "
       "\"offered\": %llu, \"shed\": %llu, \"flow_mismatches\": %llu},\n",
-      runs, tick_ms, shards, faults_total, faults_detected, detected_frac,
+      runs, tick_ms, faults_total, faults_detected, detected_frac,
       static_cast<unsigned long long>(total_ticks),
       static_cast<unsigned long long>(total_offered),
       static_cast<unsigned long long>(total_shed),

@@ -196,7 +196,6 @@ void write_bench_meta(std::FILE* f, const BenchRunMeta& meta) {
                "    \"events_measured\": %zu,\n"
                "    \"pool_records\": %zu,\n"
                "    \"ingest_batch\": %zu,\n"
-               "    \"drain_interval\": %zu,\n"
                "    \"host_cpus\": %u,\n"
                "    \"compiler\": \"%s\",\n"
                "    \"optimized\": %s,\n"
@@ -204,7 +203,7 @@ void write_bench_meta(std::FILE* f, const BenchRunMeta& meta) {
                "  }",
                meta.benchmark.c_str(), meta.schema_version,
                meta.events_measured, meta.pool_records, meta.ingest_batch,
-               meta.drain_interval, host_cpus(), compiler_string(),
+               host_cpus(), compiler_string(),
                build_optimized() ? "true" : "false",
                build_ndebug() ? "true" : "false");
 }

@@ -85,7 +85,6 @@ struct BenchRunMeta {
   std::size_t events_measured = 0;  // events per timed measurement
   std::size_t pool_records = 0;     // synthetic record pool size
   std::size_t ingest_batch = 0;     // events per on_events batch (0 = n/a)
-  std::size_t drain_interval = 0;   // pipeline drain cadence (0 = n/a)
 };
 
 // Writes `  "meta": { ... }` (two-space indent, no trailing comma) with the

@@ -7,8 +7,8 @@
 // deliberately excludes everything presentation- or timing-flavored:
 // detection timestamps, θ/β search internals, float scores/confidences,
 // and probe_time_ms.  Two runs that reached the same diagnosis therefore
-// fingerprint identically even across shard counts and scalar/SIMD kernel
-// builds (the determinism contract), while any change in the *structure*
+// fingerprint identically even across ingest batch sizes and scalar/SIMD
+// kernel builds (the determinism contract), while any change in the *structure*
 // of the conclusion (extra cause, weaker evidence, degraded flag) lands
 // the run in a different failure-mode cluster.
 #pragma once
@@ -36,8 +36,8 @@ std::string canonical_report(const core::Diagnosis& d,
                              const core::FingerprintDb& db);
 
 // Fingerprint of a whole scenario's diagnosis set.  Canonical per-report
-// strings are sorted before hashing, so report arrival order (a sharding
-// artifact for same-timestamp detections) cannot perturb the signature.
+// strings are sorted before hashing, so report arrival order cannot
+// perturb the signature.
 // An empty set has a well-known fingerprint (hash of "[]").
 std::uint64_t report_fingerprint(std::span<const core::Diagnosis> diagnoses,
                                  const wire::ApiCatalog& catalog,

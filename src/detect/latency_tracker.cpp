@@ -137,7 +137,7 @@ std::optional<LatencyAlarm> LatencyTracker::observe(
   // Pairing-time admission: a response past the orphan timeout is the tail
   // of an exchange the tap effectively lost — its latency reflects the
   // degradation, not the service.  Decided here (never in the sweep) so
-  // output is independent of sweep cadence and shard layout.
+  // output is independent of sweep cadence.
   if (orphan_timeout_seconds_ > 0.0 &&
       (event.ts - req_ts).to_seconds() > orphan_timeout_seconds_) {
     ++guards_.orphans_reaped;
@@ -268,18 +268,19 @@ void LatencyTracker::save_state(std::string& out) const {
   util::put_u64(out, guards_.series_trimmed);
 }
 
+void LatencyTracker::reset() {
+  pending_rest_.clear();
+  pending_rpc_.clear();
+  state_.clear();
+  inflight_fifo_.clear();
+  inflight_head_ = 0;
+  samples_ = 0;
+  observes_since_sweep_ = 0;
+  guards_ = LatencyGuardStats{};
+}
+
 bool LatencyTracker::load_state(std::string_view& in) {
-  const auto reset_all = [this] {
-    pending_rest_.clear();
-    pending_rpc_.clear();
-    state_.clear();
-    inflight_fifo_.clear();
-    inflight_head_ = 0;
-    samples_ = 0;
-    observes_since_sweep_ = 0;
-    guards_ = LatencyGuardStats{};
-  };
-  reset_all();
+  reset();
   constexpr std::uint32_t kMaxElems = 1u << 24;
 
   std::uint32_t n_rest = 0;
@@ -288,21 +289,21 @@ bool LatencyTracker::load_state(std::string_view& in) {
     std::uint32_t k = 0;
     std::int64_t ts = 0;
     if (!util::get_u32(in, k) || !util::get_i64(in, ts)) {
-      reset_all();
+      reset();
       return false;
     }
     pending_rest_.emplace(k, util::SimTime(ts));
   }
   std::uint32_t n_rpc = 0;
   if (!util::get_u32(in, n_rpc) || n_rpc > kMaxElems) {
-    reset_all();
+    reset();
     return false;
   }
   for (std::uint32_t i = 0; i < n_rpc; ++i) {
     std::uint64_t k = 0;
     std::int64_t ts = 0;
     if (!util::get_u64(in, k) || !util::get_i64(in, ts)) {
-      reset_all();
+      reset();
       return false;
     }
     pending_rpc_.emplace(k, util::SimTime(ts));
@@ -310,7 +311,7 @@ bool LatencyTracker::load_state(std::string_view& in) {
 
   std::uint32_t n_apis = 0;
   if (!util::get_u32(in, n_apis) || n_apis > kMaxElems) {
-    reset_all();
+    reset();
     return false;
   }
   for (std::uint32_t i = 0; i < n_apis; ++i) {
@@ -321,7 +322,7 @@ bool LatencyTracker::load_state(std::string_view& in) {
     std::uint32_t n_pts = 0;
     if (!util::get_u16(in, api_raw) || !util::get_bytes(in, det_name) ||
         !util::get_bytes(in, det_blob) || !util::get_bytes(in, sk_blob)) {
-      reset_all();
+      reset();
       return false;
     }
     PerApi pa{{}, factory_()};
@@ -330,18 +331,18 @@ bool LatencyTracker::load_state(std::string_view& in) {
     if (pa.detector->name() != det_name ||
         !pa.detector->load_state(det_blob) || !det_blob.empty() ||
         !pa.sketch.load_state(sk_blob) || !sk_blob.empty()) {
-      reset_all();
+      reset();
       return false;
     }
     if (!util::get_u32(in, n_pts) || n_pts > kMaxElems) {
-      reset_all();
+      reset();
       return false;
     }
     for (std::uint32_t p = 0; p < n_pts; ++p) {
       double t = 0.0;
       double v = 0.0;
       if (!util::get_f64(in, t) || !util::get_f64(in, v)) {
-        reset_all();
+        reset();
         return false;
       }
       pa.series.add(t, v);
@@ -351,7 +352,7 @@ bool LatencyTracker::load_state(std::string_view& in) {
 
   std::uint32_t n_fifo = 0;
   if (!util::get_u32(in, n_fifo) || n_fifo > kMaxElems) {
-    reset_all();
+    reset();
     return false;
   }
   for (std::uint32_t i = 0; i < n_fifo; ++i) {
@@ -360,7 +361,7 @@ bool LatencyTracker::load_state(std::string_view& in) {
     std::uint8_t rpc = 0;
     if (!util::get_u64(in, key) || !util::get_i64(in, ts) ||
         !util::get_u8(in, rpc)) {
-      reset_all();
+      reset();
       return false;
     }
     inflight_fifo_.push_back({key, util::SimTime(ts), rpc != 0});
@@ -373,7 +374,7 @@ bool LatencyTracker::load_state(std::string_view& in) {
       !util::get_u64(in, guards_.orphans_reaped) ||
       !util::get_u64(in, guards_.inflight_evicted) ||
       !util::get_u64(in, guards_.series_trimmed)) {
-    reset_all();
+    reset();
     return false;
   }
   return true;

@@ -61,8 +61,7 @@ class LatencyTracker {
   // Feeds one captured event.  Responses that close a pending request
   // produce a latency sample; a confirmed anomaly returns a LatencyAlarm.
   // The EventHeader overload is the real implementation — pairing and the
-  // level-shift feed read only header fields — so the sharded pipeline can
-  // hand workers flat 40-byte headers instead of full events.
+  // level-shift feed read only header fields.
   std::optional<LatencyAlarm> observe(const wire::EventHeader& event);
   std::optional<LatencyAlarm> observe(const wire::Event& event) {
     return observe(wire::EventHeader(event));
@@ -70,9 +69,8 @@ class LatencyTracker {
 
   // Orphan-request reaper (0 = off).  Whether a pairing is admitted depends
   // only on the response−request gap vs the timeout — never on sweep
-  // timing — so detection output is identical for any shard layout; the
-  // periodic sweep merely reclaims the pending-map memory a lossy tap
-  // would otherwise leak.
+  // timing — so the periodic sweep merely reclaims the pending-map memory
+  // a lossy tap would otherwise leak.
   void set_orphan_timeout_seconds(double seconds) {
     orphan_timeout_seconds_ = seconds;
   }
@@ -132,6 +130,10 @@ class LatencyTracker {
   void save_state(std::string& out) const;
   bool load_state(std::string_view& in);
 
+  // Drops all dynamic state (the state load_state replaces), keeping the
+  // knobs: the tracker is left as freshly constructed and armed.
+  void reset();
+
  private:
   struct PerApi {
     util::TimeSeries series;
@@ -158,10 +160,8 @@ class LatencyTracker {
   std::unordered_map<std::uint32_t, util::SimTime> pending_rest_;  // conn_id
   std::unordered_map<std::uint64_t, util::SimTime> pending_rpc_;   // msg_id
   std::unordered_map<wire::ApiId, PerApi> state_;
-  // FIFO as vector + head index (a deque's move ctor is not noexcept,
-  // which would pessimize LatencyShardSet's tracker vector).  Entries
-  // before inflight_head_ are consumed; compaction reclaims them together
-  // with stale live entries.
+  // FIFO as vector + head index.  Entries before inflight_head_ are
+  // consumed; compaction reclaims them together with stale live entries.
   std::vector<InflightEntry> inflight_fifo_;
   std::size_t inflight_head_ = 0;
   std::uint64_t samples_ = 0;

@@ -60,12 +60,12 @@ Analyzer::Analyzer(const FingerprintDb* db, const wire::ApiCatalog* catalog,
     // bounded window); the in-flight cap only engages under sustained
     // response loss, and metric retention only trims history the RCA
     // window can no longer reach.
-    auto& latency = detector_.latency_shards();
+    auto& latency = detector_.latency();
     const auto& cfg = detector_.config();
     latency.set_series_cap(cfg.stream_series_cap);
     if (cfg.stream_inflight_cap > 0) {
-      latency.set_inflight_cap(std::max<std::size_t>(
-          64, cfg.stream_inflight_cap / latency.num_shards()));
+      latency.set_inflight_cap(
+          std::max<std::size_t>(64, cfg.stream_inflight_cap));
     }
     latency.set_sketch_enabled(true);
     metrics_.set_retention_seconds(cfg.stream_metrics_retention_s);
@@ -127,7 +127,7 @@ void Analyzer::on_metric(wire::NodeId node, net::ResourceKind kind,
 
 void Analyzer::finish() { detector_.flush(); }
 
-monitor::PipelineHealthCounters Analyzer::health() {
+monitor::PipelineHealthCounters Analyzer::health() const {
   const auto& tap = tap_.stats();
   const auto& det = detector_.stats();
   monitor::PipelineHealthCounters h;
@@ -136,8 +136,6 @@ monitor::PipelineHealthCounters Analyzer::health() {
   h.frames_unknown_api = tap.unknown_api;
   h.frames_non_monotonic = tap.non_monotonic;
   h.losses_recorded = det.losses_recorded;
-  h.overflow_drops = det.overflow_drops;
-  h.watchdog_trips = det.watchdog_trips;
   h.orphans_reaped = det.orphans_reaped;
   h.latency_clamped = det.latency_clamped;
   h.latency_rejected = det.latency_rejected;
@@ -156,13 +154,9 @@ monitor::PipelineHealthCounters Analyzer::health() {
   h.probe_budget_exhausted = probe.budget_exhausted;
   h.stale_series = sink_stale_series_;
   for (const auto& d : diagnoses_) h.stale_series += d.root_cause.stale_series;
-  // Streaming bounds + per-shard liveness.
+  // Streaming bounds.
   h.inflight_evicted = det.inflight_evicted;
   h.series_trimmed = det.series_trimmed;
-  for (const auto& s : detector_.shard_health()) {
-    h.shard_progress_age_ms.push_back(s.progress_age_ms);
-    if (s.stalled) ++h.stalled_shards;
-  }
   return h;
 }
 

@@ -10,12 +10,10 @@
 // on_wire()/on_event() are called in capture order from one thread, faults
 // are reported synchronously (on that thread) once their future context
 // arrives, and finish() flushes triggers still waiting at end of stream.
-// Internally, Options::config.num_shards > 1 runs anomaly detection on a
-// sharded worker pipeline and num_match_workers > 0 fans fingerprint
-// scoring out over a worker pool — with identical reports for any shard or
-// worker count (docs/ARCHITECTURE.md, "Determinism").  Metrics must be
-// populated (ResourceMonitor::sample_range) before diagnoses that depend
-// on them are read.
+// Internally it is serial too: detection, Algorithm 2 and RCA all run on
+// the calling thread (docs/ARCHITECTURE.md, "The serial pipeline").
+// Metrics must be populated (ResourceMonitor::sample_range) before
+// diagnoses that depend on them are read.
 #pragma once
 
 #include <functional>
@@ -68,9 +66,7 @@ class Analyzer {
 
   // Batched wire-level entry point: decodes config.ingest_batch records at
   // a time into a reusable event buffer and feeds the detector's batched
-  // path.  Byte-identical reports to calling on_wire() per record; the
-  // batching only amortizes per-event synchronization on the sharded
-  // pipeline.
+  // path.  Byte-identical reports to calling on_wire() per record.
   void on_wire_batch(std::span<const net::WireRecord> records);
 
   // Pre-decoded batched entry point.
@@ -80,8 +76,8 @@ class Analyzer {
   void finish();
 
   // Incremental streaming tick (see AnomalyDetector::tick): emits ready
-  // reports, force-emits overdue ones, sweeps orphans, runs the
-  // steady-state stall watchdog.  `now` is the stream watermark.
+  // reports, force-emits overdue ones, sweeps orphans.  `now` is the
+  // stream watermark.
   void tick(util::SimTime now) { detector_.tick(now); }
 
   // Telemetry-loss notification from a streaming admission layer (records
@@ -99,10 +95,9 @@ class Analyzer {
 
   // Flat degraded-telemetry counter snapshot for operator export (see
   // monitor::PipelineHealthCounters).  The detector-side totals are
-  // aggregated at quiescent points, so call after finish() (or a tick())
-  // for exact values.  Non-const: refreshing the per-shard last-progress
-  // clocks is part of the snapshot.
-  monitor::PipelineHealthCounters health();
+  // snapshotted at finish() and tick(), so call after one of those for
+  // exact values.
+  monitor::PipelineHealthCounters health() const;
 
   // Monitoring-side stores feeding the root-cause engine.
   monitor::MetricsStore& metrics() { return metrics_; }
@@ -123,13 +118,12 @@ class Analyzer {
 
   const GretelConfig& config() const { return detector_.config(); }
 
-  // Latency series recorded for an API (sharded internally; safe to read
-  // between on_wire/on_event calls or after finish()).
+  // Latency series recorded for an API.
   const util::TimeSeries* latency_series(wire::ApiId api) const {
     return detector_.latency_series(api);
   }
-  const detect::LatencyShardSet& latency_shards() const {
-    return detector_.latency_shards();
+  const detect::LatencyTracker& latency() const {
+    return detector_.latency();
   }
 
   // Checkpoint support (src/persist/): the learned analyzer state — the

@@ -9,37 +9,25 @@
 // the window between the dual buffer's two pointers, runs Algorithm 2, and
 // emits a FaultReport through the callback.
 //
-// Threading (config.num_shards / config.num_match_workers):
-//  * num_shards == 1 — fully serial, processing each event inline on the
-//    calling thread exactly as the original single-threaded detector.
-//  * num_shards > 1 — the front half (error scan + latency/level-shift
-//    detection) runs on shard worker threads fed through per-shard SPSC
-//    rings (ShardPipeline); the calling thread keeps the dual buffer,
-//    trigger suppression and snapshotting, draining the shards every
-//    config.drain_interval() events.  Trigger candidates are merged back in
-//    global sequence order, so the emitted reports are identical for any
-//    shard count (see docs/ARCHITECTURE.md, "Determinism").
-//  * num_match_workers > 0 — Algorithm 2 scores candidate fingerprints
-//    against the window snapshot on a fork-join pool; the reduction stays
-//    serial, so results are bit-identical to the inline matcher.
-// External API and callback discipline are unchanged: on_event()/flush()
-// must be called from one thread, and callbacks fire on that thread.
+// Threading: serial.  Each event is processed inline on the calling thread
+// (error scan, latency pairing + level shift, snapshot, Algorithm 2);
+// on_event()/flush() must be called from one thread, and callbacks fire on
+// that thread.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "detect/shard_set.h"
+#include "detect/latency_tracker.h"
 #include "gretel/config.h"
 #include "gretel/op_detector.h"
 #include "gretel/report.h"
-#include "gretel/shard_pipeline.h"
 #include "gretel/window.h"
-#include "util/thread_pool.h"
 
 namespace gretel::core {
 
@@ -52,37 +40,23 @@ class AnomalyDetector {
 
   // Feeds one decoded event; may synchronously emit fault reports for
   // earlier triggers whose future context just completed.
-  void on_event(wire::Event event);
+  void on_event(const wire::Event& event);
 
-  // Feeds a batch of decoded events.  Produces byte-identical reports to
-  // calling on_event() per element: the serial path processes each event
-  // inline exactly as before, and the sharded path splits the batch at the
-  // same drain boundaries per-event ingestion would hit, so shard joins —
-  // and therefore trigger merge order and suppression — land at identical
-  // event counts.  What batching buys is amortization: one ring wake-up
-  // fence per chunk instead of per event.
+  // Feeds a batch of decoded events; byte-identical reports to calling
+  // on_event() per element.
   void on_events(std::span<const wire::Event> events);
 
   // Runs any triggers still waiting for future context (end of stream).
-  // With shards, also joins the workers' in-flight work first.
   void flush();
 
-  // Incremental streaming tick (stream_tick_ms cadence): joins the shard
-  // workers and emits every report whose future context is ready — without
-  // ending the stream — then force-emits pending triggers older than
-  // stream_max_report_delay_s (a fault followed by silence still reports
-  // within a bounded delay), time-sweeps the orphan reaper (an idle stream
-  // never reaches the observe-cadence sweep), runs the steady-state stall
-  // watchdog, and refreshes the quiescent guard statistics.  `now` is the
-  // stream watermark in sim time.  Batch callers never need this; calling
-  // it between batches changes drain cadence but not output (triggers
-  // merge in sequence order regardless of join timing).
+  // Incremental streaming tick (stream_tick_ms cadence): emits every report
+  // whose future context is ready — without ending the stream — then
+  // force-emits pending triggers older than stream_max_report_delay_s (a
+  // fault followed by silence still reports within a bounded delay),
+  // time-sweeps the orphan reaper (an idle stream never reaches the
+  // observe-cadence sweep), and refreshes the guard statistics.  `now` is
+  // the stream watermark in sim time.  Batch callers never need this.
   void tick(util::SimTime now);
-
-  // Per-shard liveness from the pipeline (empty on the serial path).
-  std::vector<ShardHealth> shard_health() {
-    return pipeline_ ? pipeline_->shard_health() : std::vector<ShardHealth>{};
-  }
 
   // Telemetry-loss notification from the ingestion layer: `count` frames
   // between the previous event and the next one were lost before decoding
@@ -98,12 +72,9 @@ class AnomalyDetector {
     std::uint64_t operational_reports = 0;
     std::uint64_t performance_reports = 0;
     std::uint64_t suppressed_triggers = 0;
-    // Degraded-telemetry accounting.  overflow_drops / watchdog_trips come
-    // from the sharded pipeline (0 on the serial path); the latency guard
-    // totals are snapshotted from the shard trackers at quiescent points.
-    std::uint64_t losses_recorded = 0;      // record_loss + overflow drops
-    std::uint64_t overflow_drops = 0;
-    std::uint64_t watchdog_trips = 0;
+    // Degraded-telemetry accounting.  losses_recorded and the latency
+    // guard totals are snapshotted at flush() and tick().
+    std::uint64_t losses_recorded = 0;      // record_loss totals
     std::uint64_t orphans_reaped = 0;
     std::uint64_t latency_clamped = 0;      // negative gaps clamped to 0
     std::uint64_t latency_rejected = 0;     // non-finite samples rejected
@@ -118,28 +89,30 @@ class AnomalyDetector {
 
   const GretelConfig& config() const { return config_; }
 
-  // Sharded latency state.  The aggregated accessors are only safe when
-  // the pipeline is quiescent (between on_event calls / after flush).
-  detect::LatencyShardSet& latency_shards() { return latency_; }
-  const detect::LatencyShardSet& latency_shards() const { return latency_; }
+  // Request/response pairing and per-API latency state.
+  detect::LatencyTracker& latency() { return latency_; }
+  const detect::LatencyTracker& latency() const { return latency_; }
   const util::TimeSeries* latency_series(wire::ApiId api) const {
     return latency_.series(api);
   }
 
   // Checkpoint support (src/persist/): serializes the *learned* state — the
-  // latency shard set (baselines, sketches, pending pairings, orphan
-  // clocks), the cumulative loss count, and the stats counters.  The dual
-  // buffer, pending snapshots and per-API suppression maps are window-local
+  // latency tracker (baselines, sketches, pending pairings, orphan clocks),
+  // the cumulative loss count, and the stats counters.  The dual buffer,
+  // pending snapshots and per-API suppression maps are window-local
   // transients spanning at most α messages; they are deliberately not
   // checkpointed (the recovery invariant already allows one checkpoint
   // interval of context to regress, and seq numbers restart with the new
-  // window).  Quiescent points only (after flush()/tick(), workers parked).
+  // window).  Call after flush()/tick().
   //
-  // load_state expects a freshly constructed detector with the same config
-  // (shard count, detector type); on success the pipeline-local counters
-  // (overflow_drops, watchdog_trips, stale_freezes) restart at zero while
-  // the tracker-backed guard stats resume exactly.  On torn input returns
-  // false with the detector left reset to its constructed state.
+  // The blob keeps the layout written by the earlier sharded detector at
+  // one shard: a u32 tracker count (always 1) before the tracker blob, and
+  // two retired u64 counters (written as 0, skipped on load).  load_state
+  // expects a freshly constructed detector with the same config; it
+  // rejects any other tracker count, and on torn input returns false with
+  // the detector left at its constructed state.  After a load,
+  // stale_freezes restarts at zero with the new window; the tracker-backed
+  // guard stats resume exactly.
   void save_state(std::string& out) const;
   bool load_state(std::string_view& in);
 
@@ -152,20 +125,11 @@ class AnomalyDetector {
     std::optional<detect::LatencyAlarm> alarm;
   };
 
-  // Serial (num_shards == 1) ingestion of one event, inline on the calling
-  // thread; the single-event and batched entry points both funnel here.
-  void ingest_serial(const wire::Event& source);
   void maybe_trigger_operational(std::uint64_t seq, wire::ApiId api,
                                  util::SimTime ts);
-  // Joins the shard workers, folds their trigger candidates into pending_
-  // in stream order, and runs snapshots that became ready.
-  void sync_shards(bool force);
   void run_ready(bool force);
   void run_snapshot(const PendingSnapshot& pending);
-  // Folds pipeline overflow drops accrued since the last call into the
-  // window loss count (each dropped event is a gap the snapshot can't see).
-  void fold_overflow_losses();
-  // Quiescent guard-stat snapshot shared by flush() and tick().
+  // Guard-stat snapshot shared by flush() and tick().
   void refresh_guard_stats();
 
   const wire::ApiCatalog* catalog_;
@@ -178,19 +142,9 @@ class AnomalyDetector {
   // anchor re-scan, the error-event collection and Alg. 2 all read these
   // columns through the util/simd.h kernels.
   WindowColumns window_cols_;
-  detect::LatencyShardSet latency_;
-  util::ThreadPool match_pool_;
-  std::unique_ptr<ShardPipeline> pipeline_;  // null when num_shards == 1
-  std::size_t drain_interval_ = 0;
-  std::size_t since_drain_ = 0;
-  // Cumulative telemetry losses (record_loss + pipeline overflow drops) and
-  // the portion of the pipeline's overflow counter already folded in.
+  detect::LatencyTracker latency_;
+  // Cumulative telemetry losses (record_loss).
   std::uint64_t loss_count_ = 0;
-  std::uint64_t overflow_folded_ = 0;
-  // Seq-stamped headers of the current chunk for submit_batch (capacity is
-  // retained across batches; bounded by drain_interval_).  Headers, not
-  // events: the pipeline hand-off never copies strings across threads.
-  std::vector<wire::EventHeader> batch_scratch_;
   std::vector<PendingSnapshot> pending_;
   // Last trigger sequence per API, for duplicate-relay suppression.
   std::unordered_map<wire::ApiId, std::uint64_t> last_trigger_;

@@ -37,20 +37,6 @@ enum class StreamShedPolicy : std::uint8_t {
   DropOldest,
 };
 
-// What the sharded pipeline does when a shard's ring (plus its spill
-// queue) is full — i.e. one shard worker has fallen far behind ingestion.
-enum class OverflowPolicy : std::uint8_t {
-  // Backpressure: block ingestion until the worker catches up (the
-  // original behavior; lossless, but a wedged worker wedges ingestion
-  // unless the watchdog is armed).
-  Block,
-  // Keep ingesting: overflow spills into a bounded coordinator-side queue
-  // and, beyond that, the oldest waiting event is dropped and accounted
-  // (overflow_drops counter + window loss annotation).  Never engages
-  // below capacity, so it is a strict no-op on a keeping-up pipeline.
-  DropOldestWithAccounting,
-};
-
 struct GretelConfig {
   // FPmax · 384 · the longest fingerprint in the database, in messages.
   // One of the two lower bounds on the window: a snapshot must be able to
@@ -119,13 +105,11 @@ struct GretelConfig {
   // error relays).
   std::size_t suppress_events = 96;
 
-  // (threading) · 1 · detection shards.  1 = the fully serial pipeline,
-  // byte-identical to the original single-threaded analyzer.  N > 1 runs
-  // the error scan and latency/level-shift detection on N worker threads,
-  // partitioned by API symbol; reports are identical for any value (see
-  // docs/ARCHITECTURE.md, "Determinism").  Size to physical cores minus
-  // one (the ingestion/snapshot thread).
-  std::size_t num_shards = 1;
+  // (threading) · fixed · the analyzer is serial: one thread runs detection,
+  // Algorithm 2 and RCA.  Not knobs; kept only because perfbench's
+  // serial-config guard (perfbench/src/e2e_main.cpp) still reads them.
+  static constexpr std::size_t num_shards = 1;
+  static constexpr std::size_t num_match_workers = 0;
 
   // (hot path) · 64 · slab size, in KiB, of the capture-tap decode arena.
   // Every decode batch parses into string_views over arena-backed scratch
@@ -135,58 +119,19 @@ struct GretelConfig {
   // header array plus the normalized URI of a single record.
   std::size_t decode_arena_kb = 64;
 
-  // (hot path) · 128 · events per ingestion batch when callers use the
-  // batched entry points (Analyzer::on_wire_batch / on_events).  Larger
-  // batches amortize the sharded pipeline's wake-up fence over more
-  // events; reports are byte-identical for any value (batches are split
-  // internally at drain boundaries).  Purely a throughput knob.
+  // (hot path) · 128 · records decoded per chunk by the batched wire
+  // entry point (Analyzer::on_wire_batch) into a reusable event buffer.
+  // Reports are byte-identical for any value.  Purely a throughput knob.
   std::size_t ingest_batch = 128;
-
-  // (hot path) · 0 = auto · deferred-wake cadence of the sharded pipeline,
-  // in events per shard: the coordinator fences and notifies a parked shard
-  // worker only once this many events have accumulated in its ring since
-  // the last wake, instead of once per batch.  Auto resolves to ring
-  // capacity / 8 (clamped to [1, 64]).  Purely a throughput knob with no
-  // liveness cost: drains publish every pending wake (and consume parked
-  // backlog inline), and a full ring always wakes its worker.  Reports are
-  // byte-identical for any value.
-  std::size_t shard_wake_events = 0;
-
-  // (threading) · 0 · worker threads for the fan-out fingerprint matcher
-  // in Algorithm 2.  0 scores candidates inline on the snapshotting
-  // thread; N > 0 fork-joins the per-candidate scoring loop over N threads
-  // (bit-identical results — the reduction stays serial).  Worth enabling
-  // when the fingerprint database is large or faults are frequent.
-  std::size_t num_match_workers = 0;
 
   // (resilience) · 0.0 = off · seconds after which a request whose response
   // was never captured is reaped from the latency tracker.  Lossy taps
   // orphan requests; without a reaper the pending-request maps leak and a
   // response arriving after aeons would register a bogus latency sample.
   // Admission is decided at pairing time (response−request gap vs this
-  // timeout), so results are independent of shard count; the periodic sweep
-  // only reclaims memory.  0 keeps the exact pre-resilience behavior.
+  // timeout), so results are independent of sweep timing; the periodic
+  // sweep only reclaims memory.  0 keeps the exact pre-resilience behavior.
   double orphan_timeout_seconds = 0.0;
-
-  // (resilience) · Block · what ingestion does when a detection shard falls
-  // behind: Block applies backpressure (lossless), DropOldestWithAccounting
-  // keeps ingesting and accounts the loss (see OverflowPolicy).  Only
-  // meaningful when num_shards > 1.
-  OverflowPolicy overflow_policy = OverflowPolicy::Block;
-
-  // (resilience) · 0 = ring capacity · bounded coordinator-side spill queue
-  // per shard, in events, used by DropOldestWithAccounting before anything
-  // is dropped.
-  std::size_t overflow_spill = 0;
-
-  // (resilience) · 0.0 = off · stall watchdog for the sharded pipeline, in
-  // milliseconds of *no shard progress*.  When armed, a blocked submit or
-  // drain stops waiting on a shard whose worker has made no progress for
-  // this long: the event is dropped with accounting (submit) or the join is
-  // abandoned (drain), and watchdog_trips increments — one wedged shard
-  // can no longer deadlock ingestion.  A slow-but-alive worker never trips
-  // it (progress resets the clock).  0 keeps the unbounded waits.
-  double watchdog_ms = 0.0;
 
   // --- root-cause analysis (Algorithm 3, §5.4) ---
 
@@ -297,14 +242,11 @@ struct GretelConfig {
   // attributed as a window loss in place.
   StreamShedPolicy stream_shed_policy = StreamShedPolicy::DropOldest;
 
-  // (streaming) · 4096 · cap on the in-flight (request-awaiting-response)
-  // table across all latency shards; per shard the cap divides evenly
-  // (floor 64).  When a tap loses responses faster than the orphan
-  // timeout reclaims them, the oldest pending request is evicted with
-  // accounting (guard stat inflight_evicted) instead of growing the map.
-  // Under cap pressure eviction order depends on the shard layout, so a
-  // saturated streaming run is not byte-identical across shard counts —
-  // batch mode (cap unset) keeps the full determinism contract.
+  // (streaming) · 4096 · cap on the whole in-flight (request-awaiting-
+  // response) table (floor 64).  When a tap loses responses faster than the
+  // orphan timeout reclaims them, the oldest pending request is evicted
+  // with accounting (guard stat inflight_evicted) instead of growing the
+  // map.  Batch mode leaves the cap unset.
   std::size_t stream_inflight_cap = 4096;
 
   // (streaming) · 2048 · retained recent latency samples per API.  Batch
@@ -384,14 +326,11 @@ struct GretelConfig {
     if (!std::isfinite(anchor_proximity_seconds) ||
         anchor_proximity_seconds < 0.0)
       bad("anchor_proximity_seconds must be >= 0");
-    if (num_shards == 0) bad("num_shards must be >= 1");
     if (decode_arena_kb == 0) bad("decode_arena_kb must be > 0");
     if (ingest_batch == 0) bad("ingest_batch must be > 0");
     if (!std::isfinite(orphan_timeout_seconds) ||
         orphan_timeout_seconds < 0.0)
       bad("orphan_timeout_seconds must be >= 0 (0 = off)");
-    if (!std::isfinite(watchdog_ms) || watchdog_ms < 0.0)
-      bad("watchdog_ms must be >= 0 (0 = off)");
     if (!std::isfinite(rca_window_pad_seconds) ||
         rca_window_pad_seconds < 0.0)
       bad("rca_window_pad_seconds must be >= 0");
@@ -446,22 +385,6 @@ struct GretelConfig {
   std::size_t delta() const {
     return std::max<std::size_t>(1,
                                  static_cast<std::size_t>(c2 * alpha()));
-  }
-
-  // How many events the sharded pipeline ingests between drains (the
-  // coordinator/worker join points).  Bounded by α/4 so a pending
-  // trigger's past half-window can never be evicted from the 2α dual
-  // buffer before its snapshot runs, whatever the drain backlog: a trigger
-  // centred at C is folded in at most one interval D after its event, the
-  // snapshot spans [C−α/2, C+α/2), and ingestion can run at most D events
-  // past the fold point before the next join — so D ≤ α keeps every
-  // freeze inside the buffer, and α/4 leaves a 4× safety margin.  The
-  // absolute cap only bounds the per-drain trigger backlog; it is *not*
-  // part of the eviction-safety argument, so high-rate configs (large
-  // Prate → large α) may drain as rarely as every 1024 events instead of
-  // paying a join every 256.
-  std::size_t drain_interval() const {
-    return std::clamp<std::size_t>(alpha() / 4, 1, 1024);
   }
 };
 

@@ -65,16 +65,11 @@ std::size_t backward_evidence(std::span<const wire::ApiId> literals,
   return consumed;
 }
 
-// Candidates below this count are scored inline: the fork-join handshake
-// costs more than the scoring itself.
-constexpr std::size_t kMinParallelCandidates = 4;
-
 }  // namespace
 
 DetectionResult OperationDetector::detect(
     std::span<const wire::Event> window, const WindowColumns& cols,
-    std::size_t fault_index, wire::ApiId offending, bool truncate,
-    util::ThreadPool* match_pool) const {
+    std::size_t fault_index, wire::ApiId offending, bool truncate) const {
   assert(cols.size() == window.size());
   DetectionResult result;
 
@@ -199,17 +194,13 @@ DetectionResult OperationDetector::detect(
     // fault has little history by definition).
     std::vector<FingerprintDb::Index> matched;
     std::size_t best = 0;
-    const bool fan_out = match_pool && match_pool->size() > 0 &&
-                         candidates.size() >= kMinParallelCandidates;
     if (truncate && config_.backend != MatchBackend::StdRegex) {
-      // Each worker owns slot ci; the reduction below is serial, so the
-      // matched set is identical with or without the pool.
       std::vector<std::size_t> evidence(candidates.size(), 0);
       std::vector<char> complete(candidates.size(), 0);
-      const auto score = [&](std::size_t ci) {
+      for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
         // No symbol shared with the slice ⟹ every variant consumes zero
         // literals; skip the candidate with one AND.
-        if ((candidates[ci].any_mask & snap_mask) == 0) return;
+        if ((candidates[ci].any_mask & snap_mask) == 0) continue;
         for (std::size_t vi = 0; vi < candidates[ci].variants.size(); ++vi) {
           if ((candidates[ci].masks[vi] & snap_mask) == 0) continue;
           const auto& literals = candidates[ci].variants[vi];
@@ -225,13 +216,6 @@ DetectionResult OperationDetector::detect(
             complete[ci] = 1;
           }
         }
-      };
-      if (fan_out) {
-        match_pool->parallel_for(candidates.size(), score);
-      } else {
-        for (std::size_t ci = 0; ci < candidates.size(); ++ci) score(ci);
-      }
-      for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
         best = std::max(best, evidence[ci]);
       }
       const auto cutoff = static_cast<std::size_t>(
@@ -243,26 +227,16 @@ DetectionResult OperationDetector::detect(
     } else {
       // Performance faults and the regex ablation backend: forward match
       // over the slice.
-      std::vector<char> hit(candidates.size(), 0);
-      const auto score = [&](std::size_t ci) {
-        for (std::size_t vi = 0; vi < candidates[ci].variants.size(); ++vi) {
+      for (const auto& c : candidates) {
+        for (std::size_t vi = 0; vi < c.variants.size(); ++vi) {
           // A forward match needs *every* literal present: a variant with a
           // presence bit outside the slice's mask cannot match.
-          if (mask_gate && (candidates[ci].masks[vi] & ~snap_mask) != 0)
-            continue;
-          if (matcher_.matches(candidates[ci].variants[vi], snapshot)) {
-            hit[ci] = 1;
+          if (mask_gate && (c.masks[vi] & ~snap_mask) != 0) continue;
+          if (matcher_.matches(c.variants[vi], snapshot)) {
+            matched.push_back(c.index);
             break;
           }
         }
-      };
-      if (fan_out) {
-        match_pool->parallel_for(candidates.size(), score);
-      } else {
-        for (std::size_t ci = 0; ci < candidates.size(); ++ci) score(ci);
-      }
-      for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-        if (hit[ci]) matched.push_back(candidates[ci].index);
       }
       best = matched.size();
     }

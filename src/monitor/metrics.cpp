@@ -1,7 +1,5 @@
 #include "monitor/metrics.h"
 
-#include <cstdio>
-
 namespace gretel::monitor {
 
 std::string PipelineHealthCounters::to_json() const {
@@ -18,8 +16,6 @@ std::string PipelineHealthCounters::to_json() const {
   field("frames_unknown_api", frames_unknown_api);
   field("frames_non_monotonic", frames_non_monotonic);
   field("losses_recorded", losses_recorded);
-  field("overflow_drops", overflow_drops);
-  field("watchdog_trips", watchdog_trips);
   field("orphans_reaped", orphans_reaped);
   field("latency_clamped", latency_clamped);
   field("latency_rejected", latency_rejected);
@@ -37,15 +33,7 @@ std::string PipelineHealthCounters::to_json() const {
   field("frozen_samples", frozen_samples);
   field("inflight_evicted", inflight_evicted);
   field("series_trimmed", series_trimmed);
-  field("stalled_shards", stalled_shards);
-  out += ", \"shard_progress_age_ms\": [";
-  for (std::size_t i = 0; i < shard_progress_age_ms.size(); ++i) {
-    if (i) out += ", ";
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.1f", shard_progress_age_ms[i]);
-    out += buf;
-  }
-  out += "]}";
+  out += "}";
   return out;
 }
 

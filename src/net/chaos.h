@@ -7,7 +7,7 @@
 // flush, NICs truncate, clocks skew between nodes.  stack/faults.h injects
 // faults into the *workload*; ChaosTap injects them into the *wire* between
 // the simulated fabric and the analyzer, so the degraded-telemetry behavior
-// of the whole capture→decode→shard→detect path can be tested and measured
+// of the whole capture→decode→detect path can be tested and measured
 // (cf. the fault-injection validation methodology of arXiv:2010.00331).
 //
 // Determinism contract:

@@ -25,14 +25,6 @@ std::size_t StateFootprint::approx_bytes() const {
 core::Analyzer::Options StreamAnalyzer::prepare(
     core::Analyzer::Options options, StreamAnalyzer* self) {
   options.streaming = true;
-  if (options.config.num_shards > 1) {
-    // A streaming front end must degrade around a wedged shard worker,
-    // never block behind it: force the accounted-drop overflow policy and
-    // arm the submit-path watchdog if the caller left it off.
-    options.config.overflow_policy =
-        core::OverflowPolicy::DropOldestWithAccounting;
-    if (options.config.watchdog_ms <= 0.0) options.config.watchdog_ms = 250.0;
-  }
   // The lambda outlives construction only inside analyzer_, a member of
   // *self, so capturing the not-yet-constructed `this` is safe: it is not
   // invoked until events flow.
@@ -54,11 +46,7 @@ StreamAnalyzer::StreamAnalyzer(const core::FingerprintDb* db,
           1'000'000,
           static_cast<std::int64_t>(options.config.stream_tick_ms * 1e6)))),
       sink_(std::move(sink)),
-      analyzer_(db, catalog, deployment, prepare(std::move(options), this)) {
-  // cfg_ keeps the caller's view; the overrides prepare() applied matter
-  // only inside the analyzer (shard plumbing), not to the stream knobs
-  // read here.
-}
+      analyzer_(db, catalog, deployment, prepare(std::move(options), this)) {}
 
 util::SimTime StreamAnalyzer::grid_floor(util::SimTime t) const {
   const auto step = tick_len_.count();
@@ -217,7 +205,7 @@ StateFootprint StreamAnalyzer::footprint() {
   fp.source_ring_records = ring_.size();
   fp.source_ring_bytes = ring_bytes_;
   fp.window_capacity = 2 * analyzer_.config().alpha();
-  const auto& latency = analyzer_.latency_shards();
+  const auto& latency = analyzer_.latency();
   fp.pending_requests = latency.pending();
   fp.inflight_queue = latency.inflight_queue();
   fp.series_points = latency.series_points();

@@ -9,10 +9,9 @@
 // three hard guarantees (docs/ARCHITECTURE.md, "Streaming mode"):
 //
 //   1. Bounded memory.  Every stateful stage is capped: the source ring
-//      (stream_source_ring), the pending-request tables (stream_inflight_cap
-//      split across shards), retained latency series (stream_series_cap,
-//      with constant-memory P² sketches keeping full-history baselines),
-//      metric retention (stream_metrics_retention_s) and the retained
+//      (stream_source_ring), the pending-request table (stream_inflight_cap),
+//      retained latency series (stream_series_cap, with constant-memory P²
+//      sketches keeping full-history baselines), metric retention (stream_metrics_retention_s) and the retained
 //      report ring (stream_report_cap).  footprint() itemizes the state and
 //      the soak test asserts the ceiling is flat under sustained overload.
 //
@@ -30,9 +29,8 @@
 //      tick each time the watermark crosses a stream_tick_ms boundary:
 //      queued records are drained into the analyzer, ready reports are
 //      emitted, pending triggers older than stream_max_report_delay_s are
-//      force-emitted with the context that did arrive, idle-stream
-//      orphans are reaped, and the steady-state stall watchdog runs.
-//      Each report is stamped with its emission tick and the
+//      force-emitted with the context that did arrive, and idle-stream
+//      orphans are reaped.  Each report is stamped with its emission tick and the
 //      trigger-to-emission delay (bench/bench_stream_latency.cpp measures
 //      the fault-injection-to-first-report distribution on top of this).
 //
@@ -137,12 +135,9 @@ class StreamAnalyzer {
   using ReportSink = std::function<void(const StreamReport&)>;
 
   // Wraps a streaming Analyzer (Options::streaming is forced on, arming
-  // every bounded-state knob in options.config).  On a sharded config the
-  // overflow policy is forced to DropOldestWithAccounting and the shard
-  // watchdog is armed (250 ms default) — a streaming front end must shed
-  // around a wedged shard worker, never block behind it.  `sink`, when
-  // set, sees every report at emission; the newest stream_report_cap
-  // reports are also retained in recent_reports() either way.
+  // every bounded-state knob in options.config).  `sink`, when set, sees
+  // every report at emission; the newest stream_report_cap reports are
+  // also retained in recent_reports() either way.
   StreamAnalyzer(const core::FingerprintDb* db,
                  const wire::ApiCatalog* catalog,
                  const stack::Deployment* deployment,
@@ -193,9 +188,11 @@ class StreamAnalyzer {
   StateFootprint footprint();
   std::size_t peak_state_bytes() const { return peak_state_bytes_; }
 
-  // Degraded-telemetry counters of the wrapped pipeline (quiescent
-  // snapshot — call between offers, after a tick, or after finish()).
-  monitor::PipelineHealthCounters health() { return analyzer_.health(); }
+  // Degraded-telemetry counters of the wrapped pipeline (exact after a
+  // tick or after finish()).
+  monitor::PipelineHealthCounters health() const {
+    return analyzer_.health();
+  }
   core::Analyzer& analyzer() { return analyzer_; }
   const core::Analyzer& analyzer() const { return analyzer_; }
 
@@ -261,7 +258,7 @@ class StreamAnalyzer {
 
   const core::FingerprintDb* db_;
   const wire::ApiCatalog* catalog_;
-  core::GretelConfig cfg_;       // effective (post-override) config copy
+  core::GretelConfig cfg_;       // the caller's config
   util::SimDuration tick_len_;
   ReportSink sink_;
   core::Analyzer analyzer_;      // last: its sink lambda captures `this`

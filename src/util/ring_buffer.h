@@ -1,17 +1,11 @@
-// Fixed-capacity ring buffers.
+// Fixed-capacity ring buffer.
 //
 // RingBuffer backs GRETEL's dual-buffer event receiver (§6 of the paper):
 // events are appended at line rate and the anomaly detector freezes windows
 // of the most recent α entries by index, without copying.  It is
 // single-threaded by design.
-//
-// SpscRing is the concurrent sibling used by the sharded analysis pipeline:
-// a bounded lock-free single-producer/single-consumer queue, one per
-// detection shard, carrying events from the ingestion thread to the shard's
-// worker.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -81,113 +75,6 @@ class RingBuffer {
   std::size_t capacity_;
   std::vector<T> data_;
   std::uint64_t next_seq_ = 0;
-};
-
-// Bounded wait-free single-producer/single-consumer queue.
-//
-// Exactly one thread may call try_push() and exactly one thread may call
-// try_pop(); under that contract every operation is a handful of relaxed
-// loads plus one acquire load and one release store.  Capacity is rounded
-// up to a power of two so slot lookup is a mask.  empty() is safe from the
-// consumer, full() from the producer; size() is an estimate from any
-// thread.
-template <typename T>
-class SpscRing {
- public:
-  explicit SpscRing(std::size_t min_capacity) {
-    std::size_t cap = 1;
-    while (cap < min_capacity) cap <<= 1;
-    mask_ = cap - 1;
-    slots_.resize(cap);
-  }
-
-  SpscRing(const SpscRing&) = delete;
-  SpscRing& operator=(const SpscRing&) = delete;
-
-  // Producer side.  False when the ring is full.
-  bool try_push(T value) {
-    const auto tail = tail_.load(std::memory_order_relaxed);
-    if (tail - head_cache_ > mask_) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      if (tail - head_cache_ > mask_) return false;
-    }
-    slots_[static_cast<std::size_t>(tail) & mask_] = std::move(value);
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
-
-  // Producer side, bulk: pushes up to `n` items from `items` in order and
-  // returns how many entered (0 when full).  The whole run is published
-  // with a single release store, so a batch costs one cursor reload and
-  // one fence-free publication instead of n.
-  std::size_t try_push_n(const T* items, std::size_t n) {
-    const auto tail = tail_.load(std::memory_order_relaxed);
-    std::size_t free_slots =
-        capacity() - static_cast<std::size_t>(tail - head_cache_);
-    if (free_slots < n) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      free_slots = capacity() - static_cast<std::size_t>(tail - head_cache_);
-    }
-    const std::size_t k = n < free_slots ? n : free_slots;
-    for (std::size_t i = 0; i < k; ++i) {
-      slots_[static_cast<std::size_t>(tail + i) & mask_] = items[i];
-    }
-    if (k != 0) tail_.store(tail + k, std::memory_order_release);
-    return k;
-  }
-
-  // Consumer side.  False when the ring is empty.
-  bool try_pop(T& out) {
-    const auto head = head_.load(std::memory_order_relaxed);
-    if (head == tail_cache_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head == tail_cache_) return false;
-    }
-    out = std::move(slots_[static_cast<std::size_t>(head) & mask_]);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  // Consumer side, bulk: pops up to `n` items into `out` and returns how
-  // many were taken.  Mirrors try_push_n: one cursor reload, one release
-  // store for the whole run.
-  std::size_t try_pop_n(T* out, std::size_t n) {
-    const auto head = head_.load(std::memory_order_relaxed);
-    std::size_t avail = static_cast<std::size_t>(tail_cache_ - head);
-    if (avail < n) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      avail = static_cast<std::size_t>(tail_cache_ - head);
-    }
-    const std::size_t k = n < avail ? n : avail;
-    for (std::size_t i = 0; i < k; ++i) {
-      out[i] = std::move(slots_[static_cast<std::size_t>(head + i) & mask_]);
-    }
-    if (k != 0) head_.store(head + k, std::memory_order_release);
-    return k;
-  }
-
-  // Consumer-side emptiness check (exact for the consumer: items can only
-  // be added behind its back, never removed).
-  bool empty() const {
-    return head_.load(std::memory_order_relaxed) ==
-           tail_.load(std::memory_order_acquire);
-  }
-
-  std::size_t size() const {
-    return static_cast<std::size_t>(tail_.load(std::memory_order_acquire) -
-                                    head_.load(std::memory_order_acquire));
-  }
-  std::size_t capacity() const { return mask_ + 1; }
-
- private:
-  std::vector<T> slots_;
-  std::size_t mask_ = 0;
-  // Producer and consumer cursors on separate cache lines to avoid
-  // ping-ponging the line between the two threads.
-  alignas(64) std::atomic<std::uint64_t> tail_{0};  // next write position
-  std::uint64_t head_cache_ = 0;                    // producer's view of head
-  alignas(64) std::atomic<std::uint64_t> head_{0};  // next read position
-  std::uint64_t tail_cache_ = 0;                    // consumer's view of tail
 };
 
 }  // namespace gretel::util

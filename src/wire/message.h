@@ -89,11 +89,10 @@ struct Event {
 // The fixed-size slice of an Event that the detection front half reads:
 // error-status scan, request/response pairing and the level-shift feed
 // consume exactly these fields (LatencyTracker::observe touches nothing
-// else).  The sharded pipeline's SPSC rings carry EventHeader instead of
-// Event so the cross-thread hand-off is a flat 40-byte copy — no strings,
-// no identifier vectors, no allocator traffic between producer and
-// consumers.  Trivially copyable by construction; the static_assert keeps
-// it that way.
+// else).  The detector builds one per ingested event instead of copying the
+// full Event — a flat 40-byte copy with no strings and no identifier
+// vectors.  Trivially copyable by construction; the static_assert keeps it
+// that way.
 struct EventHeader {
   std::uint64_t seq = 0;
   util::SimTime ts;
@@ -125,6 +124,6 @@ struct EventHeader {
   }
 };
 static_assert(std::is_trivially_copyable_v<EventHeader>,
-              "shard rings rely on EventHeader being a flat copy");
+              "EventHeader must stay a flat copy");
 
 }  // namespace gretel::wire

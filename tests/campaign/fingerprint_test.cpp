@@ -1,6 +1,6 @@
 // Fingerprint stability: the campaign's failure-mode signature must be
-// byte-identical across shard counts and kernel families (the determinism
-// contract), and invariant under cosmetic report differences — cause
+// byte-identical across kernel families (the determinism contract), and
+// invariant under cosmetic report differences — cause
 // ordering within a score tie, probe timing jitter, float scores.
 #include <gtest/gtest.h>
 
@@ -46,13 +46,11 @@ std::vector<net::WireRecord> record_faulty_workload() {
   return executor.execute(w.launches);
 }
 
-std::uint64_t fingerprint_with_shards(
-    const std::vector<net::WireRecord>& records, std::size_t num_shards) {
+std::uint64_t fingerprint_of(const std::vector<net::WireRecord>& records) {
   auto& e = env();
   core::Analyzer::Options opt;
   opt.config.fp_max = e.training.fp_max;
   opt.config.p_rate = 150.0;
-  opt.config.num_shards = num_shards;
   core::Analyzer analyzer(&e.training.db, &e.catalog.apis(), &e.deployment,
                           opt);
   monitor::ResourceMonitor mon(&e.deployment, SimDuration::seconds(1), 7);
@@ -66,18 +64,11 @@ std::uint64_t fingerprint_with_shards(
                             e.training.db);
 }
 
-TEST(CampaignFingerprint, StableAcrossShardCounts) {
-  const auto records = record_faulty_workload();
-  const auto golden = fingerprint_with_shards(records, 1);
-  EXPECT_EQ(fingerprint_with_shards(records, 2), golden);
-  EXPECT_EQ(fingerprint_with_shards(records, 4), golden);
-}
-
 TEST(CampaignFingerprint, StableAcrossKernelFamilies) {
   const auto records = record_faulty_workload();
-  const auto simd_fp = fingerprint_with_shards(records, 2);
+  const auto simd_fp = fingerprint_of(records);
   simd::set_force_scalar(true);
-  const auto scalar_fp = fingerprint_with_shards(records, 2);
+  const auto scalar_fp = fingerprint_of(records);
   simd::set_force_scalar(false);
   EXPECT_EQ(scalar_fp, simd_fp);
 }

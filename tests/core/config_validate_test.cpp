@@ -51,11 +51,6 @@ TEST(ConfigValidate, EachBadKnobIsItemized) {
   }
   {
     GretelConfig c;
-    c.num_shards = 0;
-    EXPECT_TRUE(has_error(c, "num_shards"));
-  }
-  {
-    GretelConfig c;
     c.stream_tick_ms = 0.0;
     EXPECT_TRUE(has_error(c, "stream_tick_ms"));
     c.stream_tick_ms = kInf;

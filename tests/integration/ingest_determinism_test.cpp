@@ -1,8 +1,8 @@
-// Determinism contract of the sharded pipeline (see docs/ARCHITECTURE.md):
-// for a fixed capture, the set *and order* of diagnoses, every report field,
-// and the detector stats are identical for any `num_shards` and any
-// `num_match_workers`.  num_shards == 1 bypasses the pipeline entirely, so
-// the serial run doubles as the reference.
+// Determinism contracts of the ingest path (see docs/ARCHITECTURE.md,
+// "Determinism"): for a fixed capture, the set *and order* of diagnoses,
+// every report field, and the detector stats are identical whether records
+// arrive one at a time or in batches of any size, and whether the analysis
+// kernels run SIMD or scalar.  The per-record run is the reference.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -41,16 +41,13 @@ std::vector<net::WireRecord> record_workload(
   return executor.execute(w.launches);
 }
 
+// ingest_batch == 0 feeds records one at a time through on_wire().
 std::unique_ptr<Analyzer> replay(const std::vector<net::WireRecord>& recs,
-                                 std::size_t num_shards,
-                                 std::size_t num_match_workers,
                                  std::size_t ingest_batch = 0) {
   auto& e = env();
   Analyzer::Options opt;
   opt.config.fp_max = e.training.fp_max;
   opt.config.p_rate = 150.0;
-  opt.config.num_shards = num_shards;
-  opt.config.num_match_workers = num_match_workers;
   if (ingest_batch != 0) opt.config.ingest_batch = ingest_batch;
   auto analyzer = std::make_unique<Analyzer>(
       &e.training.db, &e.catalog.apis(), &e.deployment, opt);
@@ -120,55 +117,7 @@ void expect_identical(const Analyzer& reference, const Analyzer& other,
   EXPECT_EQ(sa.suppressed_triggers, sb.suppressed_triggers);
 }
 
-TEST(ShardedDeterminism, DiagnosesInvariantAcrossShardCounts) {
-  tempest::WorkloadSpec spec;
-  spec.concurrent_tests = 20;
-  spec.faults = 3;
-  spec.seed = 31;
-  spec.window = SimDuration::seconds(120);
-  const auto records = record_workload(spec, 310);
-
-  const auto reference = replay(records, 1, 0);
-  ASSERT_GE(reference->detector_stats().operational_reports, 1u);
-  ASSERT_FALSE(reference->diagnoses().empty());
-
-  for (std::size_t shards : {2u, 4u, 8u}) {
-    const auto run = replay(records, shards, 0);
-    expect_identical(*reference, *run,
-                     "num_shards=" + std::to_string(shards));
-  }
-}
-
-TEST(ShardedDeterminism, MatchWorkersDontChangeScores) {
-  tempest::WorkloadSpec spec;
-  spec.concurrent_tests = 25;
-  spec.faults = 2;
-  spec.seed = 32;
-  const auto records = record_workload(spec, 320);
-
-  const auto reference = replay(records, 1, 0);
-  ASSERT_FALSE(reference->diagnoses().empty());
-  for (std::size_t workers : {1u, 3u}) {
-    const auto run = replay(records, 1, workers);
-    expect_identical(*reference, *run,
-                     "num_match_workers=" + std::to_string(workers));
-  }
-}
-
-TEST(ShardedDeterminism, CombinedShardingAndMatchFanOut) {
-  tempest::WorkloadSpec spec;
-  spec.concurrent_tests = 20;
-  spec.faults = 3;
-  spec.seed = 33;
-  spec.window = SimDuration::seconds(120);
-  const auto records = record_workload(spec, 330);
-
-  const auto reference = replay(records, 1, 0);
-  const auto run = replay(records, 4, 2);
-  expect_identical(*reference, *run, "num_shards=4 num_match_workers=2");
-}
-
-TEST(ShardedDeterminism, BatchedIngestIdenticalToPerEvent) {
+TEST(IngestDeterminism, BatchedIngestIdenticalToPerEvent) {
   tempest::WorkloadSpec spec;
   spec.concurrent_tests = 20;
   spec.faults = 3;
@@ -176,33 +125,24 @@ TEST(ShardedDeterminism, BatchedIngestIdenticalToPerEvent) {
   spec.window = SimDuration::seconds(120);
   const auto records = record_workload(spec, 350);
 
-  // Per-event serial run is the reference for everything.
-  const auto reference = replay(records, 1, 0);
+  const auto reference = replay(records);
   ASSERT_FALSE(reference->diagnoses().empty());
 
-  for (std::size_t shards : {1u, 2u, 4u, 8u}) {
-    // Batched ingest must be byte-identical to per-event ingest at the same
-    // shard count — whatever the batch size, including batches that are
-    // prime-sized (never aligned with drain boundaries) and a single batch
-    // holding the whole capture.
-    for (const std::size_t batch :
-         {std::size_t{7}, std::size_t{128}, records.size()}) {
-      const auto run = replay(records, shards, 0, batch);
-      expect_identical(*reference, *run,
-                       "batched num_shards=" + std::to_string(shards) +
-                           " ingest_batch=" + std::to_string(batch));
-    }
-    // And per-event at this shard count agrees too (sanity anchor).
-    const auto per_event = replay(records, shards, 0);
-    expect_identical(*reference, *per_event,
-                     "per-event num_shards=" + std::to_string(shards));
+  // Batched ingest must be byte-identical to per-event ingest whatever the
+  // batch size: prime-sized, the default, and one batch holding the whole
+  // capture.
+  for (const std::size_t batch :
+       {std::size_t{7}, std::size_t{128}, records.size()}) {
+    const auto run = replay(records, batch);
+    expect_identical(*reference, *run,
+                     "ingest_batch=" + std::to_string(batch));
   }
 }
 
-TEST(ShardedDeterminism, ScalarKernelsIdenticalToSimd) {
+TEST(IngestDeterminism, ScalarKernelsIdenticalToSimd) {
   // The SIMD determinism contract end-to-end: forcing every util/simd.h
   // kernel onto its scalar reference must leave the full diagnosis stream
-  // byte-identical, at every shard count.  (CI additionally builds a whole
+  // byte-identical.  (CI additionally builds a whole
   // leg with -DGRETEL_FORCE_SCALAR=ON; this test covers the in-process
   // runtime switch so one binary proves both families agree.)
   tempest::WorkloadSpec spec;
@@ -212,30 +152,26 @@ TEST(ShardedDeterminism, ScalarKernelsIdenticalToSimd) {
   spec.window = SimDuration::seconds(120);
   const auto records = record_workload(spec, 360);
 
-  const auto reference = replay(records, 1, 0);  // compiled kernel family
+  const auto reference = replay(records);  // compiled kernel family
   ASSERT_FALSE(reference->diagnoses().empty());
 
   simd::set_force_scalar(true);
-  for (std::size_t shards : {1u, 2u, 4u, 8u}) {
-    const auto run = replay(records, shards, 0);
-    expect_identical(*reference, *run,
-                     std::string("scalar kernels, num_shards=") +
-                         std::to_string(shards));
-  }
+  const auto run = replay(records);
   simd::set_force_scalar(false);
+  expect_identical(*reference, *run, "scalar kernels");
 }
 
-TEST(ShardedDeterminism, CleanWorkloadStaysClean) {
+TEST(IngestDeterminism, CleanWorkloadStaysClean) {
   tempest::WorkloadSpec spec;
   spec.concurrent_tests = 15;
   spec.faults = 0;
   spec.seed = 34;
   const auto records = record_workload(spec, 340);
 
-  const auto reference = replay(records, 1, 0);
+  const auto reference = replay(records);
   EXPECT_TRUE(reference->diagnoses().empty());
-  const auto run = replay(records, 4, 2);
-  expect_identical(*reference, *run, "clean capture, num_shards=4");
+  const auto run = replay(records, records.size());
+  expect_identical(*reference, *run, "clean capture, one batch");
   EXPECT_TRUE(run->diagnoses().empty());
   EXPECT_EQ(run->detector_stats().events, run->tap_stats().decoded);
 }

@@ -2,8 +2,7 @@
 // analysis (§5.4 under a fallible monitoring substrate):
 //
 //  * with all chaos rates zero and default knobs, the probed watcher path
-//    produces byte-identical exported diagnoses to the oracle path, for
-//    every shard count the determinism suite covers;
+//    produces byte-identical exported diagnoses to the oracle path;
 //  * a probe-loss sweep (drop + timeout at 1/5/10%) reconciles the chaos
 //    audit exactly against the probe counters, never *adds* Confirmed
 //    causes as the loss rate rises, never *loses* evidence gaps, and is
@@ -61,16 +60,12 @@ struct Run {
   std::unique_ptr<Analyzer> analyzer;
   const Analyzer* operator->() const { return analyzer.get(); }
   const Analyzer& operator*() const { return *analyzer; }
-  // health() refreshes the per-shard progress clocks, so it needs the
-  // non-const analyzer.
-  Analyzer* operator->() { return analyzer.get(); }
-  Analyzer& operator*() { return *analyzer; }
 };
 
 // The §7.2.3 scenario — an upstream agent crash found by expanded search —
 // exercised here because its root cause is pure watcher evidence: exactly
 // the kind of finding a degraded monitoring plane can lose.
-Run run_scenario(const Analyzer::Options& base, std::size_t num_shards = 1) {
+Run run_scenario(const Analyzer::Options& base) {
   auto& e = env();
   Run run;
   run.deployment =
@@ -88,7 +83,6 @@ Run run_scenario(const Analyzer::Options& base, std::size_t num_shards = 1) {
   Analyzer::Options opt = base;
   opt.config.fp_max = e.training.fp_max;
   opt.config.p_rate = 150.0;
-  opt.config.num_shards = num_shards;
   run.analyzer = std::make_unique<Analyzer>(&e.training.db, &e.catalog.apis(),
                                             &deployment, opt);
   auto& analyzer = *run.analyzer;
@@ -110,38 +104,35 @@ std::string exported(const Run& run) {
   return to_json(run.analyzer->diagnoses(), e.catalog.apis(), e.training.db);
 }
 
-TEST(ProbedMonitoring, ZeroChaosIsByteIdenticalToOracleAcrossShards) {
+TEST(ProbedMonitoring, ZeroChaosIsByteIdenticalToOracle) {
   Analyzer::Options oracle;
   Analyzer::Options probed;
   probed.probed_monitoring = true;  // zero-rate chaos, default knobs
 
-  const auto reference = run_scenario(oracle, 1);
+  const auto reference = run_scenario(oracle);
   const auto reference_json = exported(reference);
   ASSERT_FALSE(reference->diagnoses().empty());
 
-  for (const std::size_t shards : {1u, 2u, 4u}) {
-    SCOPED_TRACE("num_shards=" + std::to_string(shards));
-    const auto probed_run = run_scenario(probed, shards);
-    EXPECT_EQ(exported(probed_run), reference_json);
+  const auto probed_run = run_scenario(probed);
+  EXPECT_EQ(exported(probed_run), reference_json);
 
-    // A healthy probed plane emits none of the degradation vocabulary.
-    EXPECT_EQ(reference_json.find("monitoring_degraded"), std::string::npos);
-    EXPECT_EQ(reference_json.find("\"evidence\""), std::string::npos);
-    for (const auto& d : probed_run->diagnoses()) {
-      EXPECT_FALSE(d.root_cause.monitoring_degraded);
-      EXPECT_TRUE(d.root_cause.evidence_gaps.empty());
-      EXPECT_EQ(d.root_cause.stale_series, 0u);
-    }
-    // Probes ran (the plane was live) but never drew chaos or retried.
-    const auto stats = probed_run->watcher().probe_stats();
-    EXPECT_GT(stats.probes, 0u);
-    EXPECT_EQ(stats.retries, 0u);
-    EXPECT_EQ(stats.probe_failures, 0u);
-    EXPECT_TRUE(probed_run->watcher().chaos_audit().empty());
-    const auto health = probed_run.analyzer->health();
-    EXPECT_EQ(health.probe_attempts, stats.probes);
-    EXPECT_EQ(health.probe_timeouts, 0u);
+  // A healthy probed plane emits none of the degradation vocabulary.
+  EXPECT_EQ(reference_json.find("monitoring_degraded"), std::string::npos);
+  EXPECT_EQ(reference_json.find("\"evidence\""), std::string::npos);
+  for (const auto& d : probed_run->diagnoses()) {
+    EXPECT_FALSE(d.root_cause.monitoring_degraded);
+    EXPECT_TRUE(d.root_cause.evidence_gaps.empty());
+    EXPECT_EQ(d.root_cause.stale_series, 0u);
   }
+  // Probes ran (the plane was live) but never drew chaos or retried.
+  const auto stats = probed_run->watcher().probe_stats();
+  EXPECT_GT(stats.probes, 0u);
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_EQ(stats.probe_failures, 0u);
+  EXPECT_TRUE(probed_run->watcher().chaos_audit().empty());
+  const auto health = probed_run->health();
+  EXPECT_EQ(health.probe_attempts, stats.probes);
+  EXPECT_EQ(health.probe_timeouts, 0u);
 }
 
 TEST(ProbedMonitoring, LossSweepIsMonotoneAuditedAndReproducible) {
@@ -276,7 +267,7 @@ TEST(ProbedMonitoring, WedgedAgentCannotStallAnalysisPastBudget) {
   const auto stats = run->watcher().probe_stats();
   EXPECT_GT(stats.budget_exhausted, 0u);
   EXPECT_GT(stats.timeouts, 0u);
-  const auto health = run.analyzer->health();
+  const auto health = run->health();
   EXPECT_EQ(health.probe_budget_exhausted, stats.budget_exhausted);
 
   // The degradation is visible in the exported document.

@@ -1,21 +1,15 @@
-// StreamAnalyzer contract tests: batch output stays byte-identical across
-// shard counts (the caps never engage outside streaming mode), an
-// unstressed stream reproduces the batch diagnosis set exactly, tick
-// cadence cannot change reports, the shed policies account every loss, the
-// credit gate has hysteresis, overdue reports are deadline-forced, idle
-// streams still reap orphans, and the steady-state stall watchdog flags a
-// wedged shard without an ingest-path trigger.  (Suite names Stream* are in
-// the TSan/ASan CI filters.)
+// StreamAnalyzer contract tests: an unstressed stream reproduces the batch
+// diagnosis set exactly, tick cadence cannot change reports, the shed
+// policies account every loss, the credit gate has hysteresis, overdue
+// reports are deadline-forced, and idle streams still reap orphans.
+// (Suite names Stream* are in the ASan CI filter.)
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "gretel/json_export.h"
-#include "gretel/shard_pipeline.h"
 #include "gretel/training.h"
 #include "net/chaos.h"
 #include "stream/stream_analyzer.h"
@@ -52,21 +46,19 @@ std::vector<net::WireRecord> record_workload(int tests, int faults,
   return executor.execute(w.launches);
 }
 
-core::Analyzer::Options base_options(std::size_t num_shards = 1) {
+core::Analyzer::Options base_options() {
   auto& e = env();
   core::Analyzer::Options opt;
   opt.config.fp_max = e.training.fp_max;
   opt.config.p_rate = 150.0;
-  opt.config.num_shards = num_shards;
   opt.run_root_cause = false;
   return opt;
 }
 
-std::string batch_json(const std::vector<net::WireRecord>& recs,
-                       std::size_t num_shards) {
+std::string batch_json(const std::vector<net::WireRecord>& recs) {
   auto& e = env();
   core::Analyzer analyzer(&e.training.db, &e.catalog.apis(), &e.deployment,
-                          base_options(num_shards));
+                          base_options());
   for (const auto& r : recs) analyzer.on_wire(r);
   analyzer.finish();
   return core::to_json(analyzer.diagnoses(), e.catalog.apis(),
@@ -92,37 +84,21 @@ std::string stream_json(const std::vector<net::WireRecord>& recs,
   return core::to_json(emitted, e.catalog.apis(), e.training.db);
 }
 
-// The PR-level regression gate: with streaming off, reports must stay
-// byte-identical across shard counts — none of the bounded-state plumbing
-// may leak into batch mode.
-TEST(StreamAnalyzer, BatchOutputByteIdenticalAcrossShardCounts) {
-  const auto recs = record_workload(10, 3, 0x5EED01);
-  const auto reference = batch_json(recs, 1);
-  EXPECT_FALSE(reference.empty());
-  EXPECT_EQ(reference, batch_json(recs, 2)) << "2 shards diverged";
-  EXPECT_EQ(reference, batch_json(recs, 4)) << "4 shards diverged";
-}
-
 // An unstressed stream (no shedding, deadline forcing off) must reproduce
 // the batch diagnosis set byte-for-byte: ticks only change *when* work
 // runs, never what it concludes.
 TEST(StreamAnalyzer, UnstressedStreamMatchesBatchExactly) {
   const auto recs = record_workload(10, 3, 0x5EED01);
-  auto opt = base_options(1);
+  auto opt = base_options();
   opt.config.stream_max_report_delay_s = 0.0;  // no deadline forcing
-  EXPECT_EQ(batch_json(recs, 1), stream_json(recs, opt));
-}
-
-TEST(StreamAnalyzer, UnstressedShardedStreamMatchesBatch) {
-  const auto recs = record_workload(10, 3, 0x5EED01);
-  auto opt = base_options(2);
-  opt.config.stream_max_report_delay_s = 0.0;
-  EXPECT_EQ(batch_json(recs, 1), stream_json(recs, opt));
+  const auto reference = batch_json(recs);
+  EXPECT_NE(reference, "[]") << "a run with no reports proves nothing";
+  EXPECT_EQ(reference, stream_json(recs, opt));
 }
 
 TEST(StreamAnalyzer, TickCadenceDoesNotChangeReports) {
   const auto recs = record_workload(8, 2, 0x5EED02);
-  auto fast = base_options(1);
+  auto fast = base_options();
   fast.config.stream_max_report_delay_s = 0.0;
   fast.config.stream_tick_ms = 100.0;
   auto slow = fast;
@@ -134,7 +110,7 @@ TEST(StreamAnalyzer, DropOldestShedsWithExactAccounting) {
   auto& e = env();
   const auto recs = record_workload(8, 2, 0x5EED03);
   ASSERT_GT(recs.size(), 64u);
-  auto opt = base_options(1);
+  auto opt = base_options();
   opt.config.stream_source_ring = 8;
   StreamAnalyzer streamer(&e.training.db, &e.catalog.apis(), &e.deployment,
                           opt);
@@ -159,7 +135,7 @@ TEST(StreamAnalyzer, DropNewestRefusesTheFreshRecord) {
   auto& e = env();
   const auto recs = record_workload(8, 2, 0x5EED03);
   ASSERT_GT(recs.size(), 16u);
-  auto opt = base_options(1);
+  auto opt = base_options();
   opt.config.stream_source_ring = 4;
   opt.config.stream_shed_policy = core::StreamShedPolicy::DropNewest;
   StreamAnalyzer streamer(&e.training.db, &e.catalog.apis(), &e.deployment,
@@ -178,7 +154,7 @@ TEST(StreamAnalyzer, DropNewestRefusesTheFreshRecord) {
 TEST(StreamAnalyzer, CreditGateReopensAfterDrain) {
   auto& e = env();
   const auto recs = record_workload(8, 2, 0x5EED03);
-  auto opt = base_options(1);
+  auto opt = base_options();
   opt.config.stream_source_ring = 8;
   StreamAnalyzer streamer(&e.training.db, &e.catalog.apis(), &e.deployment,
                           opt);
@@ -200,7 +176,7 @@ TEST(StreamAnalyzer, DeadlineForcesReportsWhenStreamGoesQuiet) {
   // deadline can emit it before finish().
   const auto recs = record_workload(1, 1, 0x5EED04);
   ASSERT_FALSE(recs.empty());
-  auto opt = base_options(1);
+  auto opt = base_options();
   opt.config.stream_max_report_delay_s = 1.0;
   StreamAnalyzer streamer(&e.training.db, &e.catalog.apis(), &e.deployment,
                           opt);
@@ -230,7 +206,7 @@ TEST(StreamAnalyzer, IdleStreamStillReapsOrphans) {
   for (const auto& r : recs) tap.on_record(r);
   tap.finish();
 
-  auto opt = base_options(1);
+  auto opt = base_options();
   opt.config.orphan_timeout_seconds = 5.0;
   StreamAnalyzer streamer(&e.training.db, &e.catalog.apis(), &e.deployment,
                           opt);
@@ -247,92 +223,6 @@ TEST(StreamAnalyzer, IdleStreamStillReapsOrphans) {
   streamer.advance_to(degraded.back().ts + SimDuration::seconds(30));
   EXPECT_EQ(streamer.footprint().pending_requests, 0u);
   EXPECT_GT(streamer.health().orphans_reaped, reaped_before);
-}
-
-// Steady-state watchdog (ShardPipeline level): a wedged worker holding
-// backlog is flagged by check_stalls() during quiet streaming — no blocked
-// submit or drain required — and shard_health() surfaces its progress age.
-TEST(StreamWatchdog, SteadyStateCheckFlagsWedgedShard) {
-  detect::LatencyShardSet latency(2);
-  core::ResilienceOptions resilience;
-  resilience.watchdog_ms = 50.0;
-  core::ShardPipeline pipeline(&latency, 64, resilience);
-
-  // An API owned by shard 0.
-  wire::ApiId target(1);
-  for (std::uint16_t v = 1; v < 1000; ++v) {
-    if (detect::LatencyShardSet::shard_of(wire::ApiId(v), 2) == 0) {
-      target = wire::ApiId(v);
-      break;
-    }
-  }
-  pipeline.debug_pause_shard(0, true);
-  wire::Event e;
-  e.api = target;
-  e.kind = wire::ApiKind::Rest;
-  e.dir = wire::Direction::Request;
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    e.seq = i;
-    e.ts = SimTime(static_cast<std::int64_t>(i) * 1000000);
-    e.conn_id = static_cast<std::uint32_t>(i + 1);
-    pipeline.submit(e);
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  EXPECT_GE(pipeline.check_stalls(), 1u);
-  EXPECT_GE(pipeline.watchdog_trips(), 1u);
-  bool found_stalled = false;
-  for (const auto& h : pipeline.shard_health()) {
-    if (!h.stalled) continue;
-    found_stalled = true;
-    EXPECT_GT(h.backlog, 0u);
-    EXPECT_GE(h.progress_age_ms, 50.0);
-  }
-  EXPECT_TRUE(found_stalled);
-  // A stall is flagged once per episode, not once per check.
-  const auto trips = pipeline.watchdog_trips();
-  EXPECT_EQ(pipeline.check_stalls(), 1u);
-  EXPECT_EQ(pipeline.watchdog_trips(), trips);
-
-  // Worker resumes: the flag clears as soon as progress is observed.
-  pipeline.debug_pause_shard(0, false);
-  std::vector<core::ShardTrigger> triggers;
-  pipeline.drain(&triggers);
-  EXPECT_EQ(pipeline.check_stalls(), 0u);
-  for (const auto& h : pipeline.shard_health()) {
-    EXPECT_FALSE(h.stalled);
-    EXPECT_EQ(h.backlog, 0u);
-  }
-}
-
-// An idle (fully drained) shard is not a stall, no matter how long it
-// sits: the watchdog keys on backlog age, not on inactivity.
-TEST(StreamWatchdog, IdleShardIsNotAStall) {
-  detect::LatencyShardSet latency(2);
-  core::ResilienceOptions resilience;
-  resilience.watchdog_ms = 10.0;
-  core::ShardPipeline pipeline(&latency, 64, resilience);
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  EXPECT_EQ(pipeline.check_stalls(), 0u);
-  EXPECT_EQ(pipeline.watchdog_trips(), 0u);
-}
-
-// The health snapshot carries per-shard progress ages through the whole
-// facade stack while streaming.
-TEST(StreamWatchdog, HealthSurfacesPerShardProgress) {
-  auto& e = env();
-  const auto recs = record_workload(6, 1, 0x5EED06);
-  auto opt = base_options(2);
-  StreamAnalyzer streamer(&e.training.db, &e.catalog.apis(), &e.deployment,
-                          opt);
-  for (const auto& r : recs) {
-    streamer.advance_to(r.ts);
-    streamer.offer(r);
-  }
-  streamer.finish();
-  const auto health = streamer.health();
-  EXPECT_EQ(health.shard_progress_age_ms.size(), 2u);
-  EXPECT_EQ(health.stalled_shards, 0u);
-  for (double age : health.shard_progress_age_ms) EXPECT_GE(age, 0.0);
 }
 
 }  // namespace

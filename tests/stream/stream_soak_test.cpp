@@ -127,7 +127,7 @@ TEST(StreamSoak, BoundedStateUnderSustainedOverloadAndChaos) {
 
     const auto health = streamer.health();
     // Loss ledger: every admission shed and every quarantined frame is in
-    // the detector's loss count — nothing else is (1 shard, no overflow).
+    // the detector's loss count — nothing else is.
     EXPECT_EQ(health.losses_recorded, c.shed + health.frames_quarantined)
         << "round " << round;
     // Degraded accounting only ever grows.

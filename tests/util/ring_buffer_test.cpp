@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <thread>
+#include <algorithm>
+#include <tuple>
 #include <vector>
 
 namespace gretel::util {
@@ -91,74 +91,6 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, RingBufferProperty,
     ::testing::Combine(::testing::Values(1, 2, 3, 7, 16, 64),
                        ::testing::Values(0, 1, 5, 16, 100)));
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(SpscRing<int>(1).capacity(), 1u);
-  EXPECT_EQ(SpscRing<int>(3).capacity(), 4u);
-  EXPECT_EQ(SpscRing<int>(64).capacity(), 64u);
-  EXPECT_EQ(SpscRing<int>(65).capacity(), 128u);
-}
-
-TEST(SpscRing, FifoOrderSingleThread) {
-  SpscRing<int> ring(8);
-  EXPECT_TRUE(ring.empty());
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_FALSE(ring.try_push(99));  // full
-  int out = -1;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_FALSE(ring.try_pop(out));  // empty
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, WrapsAcrossManyCycles) {
-  SpscRing<int> ring(4);
-  int out = -1;
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(ring.try_push(i));
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-}
-
-// One producer, one consumer, every element transferred exactly once and in
-// order despite a ring far smaller than the stream.
-TEST(SpscRing, ConcurrentProducerConsumerPreservesStream) {
-  constexpr int kCount = 200000;
-  SpscRing<int> ring(64);
-  std::vector<int> received;
-  received.reserve(kCount);
-
-  std::thread consumer([&] {
-    int out = -1;
-    while (received.size() < static_cast<std::size_t>(kCount)) {
-      if (ring.try_pop(out)) {
-        received.push_back(out);
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  for (int i = 0; i < kCount; ++i) {
-    while (!ring.try_push(i)) std::this_thread::yield();
-  }
-  consumer.join();
-
-  ASSERT_EQ(received.size(), static_cast<std::size_t>(kCount));
-  for (int i = 0; i < kCount; ++i) ASSERT_EQ(received[i], i);
-}
-
-// Move-only payloads survive the hand-off (the pipeline moves events out).
-TEST(SpscRing, MoveOnlyPayload) {
-  SpscRing<std::unique_ptr<int>> ring(2);
-  EXPECT_TRUE(ring.try_push(std::make_unique<int>(42)));
-  std::unique_ptr<int> out;
-  ASSERT_TRUE(ring.try_pop(out));
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(*out, 42);
-}
 
 }  // namespace
 }  // namespace gretel::util

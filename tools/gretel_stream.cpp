@@ -3,7 +3,7 @@
 //
 //   gretel_stream [--fraction F] [--tests N] [--faults N] [--window S]
 //                 [--seed S] [--tick-ms T] [--ring N] [--shed newest|oldest]
-//                 [--shards N] [--quiet]
+//                 [--quiet]
 //                 [--persist DIR] [--resume] [--checkpoint-interval S]
 //
 // Builds the training environment (fraction of the Tempest catalog),
@@ -81,8 +81,6 @@ int main(int argc, char** argv) {
       span_s > 0 ? static_cast<double>(records.size()) / span_s : 150.0;
 
   auto opt = env.analyzer_options(std::max(p_rate, 150.0));
-  opt.config.num_shards =
-      static_cast<std::size_t>(args.get_int("--shards", 1));
   opt.config.stream_tick_ms = args.get_double("--tick-ms", 250.0);
   opt.config.stream_source_ring =
       static_cast<std::size_t>(args.get_int("--ring", 8192));
@@ -197,12 +195,10 @@ int main(int argc, char** argv) {
       fp.approx_bytes(), streamer.peak_state_bytes());
   const auto health = streamer.health();
   std::printf(
-      "health: losses=%llu orphans=%llu evicted=%llu trimmed=%llu "
-      "stalled_shards=%llu\n",
+      "health: losses=%llu orphans=%llu evicted=%llu trimmed=%llu\n",
       static_cast<unsigned long long>(health.losses_recorded),
       static_cast<unsigned long long>(health.orphans_reaped),
       static_cast<unsigned long long>(health.inflight_evicted),
-      static_cast<unsigned long long>(health.series_trimmed),
-      static_cast<unsigned long long>(health.stalled_shards));
+      static_cast<unsigned long long>(health.series_trimmed));
   return 0;
 }

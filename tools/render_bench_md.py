@@ -3,9 +3,8 @@
 docs/PERFORMANCE.md from the bench JSON files, so the numbers in the docs
 can never drift from the numbers a bench run actually produced.
 
-Reads BENCH_ingest.json, BENCH_shard_scaling.json, BENCH_match_kernels.json,
-BENCH_campaigns.json, BENCH_stream_latency.json and BENCH_recovery.json
-(paths overridable) and rewrites the marker-delimited regions
+Reads BENCH_ingest.json, BENCH_match_kernels.json, BENCH_campaigns.json,
+BENCH_stream_latency.json and BENCH_recovery.json (paths overridable) and rewrites the marker-delimited regions
 
     <!-- bench:begin -->        ... <!-- bench:end -->          (README.md)
     <!-- campaign:begin -->     ... <!-- campaign:end -->       (README.md)
@@ -61,8 +60,8 @@ _KERNEL_LABELS = {
 }
 
 
-def render_readme(ingest: dict, scaling: dict, kernels: dict) -> str:
-    """Compact summary for the README: decode speedup + the shard sweep."""
+def render_readme(ingest: dict, kernels: dict) -> str:
+    """Compact summary for the README: decode speedup + kernel speedups."""
     d = ingest["decode_resolve"]
     lines = [
         "| benchmark | result |",
@@ -77,19 +76,12 @@ def render_readme(ingest: dict, scaling: dict, kernels: dict) -> str:
     ]
     for row in ingest["ingest"]:
         lines.append(
-            f"| end-to-end ingest, {row['shards']} shard(s), "
+            f"| detector ingest (pre-decoded, fault-free), "
             f"{row['mode'].replace('_', '-')} | "
             f"{fmt_rate(row['events_per_sec'])} events/s |")
-    det = scaling["determinism"]
     family = kernels["simd"]["compiled_kernel"]
     ker = {k["name"]: k for k in kernels["kernels"]}
     lines += [
-        "",
-        (f"Shard scaling (batched, vs 1 shard): " + ", ".join(
-            f"{r['shards']}→{r['vs_1shard_batched']:.2f}×"
-            for r in scaling["sweep"] if r["mode"] == "batched") +
-         f".  Analysis output identical across the whole sweep: "
-         f"**{'yes' if det['identical_across_sweep'] else 'NO'}**."),
         "",
         (f"Match/scan kernels ({family} vs scalar reference): "
          f"subsequence match "
@@ -104,7 +96,7 @@ def render_readme(ingest: dict, scaling: dict, kernels: dict) -> str:
     return "\n".join(lines)
 
 
-def render_performance(ingest: dict, scaling: dict) -> str:
+def render_performance(ingest: dict) -> str:
     """Full tables for docs/PERFORMANCE.md."""
     d = ingest["decode_resolve"]
     lines = [
@@ -123,29 +115,22 @@ def render_performance(ingest: dict, scaling: dict) -> str:
         f"event on the hot path: "
         f"**{ingest['steady_state_allocs_per_event']:.3f}**.",
         "",
-        "### Shard-scaling sweep (end-to-end ingest)",
+        "### Detector ingest (pre-decoded, fault-free pool)",
         "",
-        "| shards | mode | events/s | vs 1-shard batched |",
-        "|---:|---|---:|---:|",
+        "| mode | events/s |",
+        "|---|---:|",
     ]
-    for row in scaling["sweep"]:
+    for row in ingest["ingest"]:
         lines.append(
-            f"| {row['shards']} | {row['mode'].replace('_', '-')} | "
-            f"{row['events_per_sec']:,.0f} | "
-            f"{row['vs_1shard_batched']:.2f}× |")
-    det = scaling["determinism"]
+            f"| {row['mode'].replace('_', '-')} | "
+            f"{row['events_per_sec']:,.0f} |")
+    identical = ingest["batched_identical_to_per_event"]
     lines += [
         "",
-        "### Determinism cross-check",
+        (f"Batched ingest leaves detector stats identical to per-event "
+         f"ingest: **{'yes' if identical else 'NO'}**."),
         "",
-        (f"Detector output across every swept configuration: "
-         f"**{'identical' if det['identical_across_sweep'] else 'DIVERGED'}**"
-         f" ({det['events']:,} events, {det['latency_samples']:,} latency "
-         f"samples, {det['operational_reports']} operational + "
-         f"{det['performance_reports']} performance reports, "
-         f"{det['suppressed_triggers']} suppressed triggers)."),
-        "",
-        meta_line(scaling["meta"]),
+        meta_line(ingest["meta"]),
     ]
     return "\n".join(lines)
 
@@ -219,7 +204,7 @@ def render_stream(stream: dict) -> str:
     ov = stream["overload"]
     lines = [
         (f"{st['runs']} runs x {st['faults_total'] // st['runs']} injected "
-         f"faults, {st['tick_ms']:.0f} ms tick, {st['shards']} shard(s): "
+         f"faults, {st['tick_ms']:.0f} ms tick: "
          f"**{st['faults_detected']}/{st['faults_total']} detected** "
          f"({100.0 * st['detected_fraction']:.0f}%), "
          f"{st['ticks']:,} ticks over {st['offered']:,} offered records, "
@@ -300,8 +285,6 @@ def splice(path: Path, begin: str, end: str, body: str, check: bool) -> bool:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--ingest", type=Path, default=Path("BENCH_ingest.json"))
-    ap.add_argument("--scaling", type=Path,
-                    default=Path("BENCH_shard_scaling.json"))
     ap.add_argument("--kernels", type=Path,
                     default=Path("BENCH_match_kernels.json"))
     ap.add_argument("--campaigns", type=Path,
@@ -318,7 +301,6 @@ def main() -> int:
     args = ap.parse_args()
 
     ingest = load(args.ingest)
-    scaling = load(args.scaling)
     kernels = load(args.kernels)
     campaigns = load(args.campaigns)
     stream = load(args.stream)
@@ -326,10 +308,10 @@ def main() -> int:
 
     drift = False
     drift |= splice(args.readme, "<!-- bench:begin -->", "<!-- bench:end -->",
-                    render_readme(ingest, scaling, kernels), args.check)
+                    render_readme(ingest, kernels), args.check)
     drift |= splice(args.performance, "<!-- bench-tables:begin -->",
                     "<!-- bench-tables:end -->",
-                    render_performance(ingest, scaling), args.check)
+                    render_performance(ingest), args.check)
     drift |= splice(args.performance, "<!-- kernel-tables:begin -->",
                     "<!-- kernel-tables:end -->",
                     render_kernels(kernels), args.check)
