@@ -5,17 +5,9 @@
 #include <vector>
 
 #include "gretel/json_export.h"
+#include "util/hash.h"
 
 namespace gretel::campaign {
-
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
 
 std::string canonical_report(const core::Diagnosis& d,
                              const wire::ApiCatalog& catalog,
@@ -130,7 +122,7 @@ std::uint64_t report_fingerprint(std::span<const core::Diagnosis> diagnoses,
     all += canon[i];
   }
   all += ']';
-  return fnv1a64(all);
+  return util::fnv1a64(all);
 }
 
 std::string fingerprint_hex(std::uint64_t fp) {

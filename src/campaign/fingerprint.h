@@ -23,10 +23,6 @@
 
 namespace gretel::campaign {
 
-// FNV-1a over `s`.  Small, dependency-free, and stable by construction —
-// the constants are part of the fingerprint's on-disk contract.
-std::uint64_t fnv1a64(std::string_view s);
-
 // Canonical (normalized) serialization of one diagnosis.  JSON-shaped so
 // clusters can be eyeballed, but NOT the operator-facing to_json document:
 // volatile fields are dropped and causes are re-ordered with
@@ -35,9 +31,9 @@ std::string canonical_report(const core::Diagnosis& d,
                              const wire::ApiCatalog& catalog,
                              const core::FingerprintDb& db);
 
-// Fingerprint of a whole scenario's diagnosis set.  Canonical per-report
-// strings are sorted before hashing, so report arrival order cannot
-// perturb the signature.
+// Fingerprint of a whole scenario's diagnosis set: FNV-1a 64
+// (util/hash.h) over the canonical per-report strings, sorted before
+// hashing so report arrival order cannot perturb the signature.
 // An empty set has a well-known fingerprint (hash of "[]").
 std::uint64_t report_fingerprint(std::span<const core::Diagnosis> diagnoses,
                                  const wire::ApiCatalog& catalog,

@@ -24,7 +24,7 @@ LatencyTracker::LatencyTracker()
 LatencyTracker::PerApi& LatencyTracker::per_api(wire::ApiId api) {
   auto it = state_.find(api);
   if (it == state_.end()) {
-    it = state_.emplace(api, PerApi{{}, factory_()}).first;
+    it = state_.emplace(api, PerApi{{}, factory_(), {}}).first;
   }
   return it->second;
 }
@@ -325,7 +325,7 @@ bool LatencyTracker::load_state(std::string_view& in) {
       reset();
       return false;
     }
-    PerApi pa{{}, factory_()};
+    PerApi pa{{}, factory_(), {}};
     // A checkpoint written under a different detector configuration must
     // not be grafted onto this one: the blob layouts differ per type.
     if (pa.detector->name() != det_name ||

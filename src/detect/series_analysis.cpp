@@ -1,31 +1,38 @@
 #include "detect/series_analysis.h"
 
+#include <algorithm>
 #include <cmath>
-#include <vector>
+#include <span>
 
 namespace gretel::detect {
 
 WindowVerdict analyze_window(const util::TimeSeries& series,
                              double window_start_s, double window_end_s,
-                             double k_sigma, double min_abs) {
-  std::vector<double> inside;
-  std::vector<double> outside;
-  for (const auto& p : series.points()) {
-    if (p.t_seconds >= window_start_s && p.t_seconds < window_end_s) {
-      inside.push_back(p.value);
-    } else {
-      outside.push_back(p.value);
-    }
-  }
+                             std::vector<double>& scratch, double k_sigma,
+                             double min_abs) {
+  const auto points = series.points();
+  const auto in_window = [&](const util::SeriesPoint& p) {
+    return p.t_seconds >= window_start_s && p.t_seconds < window_end_s;
+  };
+  // Inside values first, then outside values, each in series order.
+  std::size_t n_inside = 0;
+  for (const auto& p : points) n_inside += in_window(p) ? 1 : 0;
+  scratch.resize(points.size());
+  std::size_t in = 0;
+  std::size_t out = n_inside;
+  for (const auto& p : points) scratch[in_window(p) ? in++ : out++] = p.value;
+  const std::span<double> inside(scratch.data(), n_inside);
+  const std::span<double> outside(scratch.data() + n_inside,
+                                  points.size() - n_inside);
 
   WindowVerdict v;
   if (inside.empty()) return v;
   // The window level is meaningful on its own (absolute health rules read
   // it); the relative anomaly judgment additionally needs enough baseline.
-  v.window_level = util::median(inside);
+  v.window_level = util::median_inplace(inside);
   if (outside.size() < 4) return v;
-  v.baseline_level = util::median(outside);
-  v.sigma = std::max(util::mad_sigma(outside), 1e-9);
+  v.baseline_level = util::median_inplace(outside);
+  v.sigma = std::max(util::mad_sigma_inplace(outside), 1e-9);
   const double dev = std::fabs(v.window_level - v.baseline_level);
   v.anomalous = dev > k_sigma * v.sigma && dev > min_abs;
   return v;

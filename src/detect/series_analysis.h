@@ -5,6 +5,7 @@
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "net/node.h"
 #include "util/stats.h"
@@ -21,8 +22,14 @@ struct WindowVerdict {
 // Robust comparison: the window is anomalous when its median deviates from
 // the out-of-window median by more than k baseline MAD-sigmas (and by a
 // minimal absolute amount to avoid flagging flat series).
+//
+// The series' values are partitioned into `scratch` (caller-owned, reused
+// across calls so steady-state analysis allocates nothing) and the medians
+// are selected in place (util::median_inplace / mad_sigma_inplace), which is
+// bit-identical to sorting copies with util::median / util::mad_sigma.
 WindowVerdict analyze_window(const util::TimeSeries& series,
                              double window_start_s, double window_end_s,
+                             std::vector<double>& scratch,
                              double k_sigma = 5.0, double min_abs = 1e-9);
 
 // Absolute resource health rules (the "domain knowledge" checks GRETEL's

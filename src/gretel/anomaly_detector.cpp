@@ -1,6 +1,7 @@
 #include "gretel/anomaly_detector.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/binio.h"
 #include "util/simd.h"
@@ -84,13 +85,11 @@ void AnomalyDetector::run_ready(bool force) {
 }
 
 void AnomalyDetector::run_snapshot(const PendingSnapshot& pending) {
-  FreezeInfo freeze_info;
-  const auto window =
-      buffer_.freeze(pending.center, &freeze_info, &window_cols_);
+  const auto freeze = buffer_.freeze(pending.center, window_cols_);
   stats_.stale_freezes = buffer_.stale_freezes();
-  if (window.empty()) return;
-  const auto center_index =
-      std::min(freeze_info.center_index, window.size() - 1);
+  const std::size_t n = window_cols_.size();
+  if (n == 0) return;
+  const auto center_index = std::min(freeze.center_index, n - 1);
 
   // Re-anchor operational faults on the true failing API: "all REST and RPC
   // errors present in the snapshot are together analyzed" (§5.3.1).  An RPC
@@ -121,31 +120,31 @@ void AnomalyDetector::run_snapshot(const PendingSnapshot& pending) {
     last_report_[anchor] = pending.center;
   }
 
-  const auto detection =
-      detector_.detect(window, window_cols_, anchor_index, anchor,
+  auto detection =
+      detector_.detect(window_cols_, anchor_index, anchor,
                        pending.kind == FaultKind::Operational);
 
   FaultReport report;
   report.kind = pending.kind;
   report.offending_api = anchor;
-  report.detected_at = window.back().ts;
-  report.matched_fingerprints = detection.matched;
+  report.detected_at = buffer_.at(freeze.first_seq + n - 1).ts;
+  report.matched_fingerprints = std::move(detection.matched);
   report.theta = detection.theta;
   report.beta_final = detection.beta_final;
   report.candidates = detection.candidates;
-  report.window_start = window.front().ts;
-  report.window_end = window.back().ts;
+  report.window_start = buffer_.at(freeze.first_seq).ts;
+  report.window_end = report.detected_at;
   report.latency = pending.alarm;
-  report.window_losses = freeze_info.losses;
-  report.degraded_confidence = freeze_info.losses > 0;
-  // Error events: skip from set flag to set flag over the dense error
-  // column instead of testing every fat event record.
+  report.window_losses = freeze.losses;
+  report.degraded_confidence = freeze.losses > 0;
+  // Error events — the only events a report copies: skip from set flag to
+  // set flag over the dense error column, then read each hit from the ring.
   const std::uint8_t* err_flags = window_cols_.err.data();
-  for (std::size_t i = 0; i < window.size(); ++i) {
-    const auto hit = simd::find_first_set_u8(err_flags + i, window.size() - i);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto hit = simd::find_first_set_u8(err_flags + i, n - i);
     if (hit == simd::npos) break;
     i += hit;
-    report.error_events.push_back(window[i]);
+    report.error_events.push_back(buffer_.at(freeze.first_seq + i));
   }
 
   if (pending.kind == FaultKind::Operational) {

@@ -3,6 +3,7 @@
 #include "util/atomic_file.h"
 #include "util/binio.h"
 #include "util/crc32.h"
+#include "util/hash.h"
 
 namespace gretel::core {
 
@@ -111,14 +112,10 @@ std::optional<FingerprintDb> decode_v2(std::string_view data,
 }  // namespace
 
 std::uint64_t catalog_hash(const wire::ApiCatalog& catalog) {
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a 64
+  std::uint64_t h = util::kFnv1a64Offset;
   for (const auto& api : catalog.all()) {
-    for (char c : api.display_name()) {
-      h ^= static_cast<std::uint8_t>(c);
-      h *= 1099511628211ull;
-    }
-    h ^= 0x1F;
-    h *= 1099511628211ull;
+    h = util::fnv1a64(api.display_name(), h);
+    h = util::fnv1a64_step(h, 0x1F);  // name separator
   }
   return h;
 }

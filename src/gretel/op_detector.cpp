@@ -67,10 +67,10 @@ std::size_t backward_evidence(std::span<const wire::ApiId> literals,
 
 }  // namespace
 
-DetectionResult OperationDetector::detect(
-    std::span<const wire::Event> window, const WindowColumns& cols,
-    std::size_t fault_index, wire::ApiId offending, bool truncate) const {
-  assert(cols.size() == window.size());
+DetectionResult OperationDetector::detect(const WindowColumns& cols,
+                                          std::size_t fault_index,
+                                          wire::ApiId offending,
+                                          bool truncate) const {
   DetectionResult result;
 
   // Candidate fingerprints containing the offending API (inverted index).
@@ -170,8 +170,8 @@ DetectionResult OperationDetector::detect(
     // after the error; performance faults use both sides of the buffer.
     const std::size_t lo_ev = fault_index > beta ? fault_index - beta : 0;
     const std::size_t hi_ev =
-        truncate ? std::min(fault_index + 1, window.size())
-                 : std::min(fault_index + beta + 1, window.size());
+        truncate ? std::min(fault_index + 1, cols.size())
+                 : std::min(fault_index + beta + 1, cols.size());
     const auto lo_it = std::lower_bound(event_index.begin(),
                                         event_index.end(), lo_ev);
     const auto hi_it = std::lower_bound(event_index.begin(),
@@ -259,7 +259,7 @@ DetectionResult OperationDetector::detect(
 
     const bool window_covered =
         (lo_ev == 0 || fault_index - lo_ev >= alpha / 2) &&
-        (truncate || hi_ev == window.size() ||
+        (truncate || hi_ev == cols.size() ||
          hi_ev - fault_index > alpha / 2);
     if (window_covered) {
       result.matched = std::move(matched);

@@ -15,7 +15,7 @@
 //     matching, n grows monotonically in β, so the first increase after a
 //     non-empty match is the stopping point).
 //
-// The snapshot arrives with its columnar (SoA) view (core::WindowColumns):
+// The snapshot arrives as its columnar (SoA) view (core::WindowColumns):
 // the request filter and the per-candidate symbol walks read contiguous
 // uint16/uint8/double columns through the util/simd.h kernels instead of
 // striding through wire::Event records.  SIMD and scalar kernels are
@@ -49,21 +49,21 @@ class OperationDetector {
   OperationDetector(const FingerprintDb* db, const wire::ApiCatalog* catalog,
                     const GretelConfig& config);
 
-  // `window` is the frozen snapshot and `cols` its columnar view (indices
-  // shared); `fault_index` locates the faulty message inside it; `truncate`
-  // selects the operational-fault behaviour.
-  DetectionResult detect(std::span<const wire::Event> window,
-                         const WindowColumns& cols, std::size_t fault_index,
+  // `cols` is the columnar view of the frozen snapshot; `fault_index`
+  // locates the faulty message inside it; `truncate` selects the
+  // operational-fault behaviour.
+  DetectionResult detect(const WindowColumns& cols, std::size_t fault_index,
                          wire::ApiId offending, bool truncate) const;
 
-  // Convenience overload building the columnar view on the fly (tests and
-  // one-shot callers; the analyzer hot path reuses a scratch instance).
+  // Convenience overload building the columnar view of an event sequence
+  // on the fly (tests and one-shot callers; the analyzer hot path freezes
+  // into a scratch instance).
   DetectionResult detect(std::span<const wire::Event> window,
                          std::size_t fault_index, wire::ApiId offending,
                          bool truncate) const {
     WindowColumns cols;
     cols.build(window);
-    return detect(window, cols, fault_index, offending, truncate);
+    return detect(cols, fault_index, offending, truncate);
   }
 
   // θ for a given matched-count n against this database's N.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <sstream>
 
 #include "detect/series_analysis.h"
@@ -32,15 +33,19 @@ RootCauseEngine::RootCauseEngine(const FingerprintDb* db,
 
 std::vector<wire::NodeId> RootCauseEngine::nodes_for_operations(
     const std::vector<FingerprintDb::Index>& fingerprints) const {
+  static_assert(static_cast<std::size_t>(wire::ServiceKind::Unknown) < 32);
   std::vector<wire::NodeId> out;
-  auto add = [&out](wire::NodeId id) {
-    if (std::find(out.begin(), out.end(), id) == out.end()) out.push_back(id);
-  };
+  std::uint32_t seen = 0;  // bit per ServiceKind already resolved
   for (auto idx : fingerprints) {
-    const auto& fp = db_->get(idx);
-    for (auto api : fp.sequence) {
-      for (auto node : deployment_->nodes_for(catalog_->get(api).service))
-        add(node);
+    for (auto api : db_->get(idx).sequence) {
+      const auto service = catalog_->get(api).service;
+      const auto bit = std::uint32_t{1} << static_cast<unsigned>(service);
+      if (seen & bit) continue;  // its nodes are already in `out`
+      seen |= bit;
+      for (auto node : deployment_->nodes_for(service)) {
+        if (std::find(out.begin(), out.end(), node) == out.end())
+          out.push_back(node);
+      }
     }
   }
   return out;
@@ -79,8 +84,9 @@ std::vector<Cause> RootCauseEngine::find_causes(
         }
       }
       if (!series) continue;
-      const auto verdict = detect::analyze_window(
-          *series, from.to_seconds(), to.to_seconds(), options_.k_sigma);
+      const auto verdict =
+          detect::analyze_window(*series, from.to_seconds(), to.to_seconds(),
+                                 series_scratch_, options_.k_sigma);
 
       const char* absolute = nullptr;
       if (const auto rule =

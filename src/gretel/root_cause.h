@@ -66,7 +66,9 @@ class RootCauseEngine {
   RootCauseReport analyze(const FaultReport& fault) const;
 
   // All nodes participating in the given operations (via their
-  // fingerprints' services) — GET_LIST_OF_NODES_FOR_OPERATION.
+  // fingerprints' services) — GET_LIST_OF_NODES_FOR_OPERATION.  Nodes come
+  // in order of first appearance walking fingerprints, then their APIs'
+  // services; each distinct service is resolved to its nodes once.
   std::vector<wire::NodeId> nodes_for_operations(
       const std::vector<FingerprintDb::Index>& fingerprints) const;
 
@@ -85,6 +87,10 @@ class RootCauseEngine {
   const monitor::MetricsStore* metrics_;
   const monitor::DependencyWatcher* watcher_;
   Options options_;
+  // Is_Anomalous partition buffer, reused across series and reports so the
+  // per-report path allocates nothing for it (the engine is single-threaded,
+  // like the serial analyzer that owns it).
+  mutable std::vector<double> series_scratch_;
 };
 
 }  // namespace gretel::core

@@ -28,8 +28,8 @@ namespace gretel::core {
 // (whose strings and identifier vectors the scans never touch).  The
 // columns are the natural operands of the util/simd.h kernels.
 //
-// Built in one pass at freeze time; indices are shared with the event
-// vector the freeze returned (columns[i] describes events[i]).
+// DualBuffer::freeze fills them straight from the ring; row i describes the
+// event with sequence number FreezeInfo::first_seq + i.
 struct WindowColumns {
   std::vector<std::uint16_t> api;   // ApiId raw symbol values
   std::vector<std::uint8_t> err;    // 1 = error response
@@ -37,29 +37,39 @@ struct WindowColumns {
   std::vector<std::uint32_t> corr;  // correlation ids (0 = absent)
   std::vector<double> ts_s;         // timestamps in seconds
 
-  void build(std::span<const wire::Event> events) {
-    const auto n = events.size();
+  // Sizes every column to `n` rows (capacity is retained across freezes).
+  void resize(std::size_t n) {
     api.resize(n);
     err.resize(n);
     req.resize(n);
     corr.resize(n);
     ts_s.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& e = events[i];
-      api[i] = e.api.value();
-      err[i] = e.is_error() ? 1 : 0;
-      req[i] = e.is_request() ? 1 : 0;
-      corr[i] = e.correlation_id;
-      ts_s[i] = e.ts.to_seconds();
-    }
+  }
+
+  void set(std::size_t i, const wire::Event& e) {
+    api[i] = e.api.value();
+    err[i] = e.is_error() ? 1 : 0;
+    req[i] = e.is_request() ? 1 : 0;
+    corr[i] = e.correlation_id;
+    ts_s[i] = e.ts.to_seconds();
+  }
+
+  // Columns of an event sequence held outside a DualBuffer (tests and
+  // one-shot callers).
+  void build(std::span<const wire::Event> events) {
+    resize(events.size());
+    for (std::size_t i = 0; i < events.size(); ++i) set(i, events[i]);
   }
 
   std::size_t size() const { return api.size(); }
 };
 
-// What a freeze saw beyond the events themselves: where the center landed,
-// and how degraded the telemetry under the window was.
+// What a freeze saw beyond the columns themselves: which events they
+// cover, where the center landed, and how degraded the telemetry under the
+// window was.
 struct FreezeInfo {
+  // Sequence number of the window's first event (column row 0).
+  std::uint64_t first_seq = 0;
   std::size_t center_index = 0;
   // Telemetry losses (quarantined frames, overflow drops) that occurred
   // inside the snapshot's span.  Non-zero means the snapshot has gaps the
@@ -110,62 +120,48 @@ class DualBuffer {
     return ring_.first_seq() <= lo;
   }
 
-  // Freezes the α messages centred on `center`: [center-α/2, center+α/2).
-  // Also reports where `center` landed inside the snapshot.
+  // Freezes the α messages centred on `center`, [center-α/2, center+α/2),
+  // into `cols` without copying any event: the columns are filled straight
+  // from the ring, and the events themselves stay readable through at()
+  // until the next push evicts them.  The returned FreezeInfo locates the
+  // window (first_seq, center_index) and reports its telemetry losses and
+  // whether eviction clamped the past half.
   //
   // If ingestion has run so far ahead that the ring already evicted
-  // `center` itself, there is no meaningful window left: return an empty
-  // snapshot (counted in stale_freezes()) instead of letting
-  // `center - first` wrap to a huge index.
-  std::vector<wire::Event> freeze(std::uint64_t center,
-                                  std::size_t* center_index) const {
+  // `center` itself, there is no meaningful window left: `cols` comes back
+  // empty (counted in stale_freezes()) instead of letting `center - first`
+  // wrap to a huge index.
+  FreezeInfo freeze(std::uint64_t center, WindowColumns& cols) const {
     FreezeInfo info;
-    auto snap = freeze(center, &info);
-    if (center_index) *center_index = info.center_index;
-    return snap;
-  }
-  // Disambiguates freeze(center, nullptr) between the two pointer overloads.
-  std::vector<wire::Event> freeze(std::uint64_t center, std::nullptr_t) const {
-    return freeze(center, static_cast<FreezeInfo*>(nullptr));
-  }
-
-  // Same freeze, but also reports the window's telemetry-loss count and
-  // whether eviction clamped the past half (see FreezeInfo).
-  std::vector<wire::Event> freeze(std::uint64_t center,
-                                  FreezeInfo* info) const {
-    if (info) *info = FreezeInfo{};
     if (ring_.first_seq() > center) {
       ++stale_freezes_;
-      return {};
+      cols.resize(0);
+      return info;
     }
     const auto lo = center > alpha_ / 2 ? center - alpha_ / 2 : 0;
-    const auto hi = center + alpha_ / 2;
-    auto snap = ring_.snapshot(lo, hi);
-    if (info) {
-      // The snapshot may have been clamped at the front.
-      const auto first = std::max(lo, ring_.first_seq());
-      info->center_index = static_cast<std::size_t>(center - first);
-      info->clamped_front = first > lo;
-      if (!snap.empty()) {
-        // The loss ring is pushed in lockstep with the event ring, so the
-        // same sequence numbers are resident in both.  In-window losses are
-        // the cumulative count at the last event minus at the first.
-        const auto last = std::min(hi, ring_.end_seq()) - 1;
-        info->losses = loss_ring_.at(last) - loss_ring_.at(first);
-      }
+    const auto hi = std::min(center + alpha_ / 2, ring_.end_seq());
+    // The window may have been clamped at the front.
+    const auto first = std::max(lo, ring_.first_seq());
+    info.first_seq = first;
+    info.center_index = static_cast<std::size_t>(center - first);
+    info.clamped_front = first > lo;
+    // A center not pushed yet yields an empty window, as a clamped one does.
+    cols.resize(hi > first ? static_cast<std::size_t>(hi - first) : 0);
+    std::size_t row = 0;
+    ring_.for_each(first, hi,
+                   [&](const wire::Event& e) { cols.set(row++, e); });
+    if (hi > first) {
+      // The loss ring is pushed in lockstep with the event ring, so the
+      // same sequence numbers are resident in both.  In-window losses are
+      // the cumulative count at the last event minus at the first.
+      info.losses = loss_ring_.at(hi - 1) - loss_ring_.at(first);
     }
-    return snap;
+    return info;
   }
 
-  // Same freeze, additionally building the columnar (SoA) view of the
-  // snapshot in `cols` (capacity retained across freezes by the caller's
-  // scratch instance).
-  std::vector<wire::Event> freeze(std::uint64_t center, FreezeInfo* info,
-                                  WindowColumns* cols) const {
-    auto snap = freeze(center, info);
-    if (cols) cols->build(snap);
-    return snap;
-  }
+  // The resident event with sequence number `seq` (e.g. a row of the last
+  // freeze: FreezeInfo::first_seq + row).
+  const wire::Event& at(std::uint64_t seq) const { return ring_.at(seq); }
 
   // Freezes requested after their center was evicted (each yielded an
   // empty snapshot and no report).

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/hash.h"
+
 namespace gretel::monitor {
 
 const char* to_string(EvidenceStatus status) {
@@ -48,15 +50,6 @@ std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
-}
-
-std::uint64_t hash_str(std::string_view s) {
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a 64
-  for (char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 // Stateless uniform in [0, 1): the same key always yields the same draw,
@@ -126,7 +119,7 @@ MonitorChaos::ProbeFate MonitorChaos::probe_fate(wire::NodeId node,
     return fate;
   }
 
-  const auto th = hash_str(target);
+  const auto th = util::fnv1a64(target);
   const auto draw = [&](std::uint64_t tag) {
     return uniform(config_.seed, node.value(), th, tick_nanos, attempt, tag);
   };
@@ -169,7 +162,7 @@ MonitorChaos::ProbeFate MonitorChaos::probe_fate(wire::NodeId node,
 bool MonitorChaos::metric_frozen(wire::NodeId node, std::string_view resource,
                                  util::SimTime t) {
   if (config_.metric_freeze_rate <= 0) return false;
-  const auto th = hash_str(resource);
+  const auto th = util::fnv1a64(resource);
   const std::int64_t second = t.nanos() / 1'000'000'000;
   const int window = std::max(1, config_.metric_freeze_seconds);
   for (std::int64_t onset = std::max<std::int64_t>(0, second - window + 1);
@@ -189,7 +182,7 @@ bool MonitorChaos::metric_frozen(wire::NodeId node, std::string_view resource,
 
 double MonitorChaos::jitter(wire::NodeId node, std::string_view target,
                             std::int64_t tick_nanos, int attempt) const {
-  return uniform(config_.seed, node.value(), hash_str(target), tick_nanos,
+  return uniform(config_.seed, node.value(), util::fnv1a64(target), tick_nanos,
                  attempt, kJitter);
 }
 

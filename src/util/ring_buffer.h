@@ -2,7 +2,7 @@
 //
 // RingBuffer backs GRETEL's dual-buffer event receiver (§6 of the paper):
 // events are appended at line rate and the anomaly detector freezes windows
-// of the most recent α entries by index, without copying.  It is
+// of the most recent α entries by walking them in place (for_each).  It is
 // single-threaded by design.
 #pragma once
 
@@ -53,15 +53,25 @@ class RingBuffer {
     return data_[static_cast<std::size_t>((next_seq_ - 1) % capacity_)];
   }
 
-  // Copies the residents of [from, to) into a vector (clamped to what is
-  // still buffered).  This is the "freeze between two pointers" snapshot.
-  std::vector<T> snapshot(std::uint64_t from, std::uint64_t to) const {
+  // Calls fn(element) for each resident of [from, to) in sequence order
+  // (clamped to what is still buffered), reading in place.  This is the
+  // "freeze between two pointers" walk.
+  template <typename Fn>
+  void for_each(std::uint64_t from, std::uint64_t to, Fn&& fn) const {
     if (from < first_seq()) from = first_seq();
     if (to > next_seq_) to = next_seq_;
+    if (from >= to) return;
+    auto i = static_cast<std::size_t>(from % capacity_);
+    for (std::uint64_t s = from; s < to; ++s) {
+      fn(data_[i]);
+      if (++i == capacity_) i = 0;
+    }
+  }
+
+  // Copies the residents of [from, to) into a vector (clamped as for_each).
+  std::vector<T> snapshot(std::uint64_t from, std::uint64_t to) const {
     std::vector<T> out;
-    if (from >= to) return out;
-    out.reserve(static_cast<std::size_t>(to - from));
-    for (std::uint64_t s = from; s < to; ++s) out.push_back(at(s));
+    for_each(from, to, [&out](const T& v) { out.push_back(v); });
     return out;
   }
 

@@ -25,6 +25,20 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
+namespace {
+
+// Linear interpolation between two adjacent order statistics, with a zero
+// result normalized to +0.0.  Which of two equal-comparing zeros (+0.0,
+// -0.0) lands at a given rank is an artifact of the sort or selection
+// algorithm, not of the data; adding +0.0 maps -0.0 to +0.0 and leaves every
+// other value unchanged, so the sort- and selection-based estimators agree
+// bit for bit on every input.
+double interpolate(double vlo, double vhi, double frac) {
+  return vlo * (1.0 - frac) + vhi * frac + 0.0;
+}
+
+}  // namespace
+
 double quantile(std::span<const double> xs, double q) {
   if (xs.empty()) return 0.0;
   std::vector<double> v(xs.begin(), xs.end());
@@ -34,7 +48,7 @@ double quantile(std::span<const double> xs, double q) {
   const auto lo = static_cast<std::size_t>(pos);
   const auto hi = std::min(lo + 1, v.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
+  return interpolate(v[lo], v[hi], frac);
 }
 
 double median(std::span<const double> xs) { return quantile(xs, 0.5); }
@@ -53,8 +67,8 @@ double median_inplace(std::span<double> xs) {
   const std::size_t n = xs.size();
   // Exactly quantile(xs, 0.5)'s arithmetic: lo = floor(0.5*(n-1)),
   // hi = lo+1 clamped, interpolate — the v[hi]*frac term participates even
-  // when frac == 0.0 (it decides the sign of a ±0.0 result), so the upper
-  // order statistic is always materialized.
+  // when frac == 0.0 (an infinite upper neighbour makes it NaN), so the
+  // upper order statistic is always materialized.
   const double pos = 0.5 * static_cast<double>(n - 1);
   const auto lo = static_cast<std::size_t>(pos);
   const double frac = pos - static_cast<double>(lo);
@@ -66,7 +80,7 @@ double median_inplace(std::span<double> xs) {
           ? *std::min_element(xs.begin() + static_cast<std::ptrdiff_t>(lo) + 1,
                               xs.end())
           : vlo;
-  return vlo * (1.0 - frac) + vhi * frac;
+  return interpolate(vlo, vhi, frac);
 }
 
 double mad_sigma_inplace(std::span<double> xs) {

@@ -34,7 +34,9 @@ class RunningStats {
 };
 
 // Order statistics over a copy of the data (linear-interpolated quantile).
-// q in [0, 1]; empty input yields 0.
+// q in [0, 1]; empty input yields 0.  A zero result is always +0.0, so the
+// result depends only on the values, never on where a sort left tied
+// +0.0 / -0.0 entries.
 double quantile(std::span<const double> xs, double q);
 double median(std::span<const double> xs);
 
@@ -45,9 +47,9 @@ double mad_sigma(std::span<const double> xs);
 // Allocation-free variants for refresh hot loops: permute the caller's
 // buffer (nth_element selection, O(n) expected) instead of copying and
 // sorting it.  Bit-identical to median()/mad_sigma() on the same values —
-// including the interpolation arithmetic on even sizes and signed-zero
-// edge cases — so detectors can switch per call site without changing
-// output (pinned by tests/util/stats_test.cpp).
+// including the interpolation arithmetic on even sizes and mixed-sign zero
+// ties — so detectors can switch per call site without changing output
+// (pinned by tests/util/stats_test.cpp).
 double median_inplace(std::span<double> xs);
 double mad_sigma_inplace(std::span<double> xs);
 

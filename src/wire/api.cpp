@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "util/hash.h"
+
 namespace gretel::wire {
 
 std::string_view to_string(ServiceKind s) {
@@ -81,35 +83,19 @@ std::string ApiDescriptor::display_name() const {
   return out;
 }
 
-namespace {
-
 // FNV-1a over the discriminating bytes; string_view and string keys hash
 // identically, which is what makes the transparent probe sound.
-constexpr std::size_t kFnvOffset = 14695981039346656037ull;
-constexpr std::size_t kFnvPrime = 1099511628211ull;
-
-std::size_t fnv1a(std::size_t h, unsigned char byte) {
-  return (h ^ byte) * kFnvPrime;
-}
-
-std::size_t fnv1a(std::size_t h, std::string_view bytes) {
-  for (char c : bytes) h = fnv1a(h, static_cast<unsigned char>(c));
-  return h;
-}
-
-}  // namespace
-
 std::size_t ApiCatalog::KeyHash::operator()(const RestKeyView& k) const {
-  std::size_t h = kFnvOffset;
-  h = fnv1a(h, static_cast<unsigned char>(k.service));
-  h = fnv1a(h, static_cast<unsigned char>(k.method));
-  return fnv1a(h, k.path);
+  auto h = util::fnv1a64_step(util::kFnv1a64Offset,
+                              static_cast<std::uint8_t>(k.service));
+  h = util::fnv1a64_step(h, static_cast<std::uint8_t>(k.method));
+  return static_cast<std::size_t>(util::fnv1a64(k.path, h));
 }
 
 std::size_t ApiCatalog::KeyHash::operator()(const RpcKeyView& k) const {
-  std::size_t h = kFnvOffset;
-  h = fnv1a(h, static_cast<unsigned char>(k.service));
-  return fnv1a(h, k.method);
+  const auto h = util::fnv1a64_step(util::kFnv1a64Offset,
+                                    static_cast<std::uint8_t>(k.service));
+  return static_cast<std::size_t>(util::fnv1a64(k.method, h));
 }
 
 ApiId ApiCatalog::add_rest(ServiceKind service, HttpMethod method,

@@ -12,6 +12,7 @@
 #include "gretel/training.h"
 #include "monitor/metrics.h"
 #include "tempest/workload.h"
+#include "util/hash.h"
 #include "util/simd.h"
 
 namespace gretel::campaign {
@@ -75,15 +76,15 @@ TEST(CampaignFingerprint, StableAcrossKernelFamilies) {
 
 TEST(CampaignFingerprint, Fnv1a64GoldenVectors) {
   // Offset basis and standard test vectors pin the hash contract.
-  EXPECT_EQ(fnv1a64(""), 0xCBF29CE484222325ull);
-  EXPECT_EQ(fnv1a64("a"), 0xAF63DC4C8601EC8Cull);
+  EXPECT_EQ(util::fnv1a64(""), 0xCBF29CE484222325ull);
+  EXPECT_EQ(util::fnv1a64("a"), 0xAF63DC4C8601EC8Cull);
   EXPECT_EQ(fingerprint_hex(0xCBF29CE484222325ull), "cbf29ce484222325");
 }
 
 TEST(CampaignFingerprint, EmptyDiagnosisSetHasWellKnownSignature) {
   auto& e = env();
   EXPECT_EQ(report_fingerprint({}, e.catalog.apis(), e.training.db),
-            fnv1a64("[]"));
+            util::fnv1a64("[]"));
 }
 
 core::Diagnosis make_diagnosis() {

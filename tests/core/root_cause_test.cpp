@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <string>
+#include <vector>
 
 namespace gretel::core {
 namespace {
@@ -99,6 +101,62 @@ TEST_F(RootCauseTest, NodesForOperationsFollowServices) {
   for (auto compute : deployment_.nodes_for(ServiceKind::NovaCompute)) {
     EXPECT_NE(std::find(nodes.begin(), nodes.end(), compute), nodes.end());
   }
+}
+
+TEST_F(RootCauseTest, NodesForOperationsKeepsNestedLoopOrder) {
+  // Fingerprints sharing services, in an order where a later fingerprint
+  // revisits services an earlier one resolved.  The node order must be the
+  // plain nested walk's (fingerprint, then API, then the service's nodes,
+  // first appearance wins): find_causes ranks with an unstable sort, so
+  // the order reaches the diagnosis.
+  const auto glance_api = catalog_.add_rest(
+      ServiceKind::Glance, wire::HttpMethod::Get, "/v2/images");
+  const auto keystone_api = catalog_.add_rest(
+      ServiceKind::Keystone, wire::HttpMethod::Post, "/v3/auth/tokens");
+  const auto agent_rpc = catalog_.add_rpc(ServiceKind::NeutronAgent,
+                                          "neutron-agent", "port_update");
+  const std::vector<std::vector<wire::ApiId>> sequences = {
+      {neutron_api_, agent_rpc, rpc_compute_, neutron_api_},
+      {keystone_api, nova_api_, rpc_compute_, glance_api},
+      {glance_api, agent_rpc, keystone_api, nova_api_, neutron_api_},
+  };
+  std::vector<FingerprintDb::Index> fps = {0};
+  for (const auto& seq : sequences) {
+    Fingerprint fp;
+    fp.op = wire::OpTemplateId(static_cast<std::uint32_t>(fps.size()));
+    fp.name = "shared-" + std::to_string(fps.size());
+    fp.sequence = seq;
+    fp.state_sequence = seq;
+    fps.push_back(db_.add(fp));
+  }
+
+  auto nested_loop = [&](const std::vector<FingerprintDb::Index>& idxs) {
+    std::vector<NodeId> out;
+    for (auto idx : idxs) {
+      for (auto api : db_.get(idx).sequence) {
+        for (auto node : deployment_.nodes_for(catalog_.get(api).service)) {
+          if (std::find(out.begin(), out.end(), node) == out.end())
+            out.push_back(node);
+        }
+      }
+    }
+    return out;
+  };
+
+  const std::vector<std::vector<FingerprintDb::Index>> selections = {
+      fps,
+      {fps[3], fps[1], fps[0]},
+      {fps[2], fps[2]},
+      {fps[1]},
+      {},
+  };
+  for (const auto& sel : selections) {
+    const auto got = engine_->nodes_for_operations(sel);
+    EXPECT_EQ(got, nested_loop(sel));
+  }
+  // The full selection spans several services over more than one node, so
+  // the comparison above is not vacuous.
+  EXPECT_GT(engine_->nodes_for_operations(fps).size(), 2u);
 }
 
 TEST_F(RootCauseTest, CleanStateYieldsNoCauses) {

@@ -54,25 +54,28 @@ TEST(DualBuffer, FutureReadySemantics) {
 TEST(DualBuffer, FreezeCentersWindow) {
   DualBuffer buf(8);
   for (std::uint16_t i = 0; i < 20; ++i) buf.push(event_with(i));
-  std::size_t center_index = 0;
-  const auto snap = buf.freeze(12, &center_index);
+  WindowColumns cols;
+  const auto info = buf.freeze(12, cols);
   // [12-4, 12+4) = events 8..15.
-  ASSERT_EQ(snap.size(), 8u);
-  EXPECT_EQ(snap.front().api, wire::ApiId(8));
-  EXPECT_EQ(snap.back().api, wire::ApiId(15));
-  EXPECT_EQ(center_index, 4u);
-  EXPECT_EQ(snap[center_index].api, wire::ApiId(12));
+  ASSERT_EQ(cols.size(), 8u);
+  EXPECT_EQ(cols.api.front(), 8u);
+  EXPECT_EQ(cols.api.back(), 15u);
+  EXPECT_EQ(info.first_seq, 8u);
+  EXPECT_EQ(info.center_index, 4u);
+  EXPECT_EQ(cols.api[info.center_index], 12u);
+  EXPECT_EQ(buf.at(info.first_seq + info.center_index).api, wire::ApiId(12));
 }
 
 TEST(DualBuffer, FreezeClampsAtStreamStart) {
   DualBuffer buf(8);
   for (std::uint16_t i = 0; i < 6; ++i) buf.push(event_with(i));
-  std::size_t center_index = 0;
-  const auto snap = buf.freeze(1, &center_index);
-  ASSERT_EQ(snap.size(), 5u);  // [0, 5)
-  EXPECT_EQ(snap.front().api, wire::ApiId(0));
-  EXPECT_EQ(center_index, 1u);
-  EXPECT_EQ(snap[center_index].api, wire::ApiId(1));
+  WindowColumns cols;
+  const auto info = buf.freeze(1, cols);
+  ASSERT_EQ(cols.size(), 5u);  // [0, 5)
+  EXPECT_EQ(cols.api.front(), 0u);
+  EXPECT_EQ(info.first_seq, 0u);
+  EXPECT_EQ(info.center_index, 1u);
+  EXPECT_EQ(cols.api[info.center_index], 1u);
 }
 
 TEST(DualBuffer, PastAvailableWithin2Alpha) {
@@ -87,36 +90,115 @@ TEST(DualBuffer, FreezeTruncatedWhenPastEvicted) {
   DualBuffer buf(4);  // ring capacity 8
   for (std::uint16_t i = 0; i < 40; ++i) buf.push(event_with(i));
   // Residents: 32..39; center 33 wants [31, 35) but 31 is gone.
-  std::size_t center_index = 0;
-  const auto snap = buf.freeze(33, &center_index);
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap.front().api, wire::ApiId(32));
-  EXPECT_EQ(center_index, 1u);
+  WindowColumns cols;
+  const auto info = buf.freeze(33, cols);
+  ASSERT_EQ(cols.size(), 3u);
+  EXPECT_EQ(cols.api.front(), 32u);
+  EXPECT_EQ(info.first_seq, 32u);
+  EXPECT_EQ(info.center_index, 1u);
 }
 
-TEST(DualBuffer, NullCenterIndexAccepted) {
+TEST(DualBuffer, FreezeFillsAlphaColumns) {
+  // A window with its past and future fully resident spans exactly α rows,
+  // whether or not the caller reads the FreezeInfo.
   DualBuffer buf(4);
   for (int i = 0; i < 8; ++i) buf.push(event_with(0));
-  EXPECT_EQ(buf.freeze(4, nullptr).size(), 4u);
+  WindowColumns cols;
+  buf.freeze(4, cols);
+  EXPECT_EQ(cols.size(), 4u);
 }
 
 TEST(DualBuffer, StaleFreezeReturnsEmptyInsteadOfWrapping) {
   DualBuffer buf(4);  // ring capacity 8
   for (std::uint16_t i = 0; i < 100; ++i) buf.push(event_with(i));
   // Residents: 92..99.  Center 10 was evicted long ago; `center - first`
-  // would wrap to a huge index without the clamp.
-  std::size_t center_index = 123;
-  const auto snap = buf.freeze(10, &center_index);
-  EXPECT_TRUE(snap.empty());
-  EXPECT_EQ(center_index, 0u);
+  // would wrap to a huge index without the clamp.  The columns still hold
+  // an earlier freeze's rows, which a stale freeze must clear.
+  WindowColumns cols;
+  buf.freeze(95, cols);
+  ASSERT_FALSE(cols.size() == 0);
+  const auto info = buf.freeze(10, cols);
+  EXPECT_EQ(cols.size(), 0u);
+  EXPECT_EQ(info.center_index, 0u);
   EXPECT_EQ(buf.stale_freezes(), 1u);
 
   // A resident center still freezes normally and is not counted.
-  EXPECT_FALSE(buf.freeze(95, &center_index).empty());
+  buf.freeze(95, cols);
+  EXPECT_NE(cols.size(), 0u);
   EXPECT_EQ(buf.stale_freezes(), 1u);
 
-  buf.freeze(0, nullptr);
+  buf.freeze(0, cols);
   EXPECT_EQ(buf.stale_freezes(), 2u);
+
+  // A center beyond the newest event has nothing to freeze either, but it
+  // was never evicted, so it is not stale.
+  buf.freeze(500, cols);
+  EXPECT_EQ(cols.size(), 0u);
+  EXPECT_EQ(buf.stale_freezes(), 2u);
+}
+
+TEST(DualBuffer, ColumnsMirrorResidentEvents) {
+  DualBuffer buf(8);
+  for (std::uint16_t i = 0; i < 37; ++i) {
+    wire::Event ev = event_with(i);
+    ev.dir = i % 2 ? wire::Direction::Response : wire::Direction::Request;
+    ev.status = i % 5 == 0 ? 500 : 200;
+    ev.correlation_id = i % 3 ? 1000u + i : 0u;
+    ev.ts = util::SimTime::epoch() + util::SimDuration::millis(7 * i);
+    buf.push_stamped(ev, 0);
+  }
+  WindowColumns cols;
+  const auto info = buf.freeze(30, cols);
+  ASSERT_EQ(cols.size(), 8u);
+  for (std::size_t row = 0; row < cols.size(); ++row) {
+    const auto& ev = buf.at(info.first_seq + row);
+    EXPECT_EQ(ev.seq, info.first_seq + row);
+    EXPECT_EQ(cols.api[row], ev.api.value());
+    EXPECT_EQ(cols.err[row], ev.is_error() ? 1 : 0);
+    EXPECT_EQ(cols.req[row], ev.is_request() ? 1 : 0);
+    EXPECT_EQ(cols.corr[row], ev.correlation_id);
+    EXPECT_EQ(cols.ts_s[row], ev.ts.to_seconds());
+  }
+}
+
+TEST(DualBuffer, EvictionBoundaryClampAndStaleCenter) {
+  DualBuffer buf(8);  // ring capacity 16, half-window 4
+  // Cumulative losses grow by one every 4 events.
+  for (std::uint16_t i = 0; i < 24; ++i) buf.push(event_with(i), i / 4);
+  // Residents: 8..23.  Center 10 wants [6, 14): the past half loses 6 and 7
+  // to eviction, so the window starts at the oldest resident.
+  WindowColumns cols;
+  auto info = buf.freeze(10, cols);
+  ASSERT_EQ(cols.size(), 6u);  // [8, 14)
+  EXPECT_EQ(info.first_seq, 8u);
+  EXPECT_EQ(info.center_index, 2u);
+  EXPECT_EQ(cols.api[info.center_index], 10u);
+  EXPECT_TRUE(info.clamped_front);
+  EXPECT_EQ(info.losses, 13u / 4 - 8u / 4);  // loss(13) - loss(8)
+  EXPECT_EQ(buf.stale_freezes(), 0u);
+
+  // Exactly at the boundary: center 12 wants [8, 16), all resident.
+  info = buf.freeze(12, cols);
+  ASSERT_EQ(cols.size(), 8u);
+  EXPECT_EQ(info.first_seq, 8u);
+  EXPECT_EQ(info.center_index, 4u);
+  EXPECT_FALSE(info.clamped_front);
+  EXPECT_EQ(info.losses, 15u / 4 - 8u / 4);
+
+  // The oldest resident as center: clamped, center at row 0.
+  info = buf.freeze(8, cols);
+  ASSERT_EQ(cols.size(), 4u);  // [8, 12)
+  EXPECT_EQ(info.center_index, 0u);
+  EXPECT_TRUE(info.clamped_front);
+  EXPECT_EQ(buf.stale_freezes(), 0u);
+
+  // One past the boundary: center 7 is evicted, the freeze is stale.
+  info = buf.freeze(7, cols);
+  EXPECT_EQ(cols.size(), 0u);
+  EXPECT_EQ(info.center_index, 0u);
+  EXPECT_EQ(info.losses, 0u);
+  EXPECT_FALSE(info.clamped_front);
+  EXPECT_EQ(buf.stale_freezes(), 1u);
 }
 
 // Property: for any α and stream length, the frozen window contains at most
@@ -128,13 +210,13 @@ TEST_P(DualBufferProperty, WindowBoundsInvariant) {
   const auto [alpha, n] = GetParam();
   DualBuffer buf(static_cast<std::size_t>(alpha));
   for (std::uint16_t i = 0; i < n; ++i) buf.push(event_with(i));
+  WindowColumns cols;
   for (std::uint64_t center = 0; center < static_cast<std::uint64_t>(n);
        ++center) {
-    std::size_t ci = 0;
-    const auto snap = buf.freeze(center, &ci);
-    EXPECT_LE(snap.size(), static_cast<std::size_t>(alpha));
-    if (!snap.empty() && ci < snap.size()) {
-      EXPECT_EQ(snap[ci].api, wire::ApiId(static_cast<std::uint16_t>(center)));
+    const auto info = buf.freeze(center, cols);
+    EXPECT_LE(cols.size(), static_cast<std::size_t>(alpha));
+    if (cols.size() != 0 && info.center_index < cols.size()) {
+      EXPECT_EQ(cols.api[info.center_index], center);
     }
   }
 }

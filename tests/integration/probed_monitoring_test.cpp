@@ -233,7 +233,6 @@ TEST(ProbedMonitoring, LossSweepIsMonotoneAuditedAndReproducible) {
 }
 
 TEST(ProbedMonitoring, WedgedAgentCannotStallAnalysisPastBudget) {
-  auto& e = env();
   const double budget_ms = 500.0;
 
   Analyzer::Options opt;

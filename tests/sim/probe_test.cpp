@@ -182,7 +182,9 @@ TEST(MonitorChaos, AffectedSetsNestAcrossRates) {
                                                at_s(s).nanos(), attempt, true);
       const bool lo_hit = fate_lo.dropped || fate_lo.timed_out;
       const bool hi_hit = fate_hi.dropped || fate_hi.timed_out;
-      if (lo_hit) EXPECT_TRUE(hi_hit) << "tick " << s << " attempt " << attempt;
+      if (lo_hit) {
+        EXPECT_TRUE(hi_hit) << "tick " << s << " attempt " << attempt;
+      }
       afflicted_lo += lo_hit;
       afflicted_hi += hi_hit;
     }

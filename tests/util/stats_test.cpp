@@ -124,6 +124,33 @@ TEST(InplaceEstimators, SignedZeroInterpolation) {
   EXPECT_EQ(a, b);
 }
 
+TEST(InplaceEstimators, MixedSignZeroTiesBitIdentical) {
+  // Ties between +0.0 and -0.0 at the median ranks: sort and selection may
+  // leave either zero there, yet both estimators must return the same bits
+  // (+0.0) for every arrangement.
+  Rng rng(0x2E80);
+  for (std::size_t n = 1; n <= 200; ++n) {
+    std::vector<double> xs(n);
+    for (auto& x : xs) {
+      const auto pick = rng.next_below(5);
+      x = pick == 4 ? 3.0 : pick % 2 ? -0.0 : 0.0;
+    }
+    std::vector<double> scratch = xs;
+    const double a = median(xs);
+    const double b = median_inplace(scratch);
+    EXPECT_EQ(std::signbit(a), std::signbit(b)) << "n=" << n;
+    EXPECT_EQ(a, b) << "n=" << n;
+    if (a == 0.0) {
+      EXPECT_FALSE(std::signbit(a)) << "n=" << n;
+    }
+    scratch = xs;
+    EXPECT_EQ(std::signbit(mad_sigma(xs)),
+              std::signbit(mad_sigma_inplace(scratch)));
+  }
+  const std::vector<double> neg_zeros(7, -0.0);
+  EXPECT_FALSE(std::signbit(median(neg_zeros)));
+}
+
 TEST(InplaceEstimators, EmptyInput) {
   std::vector<double> empty;
   EXPECT_EQ(median_inplace(empty), 0.0);
