@@ -6,7 +6,9 @@
 #include <cstdio>
 
 #include "bench/harness.h"
+#include "detect/latency_tracker.h"
 #include "monitor/metrics.h"
+#include "net/capture.h"
 #include "stack/workflow.h"
 
 int main() {
@@ -46,10 +48,23 @@ int main() {
   for (const auto& r : records) analyzer.on_wire(r);
   analyzer.finish();
 
-  // Latency series of the target API, bucketed per 5 s for the plot.
+  // Latency series of the target API, bucketed per 5 s for the plot.  The
+  // analyzer keeps only each API's level-shift window, so the plot pairs
+  // the same records with its own tap and tracker (same orphan timeout).
   const auto api = env.catalog.well_known().neutron_get_ports;
-  const auto* series = analyzer.latency_series(api);
-  if (series == nullptr || series->empty()) {
+  net::CaptureTap tap(&env.catalog.apis(), env.deployment.service_by_port());
+  detect::LatencyTracker tracker;
+  tracker.set_orphan_timeout_seconds(options.config.orphan_timeout_seconds);
+  util::TimeSeries series;
+  for (const auto& r : records) {
+    const auto event = tap.decode(r);
+    if (!event) continue;
+    if (const auto sample = tracker.observe(*event);
+        sample && sample->api == api) {
+      series.add(sample->when.to_seconds(), sample->latency_ms);
+    }
+  }
+  if (series.empty()) {
     std::printf("no samples for GET /v2.0/ports.json\n");
     return 1;
   }
@@ -57,7 +72,7 @@ int main() {
   double bucket_start = 0;
   double sum = 0;
   int count = 0;
-  for (const auto& p : series->points()) {
+  for (const auto& p : series.points()) {
     if (p.t_seconds >= bucket_start + 5.0) {
       if (count) {
         std::printf("%-10.0f %-16.2f %-8d\n", bucket_start, sum / count,

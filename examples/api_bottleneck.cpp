@@ -31,28 +31,6 @@ int main() {
   std::printf("[inject] CPU surge on the Neutron server from t=25s\n");
 
   const auto analyzer = scenario.run(launches);
-
-  // Show the latency series GRETEL tracked for the API the paper plots.
-  const auto api = scenario.catalog.well_known().neutron_get_ports;
-  if (const auto* series = analyzer->latency_series(api);
-      series && !series->empty()) {
-    std::printf("\nGET /v2.0/ports.json latency (5s buckets):\n");
-    double bucket = 0;
-    double sum = 0;
-    int n = 0;
-    for (const auto& p : series->points()) {
-      if (p.t_seconds >= bucket + 5.0) {
-        if (n) std::printf("  t=%3.0fs  %.1f ms\n", bucket, sum / n);
-        bucket += 5.0 * static_cast<int>((p.t_seconds - bucket) / 5.0);
-        sum = 0;
-        n = 0;
-      }
-      sum += p.value;
-      ++n;
-    }
-    if (n) std::printf("  t=%3.0fs  %.1f ms\n", bucket, sum / n);
-  }
-
   scenario.print_diagnoses(*analyzer);
 
   std::printf("\nNote: every operation succeeded — log analysis at TRACE "

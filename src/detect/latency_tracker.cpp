@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "detect/level_shift.h"
 #include "util/binio.h"
 
 namespace gretel::detect {
@@ -14,20 +13,6 @@ namespace {
 // footprint, never output.
 constexpr std::uint32_t kSweepStride = 64;
 }  // namespace
-
-LatencyTracker::LatencyTracker(Factory factory)
-    : factory_(std::move(factory)) {}
-
-LatencyTracker::LatencyTracker()
-    : LatencyTracker([] { return make_level_shift(); }) {}
-
-LatencyTracker::PerApi& LatencyTracker::per_api(wire::ApiId api) {
-  auto it = state_.find(api);
-  if (it == state_.end()) {
-    it = state_.emplace(api, PerApi{{}, factory_(), {}}).first;
-  }
-  return it->second;
-}
 
 void LatencyTracker::sweep_now(util::SimTime now) {
   if (orphan_timeout_seconds_ <= 0.0) return;
@@ -101,7 +86,7 @@ void LatencyTracker::sweep_orphans(util::SimTime now) {
   }
 }
 
-std::optional<LatencyAlarm> LatencyTracker::observe(
+std::optional<LatencySample> LatencyTracker::observe(
     const wire::EventHeader& event) {
   if (orphan_timeout_seconds_ > 0.0 &&
       ++observes_since_sweep_ >= kSweepStride) {
@@ -156,40 +141,10 @@ std::optional<LatencyAlarm> LatencyTracker::observe(
     latency_ms = 0.0;
     ++guards_.clamped_negative;
   }
-  const double t_s = event.ts.to_seconds();
-  auto& pa = per_api(event.api);
-  pa.series.add(t_s, latency_ms);
   ++samples_;
-  if (sketch_enabled_) pa.sketch.add(latency_ms);
-  if (series_cap_ > 0 && pa.series.size() > series_cap_) {
-    // Compact to cap/2 so trims are amortized, not per-sample; the sketch
-    // above keeps the full-history quantiles.
-    const std::size_t keep = std::max<std::size_t>(1, series_cap_ / 2);
-    const std::size_t drop = pa.series.size() - keep;
-    pa.series.drop_front(drop);
-    guards_.series_trimmed += drop;
-  }
-
-  const auto alarm = pa.detector->observe(t_s, latency_ms);
-  if (!alarm) return std::nullopt;
-  return LatencyAlarm{event.api, *alarm, event.ts};
-}
-
-const util::TimeSeries* LatencyTracker::series(wire::ApiId api) const {
-  const auto it = state_.find(api);
-  return it == state_.end() ? nullptr : &it->second.series;
-}
-
-const util::QuantileSketch* LatencyTracker::sketch(wire::ApiId api) const {
-  const auto it = state_.find(api);
-  if (it == state_.end() || it->second.sketch.count() == 0) return nullptr;
-  return &it->second.sketch;
-}
-
-std::size_t LatencyTracker::series_points() const {
-  std::size_t total = 0;
-  for (const auto& [api, pa] : state_) total += pa.series.size();
-  return total;
+  auto& detector = detectors_.try_emplace(event.api, params_).first->second;
+  return LatencySample{event.api, event.ts, latency_ms,
+                       detector.observe(event.ts.to_seconds(), latency_ms)};
 }
 
 void LatencyTracker::save_state(std::string& out) const {
@@ -220,25 +175,18 @@ void LatencyTracker::save_state(std::string& out) const {
   }
   {
     std::vector<wire::ApiId> apis;
-    apis.reserve(state_.size());
-    for (const auto& [api, pa] : state_) apis.push_back(api);
+    apis.reserve(detectors_.size());
+    for (const auto& [api, detector] : detectors_) apis.push_back(api);
     std::sort(apis.begin(), apis.end());
     util::put_u32(out, static_cast<std::uint32_t>(apis.size()));
     for (wire::ApiId api : apis) {
-      const PerApi& pa = state_.at(api);
       util::put_u16(out, api.value());
-      util::put_bytes(out, pa.detector->name());
+      util::put_bytes(out, LevelShiftDetector::kName);
       std::string det;
-      pa.detector->save_state(det);
+      detectors_.at(api).save_state(det);
       util::put_bytes(out, det);
-      std::string sk;
-      pa.sketch.save_state(sk);
-      util::put_bytes(out, sk);
-      util::put_u32(out, static_cast<std::uint32_t>(pa.series.size()));
-      for (const auto& p : pa.series.points()) {
-        util::put_f64(out, p.t_seconds);
-        util::put_f64(out, p.value);
-      }
+      util::put_bytes(out, {});  // retired: P² sketch
+      util::put_u32(out, 0);     // retired: latency series point count
     }
   }
   // The live slice of the in-flight FIFO, verbatim: eviction order after a
@@ -265,13 +213,13 @@ void LatencyTracker::save_state(std::string& out) const {
   util::put_u64(out, guards_.rejected_nonfinite);
   util::put_u64(out, guards_.orphans_reaped);
   util::put_u64(out, guards_.inflight_evicted);
-  util::put_u64(out, guards_.series_trimmed);
+  util::put_u64(out, 0);  // retired: series-trim counter
 }
 
 void LatencyTracker::reset() {
   pending_rest_.clear();
   pending_rpc_.clear();
-  state_.clear();
+  detectors_.clear();
   inflight_fifo_.clear();
   inflight_head_ = 0;
   samples_ = 0;
@@ -318,36 +266,24 @@ bool LatencyTracker::load_state(std::string_view& in) {
     std::uint16_t api_raw = 0;
     std::string_view det_name;
     std::string_view det_blob;
-    std::string_view sk_blob;
-    std::uint32_t n_pts = 0;
+    std::string_view retired_sketch;
+    std::uint32_t retired_points = 0;
     if (!util::get_u16(in, api_raw) || !util::get_bytes(in, det_name) ||
-        !util::get_bytes(in, det_blob) || !util::get_bytes(in, sk_blob)) {
+        !util::get_bytes(in, det_blob) ||
+        !util::get_bytes(in, retired_sketch) ||
+        !util::get_u32(in, retired_points) || retired_points > kMaxElems ||
+        in.size() / 16 < retired_points) {
       reset();
       return false;
     }
-    PerApi pa{{}, factory_(), {}};
-    // A checkpoint written under a different detector configuration must
-    // not be grafted onto this one: the blob layouts differ per type.
-    if (pa.detector->name() != det_name ||
-        !pa.detector->load_state(det_blob) || !det_blob.empty() ||
-        !pa.sketch.load_state(sk_blob) || !sk_blob.empty()) {
+    in.remove_prefix(std::size_t{retired_points} * 16);  // (t, value) pairs
+    LevelShiftDetector detector(params_);
+    if (det_name != LevelShiftDetector::kName ||
+        !detector.load_state(det_blob) || !det_blob.empty()) {
       reset();
       return false;
     }
-    if (!util::get_u32(in, n_pts) || n_pts > kMaxElems) {
-      reset();
-      return false;
-    }
-    for (std::uint32_t p = 0; p < n_pts; ++p) {
-      double t = 0.0;
-      double v = 0.0;
-      if (!util::get_f64(in, t) || !util::get_f64(in, v)) {
-        reset();
-        return false;
-      }
-      pa.series.add(t, v);
-    }
-    state_.emplace(wire::ApiId(api_raw), std::move(pa));
+    detectors_.emplace(wire::ApiId(api_raw), std::move(detector));
   }
 
   std::uint32_t n_fifo = 0;
@@ -367,13 +303,14 @@ bool LatencyTracker::load_state(std::string_view& in) {
     inflight_fifo_.push_back({key, util::SimTime(ts), rpc != 0});
   }
 
+  std::uint64_t retired_trimmed = 0;
   if (!util::get_u64(in, samples_) ||
       !util::get_u32(in, observes_since_sweep_) ||
       !util::get_u64(in, guards_.clamped_negative) ||
       !util::get_u64(in, guards_.rejected_nonfinite) ||
       !util::get_u64(in, guards_.orphans_reaped) ||
       !util::get_u64(in, guards_.inflight_evicted) ||
-      !util::get_u64(in, guards_.series_trimmed)) {
+      !util::get_u64(in, retired_trimmed)) {
     reset();
     return false;
   }

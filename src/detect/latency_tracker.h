@@ -3,19 +3,17 @@
 // "REST latencies are computed by pairing request and response messages
 // based on TCP connection metadata, like IP and port, while RPC latencies
 // are computed using IP and message identifier that is unique to each pair."
-// LatencyTracker does exactly that, maintains a latency time series per API,
-// and feeds each series to its own pluggable outlier detector.
+// LatencyTracker does exactly that and feeds each API's latency stream to
+// its own level-shift detector.  The detector's bounded baseline window is
+// the only per-API latency state: admitted samples are handed back to the
+// caller, never stored.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "detect/outlier.h"
-#include "util/quantile_sketch.h"
-#include "util/stats.h"
+#include "detect/level_shift.h"
 #include "util/time.h"
 #include "wire/message.h"
 
@@ -27,8 +25,16 @@ struct LatencyAlarm {
   util::SimTime when;   // response timestamp
 };
 
+// One admitted request/response pairing.
+struct LatencySample {
+  wire::ApiId api;
+  util::SimTime when;           // response timestamp
+  double latency_ms = 0.0;      // after the negative-gap clamp
+  std::optional<Alarm> alarm;   // a level shift this sample confirmed
+};
+
 // Degraded-telemetry accounting: what the tracker refused to feed into the
-// per-API series because the telemetry substrate lied about time or lost
+// per-API detectors because the telemetry substrate lied about time or lost
 // the closing half of an exchange.
 struct LatencyGuardStats {
   // Negative request→response gaps (capture clock skew between the tapped
@@ -45,25 +51,21 @@ struct LatencyGuardStats {
   // Streaming only (in-flight cap armed): oldest pending requests evicted
   // to hold the table under the cap when losses outpace the orphan reaper.
   std::uint64_t inflight_evicted = 0;
-  // Streaming only (series cap armed): retained latency samples trimmed
-  // from the front of per-API series.  The P² sketch still saw them — only
-  // the raw retained window shrinks.
-  std::uint64_t series_trimmed = 0;
 };
 
 class LatencyTracker {
  public:
-  using Factory = std::function<std::unique_ptr<OutlierDetector>()>;
+  // Every API's detector is built from `params` (production uses the
+  // defaults; tests shorten the warm-up).
+  explicit LatencyTracker(LevelShiftParams params = {}) : params_(params) {}
 
-  explicit LatencyTracker(Factory factory);
-  LatencyTracker();  // defaults to the level-shift detector
-
-  // Feeds one captured event.  Responses that close a pending request
-  // produce a latency sample; a confirmed anomaly returns a LatencyAlarm.
-  // The EventHeader overload is the real implementation — pairing and the
+  // Feeds one captured event.  A response that closes a pending request
+  // and passes the guards returns the admitted sample, carrying the alarm
+  // when it confirmed a level shift; everything else returns nullopt.  The
+  // EventHeader overload is the real implementation — pairing and the
   // level-shift feed read only header fields.
-  std::optional<LatencyAlarm> observe(const wire::EventHeader& event);
-  std::optional<LatencyAlarm> observe(const wire::Event& event) {
+  std::optional<LatencySample> observe(const wire::EventHeader& event);
+  std::optional<LatencySample> observe(const wire::Event& event) {
     return observe(wire::EventHeader(event));
   }
 
@@ -82,30 +84,13 @@ class LatencyTracker {
   // Admission is still decided at pairing time, so output is unaffected.
   void sweep_now(util::SimTime now);
 
-  // --- streaming bounds (all off by default; batch behavior is exactly
-  // unchanged while they stay off) ---
+  // --- streaming bound (off by default; batch behavior is exactly
+  // unchanged while it stays off) ---
 
   // Caps the pending-request table at `cap` entries; the oldest pending
   // request is evicted with accounting (guards().inflight_evicted) when a
   // new one would exceed it.  0 = unbounded.
   void set_inflight_cap(std::size_t cap) { inflight_cap_ = cap; }
-
-  // Retains only the newest latency samples per API: once a series exceeds
-  // `cap` points it is compacted to cap/2 (amortized O(1) per sample).
-  // Detection is unaffected — the level-shift detector owns its own
-  // bounded window; only the retained raw series shrinks.  0 = unbounded.
-  void set_series_cap(std::size_t cap) { series_cap_ = cap; }
-
-  // Feeds every admitted latency sample into a constant-memory P² sketch
-  // per API (full-history baseline quantiles that survive series trims).
-  void set_sketch_enabled(bool on) { sketch_enabled_ = on; }
-
-  // Latency series recorded so far for an API (milliseconds).
-  const util::TimeSeries* series(wire::ApiId api) const;
-
-  // P² baseline sketch for an API; null until a sample was admitted with
-  // the sketch enabled.
-  const util::QuantileSketch* sketch(wire::ApiId api) const;
 
   // Requests that never saw a response (diagnostic).
   std::size_t pending() const {
@@ -114,19 +99,24 @@ class LatencyTracker {
   std::uint64_t samples() const { return samples_; }
 
   // Footprint accounting for the streaming soak assertions.
-  std::size_t series_points() const;
   std::size_t inflight_queue() const {
     return inflight_fifo_.size() - inflight_head_;
   }
 
   // Checkpoint support (src/persist/): serializes the dynamic state —
-  // pending request maps, per-API series/detector/sketch, in-flight FIFO,
-  // guard counters — in deterministic (sorted-key) order.  The knobs
-  // (orphan timeout, caps, sketch enable) are config, not state: restore
+  // pending request maps, per-API detectors, in-flight FIFO, guard
+  // counters — in deterministic (sorted-key) order.  The knobs (detector
+  // params, orphan timeout, in-flight cap) are config, not state: restore
   // re-arms them from GretelConfig before calling load_state.  save_state
   // never mutates the tracker; load_state replaces all dynamic state, or
   // resets the tracker and returns false on torn/malformed input or a
-  // detector-type mismatch against this tracker's factory.
+  // detector name other than "level-shift".
+  //
+  // The per-API record keeps the layout of checkpoints that also carried a
+  // P² sketch and the raw latency series: the sketch bytes are written
+  // empty, the series point count as 0, and the trailing series-trim
+  // counter as 0.  load_state skips whatever those retired sections hold,
+  // so older checkpoints still restore their learned detector state.
   void save_state(std::string& out) const;
   bool load_state(std::string_view& in);
 
@@ -135,12 +125,6 @@ class LatencyTracker {
   void reset();
 
  private:
-  struct PerApi {
-    util::TimeSeries series;
-    std::unique_ptr<OutlierDetector> detector;
-    util::QuantileSketch sketch;
-  };
-
   // Insertion-order record for the in-flight cap.  Entries are never
   // eagerly removed on pairing (that would need a per-map index); instead
   // an entry is "stale" when its key no longer maps to its timestamp, and
@@ -151,15 +135,14 @@ class LatencyTracker {
     bool rpc;
   };
 
-  PerApi& per_api(wire::ApiId api);
   void sweep_orphans(util::SimTime now);
   bool stale(const InflightEntry& e) const;
   void note_inflight(std::uint64_t key, util::SimTime ts, bool rpc);
 
-  Factory factory_;
+  LevelShiftParams params_;
   std::unordered_map<std::uint32_t, util::SimTime> pending_rest_;  // conn_id
   std::unordered_map<std::uint64_t, util::SimTime> pending_rpc_;   // msg_id
-  std::unordered_map<wire::ApiId, PerApi> state_;
+  std::unordered_map<wire::ApiId, LevelShiftDetector> detectors_;
   // FIFO as vector + head index.  Entries before inflight_head_ are
   // consumed; compaction reclaims them together with stale live entries.
   std::vector<InflightEntry> inflight_fifo_;
@@ -168,8 +151,6 @@ class LatencyTracker {
   double orphan_timeout_seconds_ = 0.0;
   std::uint32_t observes_since_sweep_ = 0;
   std::size_t inflight_cap_ = 0;
-  std::size_t series_cap_ = 0;
-  bool sketch_enabled_ = false;
   LatencyGuardStats guards_;
 };
 

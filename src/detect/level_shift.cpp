@@ -92,6 +92,7 @@ void LevelShiftDetector::reset() {
   cached_median_ = 0.0;
   cached_sigma_ = 0.0;
   stale_ = 0;
+  rejected_nonfinite_ = 0;
 }
 
 void LevelShiftDetector::save_state(std::string& out) const {
@@ -118,23 +119,20 @@ bool LevelShiftDetector::load_state(std::string_view& in) {
   // save_state can produce; anything larger is corrupt input, rejected
   // before allocating.
   constexpr std::uint32_t kMaxElems = 1u << 20;
-  std::uint32_t wn = 0;
-  if (!util::get_u32(in, wn) || wn > kMaxElems) return false;
-  for (std::uint32_t i = 0; i < wn; ++i) {
-    double v = 0.0;
-    if (!util::get_f64(in, v)) return false;
-    window_.push_back(v);
-  }
-  std::uint32_t pn = 0;
-  if (!util::get_u32(in, pn) || pn > kMaxElems) return false;
-  for (std::uint32_t i = 0; i < pn; ++i) {
-    double v = 0.0;
-    if (!util::get_f64(in, v)) return false;
-    pending_.push_back(v);
-  }
+  const auto get_values = [&in](auto& dst) {
+    std::uint32_t n = 0;
+    if (!util::get_u32(in, n) || n > kMaxElems) return false;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      double v = 0.0;
+      if (!util::get_f64(in, v)) return false;
+      dst.push_back(v);
+    }
+    return true;
+  };
   std::int64_t sign = 0;
   std::int64_t stale = 0;
-  if (!util::get_i64(in, sign) || !util::get_f64(in, last_alarm_t_) ||
+  if (!get_values(window_) || !get_values(pending_) ||
+      !util::get_i64(in, sign) || !util::get_f64(in, last_alarm_t_) ||
       !util::get_f64(in, cached_median_) ||
       !util::get_f64(in, cached_sigma_) || !util::get_i64(in, stale) ||
       !util::get_u64(in, rejected_nonfinite_)) {

@@ -34,7 +34,10 @@ class LevelShiftDetector final : public OutlierDetector {
   explicit LevelShiftDetector(LevelShiftParams params) : params_(params) {}
 
   std::optional<Alarm> observe(double t_seconds, double value) override;
-  std::string_view name() const override { return "level-shift"; }
+  // Stamped before each detector blob in checkpoints.
+  static constexpr std::string_view kName = "level-shift";
+
+  std::string_view name() const override { return kName; }
   void reset() override;
   void save_state(std::string& out) const override;
   bool load_state(std::string_view& in) override;

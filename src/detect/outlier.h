@@ -1,11 +1,12 @@
-// Pluggable online outlier detection (§6: "outlier detection in GRETEL is
-// pluggable and administrators can leverage any sophisticated detection
-// mechanism").
+// Online outlier detection (§6: "outlier detection in GRETEL is pluggable
+// and administrators can leverage any sophisticated detection mechanism").
 //
 // Detectors consume one (timestamp, value) sample at a time and optionally
-// emit an Alarm.  The production configuration is the level-shift detector
-// (the R tsoutliers "LS" analog the paper uses); a windowed z-score detector
-// is provided as an alternative and for ablations.
+// emit an Alarm.  Production runs the level-shift detector (the R
+// tsoutliers "LS" analog the paper uses) as a concrete type, held by value
+// per API latency stream and per resource stream.  This interface exists
+// for bench_ablation_detectors, which swaps in the windowed z-score and
+// EWMA detectors against it.
 #pragma once
 
 #include <memory>
@@ -51,8 +52,5 @@ class OutlierDetector {
   virtual void save_state(std::string& out) const = 0;
   virtual bool load_state(std::string_view& in) = 0;
 };
-
-// Factory signature so per-API / per-resource trackers can mint detectors.
-using DetectorFactory = std::unique_ptr<OutlierDetector> (*)();
 
 }  // namespace gretel::detect

@@ -55,19 +55,14 @@ Analyzer::Analyzer(const FingerprintDb* db, const wire::ApiCatalog* catalog,
       run_root_cause_(options.run_root_cause),
       diagnosis_sink_(std::move(options.diagnosis_sink)) {
   if (options.streaming) {
-    // Arm every bounded-state knob.  Detection output is unaffected by the
-    // series cap and sketches (the level-shift detector owns its own
-    // bounded window); the in-flight cap only engages under sustained
-    // response loss, and metric retention only trims history the RCA
-    // window can no longer reach.
-    auto& latency = detector_.latency();
+    // Arm the bounded-state knobs.  The in-flight cap only engages under
+    // sustained response loss, and metric retention only trims history the
+    // RCA window can no longer reach.
     const auto& cfg = detector_.config();
-    latency.set_series_cap(cfg.stream_series_cap);
     if (cfg.stream_inflight_cap > 0) {
-      latency.set_inflight_cap(
+      detector_.latency().set_inflight_cap(
           std::max<std::size_t>(64, cfg.stream_inflight_cap));
     }
-    latency.set_sketch_enabled(true);
     metrics_.set_retention_seconds(cfg.stream_metrics_retention_s);
   }
 }
@@ -156,7 +151,6 @@ monitor::PipelineHealthCounters Analyzer::health() const {
   for (const auto& d : diagnoses_) h.stale_series += d.root_cause.stale_series;
   // Streaming bounds.
   h.inflight_evicted = det.inflight_evicted;
-  h.series_trimmed = det.series_trimmed;
   return h;
 }
 

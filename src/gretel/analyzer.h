@@ -42,11 +42,10 @@ class Analyzer {
     // delays, timeouts, flipped results, agent crashes, frozen streams).
     // Only consulted when probed_monitoring is set.
     monitor::MonitorChaosConfig monitor_chaos;
-    // Streaming mode: arms every bounded-state knob in config (series cap,
-    // in-flight cap + P² sketches, metric retention) so per-API and
-    // pending-request state stays O(1) in stream length.  Off (the
-    // default) keeps batch behavior byte-identical to pre-streaming
-    // builds — the caps never engage.
+    // Streaming mode: arms the bounded-state knobs in config (in-flight
+    // cap, metric retention) so pending-request and metric state stays
+    // O(1) in stream length.  Off (the default) keeps batch behavior
+    // byte-identical to pre-streaming builds — the caps never engage.
     bool streaming = false;
     // When set, each Diagnosis is delivered here instead of being
     // accumulated in diagnoses() — the streaming path's bounded
@@ -118,16 +117,12 @@ class Analyzer {
 
   const GretelConfig& config() const { return detector_.config(); }
 
-  // Latency series recorded for an API.
-  const util::TimeSeries* latency_series(wire::ApiId api) const {
-    return detector_.latency_series(api);
-  }
   const detect::LatencyTracker& latency() const {
     return detector_.latency();
   }
 
   // Checkpoint support (src/persist/): the learned analyzer state — the
-  // anomaly detector's latency baselines/sketches/guards and the resource
+  // anomaly detector's latency baselines/guards and the resource
   // stream's detectors and alarms.  The metrics store is deliberately not
   // snapshotted: it is repopulated by the monitor re-attach on restart
   // (ResourceMonitor::sample_range), the same way a fresh analyzer gets

@@ -40,13 +40,13 @@ void AnomalyDetector::on_event(const wire::Event& source) {
   }
 
   // Performance faults: per-API latency level shifts.
-  if (const auto alarm = latency_.observe(event)) {
+  if (const auto sample = latency_.observe(event); sample && sample->alarm) {
     PendingSnapshot p;
     p.center = seq;
-    p.api = alarm->api;
+    p.api = sample->api;
     p.kind = FaultKind::Performance;
     p.triggered_at = event.ts;
-    p.alarm = alarm;
+    p.alarm = detect::LatencyAlarm{sample->api, *sample->alarm, sample->when};
     pending_.push_back(std::move(p));
   }
 
@@ -164,7 +164,6 @@ void AnomalyDetector::refresh_guard_stats() {
   stats_.latency_clamped = guards.clamped_negative;
   stats_.latency_rejected = guards.rejected_nonfinite;
   stats_.inflight_evicted = guards.inflight_evicted;
-  stats_.series_trimmed = guards.series_trimmed;
 }
 
 void AnomalyDetector::flush() {
@@ -201,8 +200,9 @@ void AnomalyDetector::tick(util::SimTime now) {
 // Blob layout (unchanged from the sharded detector at one shard, so older
 // checkpoints still load): u32 tracker count = 1, the tracker blob, the loss
 // count, then the stats words.  Two of those words belonged to the retired
-// shard pipeline (overflow drops, watchdog trips); they are written as 0
-// and skipped on load.
+// shard pipeline (overflow drops, watchdog trips) and one to the retired
+// latency-series cap (samples trimmed); they are written as 0 and skipped
+// on load.
 constexpr std::uint32_t kTrackerCount = 1;
 constexpr int kRetiredStatWords = 2;
 
@@ -224,7 +224,7 @@ void AnomalyDetector::save_state(std::string& out) const {
   util::put_u64(out, stats_.stale_freezes);
   util::put_u64(out, stats_.degraded_reports);
   util::put_u64(out, stats_.inflight_evicted);
-  util::put_u64(out, stats_.series_trimmed);
+  util::put_u64(out, 0);  // retired: series-trim counter
   util::put_u64(out, stats_.forced_reports);
 }
 
@@ -253,7 +253,7 @@ bool AnomalyDetector::load_state(std::string_view& in) {
        util::get_u64(in, s.stale_freezes) &&
        util::get_u64(in, s.degraded_reports) &&
        util::get_u64(in, s.inflight_evicted) &&
-       util::get_u64(in, s.series_trimmed) &&
+       util::get_u64(in, retired) &&
        util::get_u64(in, s.forced_reports);
   if (!ok) {
     latency_.reset();

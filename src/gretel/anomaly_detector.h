@@ -82,7 +82,6 @@ class AnomalyDetector {
     std::uint64_t degraded_reports = 0;     // reports with window losses
     // Streaming only.
     std::uint64_t inflight_evicted = 0;     // pending requests evicted by cap
-    std::uint64_t series_trimmed = 0;       // retained samples trimmed by cap
     std::uint64_t forced_reports = 0;       // emitted past the delay deadline
   };
   const Stats& stats() const { return stats_; }
@@ -92,12 +91,10 @@ class AnomalyDetector {
   // Request/response pairing and per-API latency state.
   detect::LatencyTracker& latency() { return latency_; }
   const detect::LatencyTracker& latency() const { return latency_; }
-  const util::TimeSeries* latency_series(wire::ApiId api) const {
-    return latency_.series(api);
-  }
 
   // Checkpoint support (src/persist/): serializes the *learned* state — the
-  // latency tracker (baselines, sketches, pending pairings, orphan clocks),
+  // latency tracker (level-shift baselines, pending pairings, orphan
+  // clocks),
   // the cumulative loss count, and the stats counters.  The dual buffer,
   // pending snapshots and per-API suppression maps are window-local
   // transients spanning at most α messages; they are deliberately not
@@ -107,7 +104,7 @@ class AnomalyDetector {
   //
   // The blob keeps the layout written by the earlier sharded detector at
   // one shard: a u32 tracker count (always 1) before the tracker blob, and
-  // two retired u64 counters (written as 0, skipped on load).  load_state
+  // three retired u64 counters (written as 0, skipped on load).  load_state
   // expects a freshly constructed detector with the same config; it
   // rejects any other tracker count, and on torn input returns false with
   // the detector left at its constructed state.  After a load,

@@ -249,14 +249,6 @@ struct GretelConfig {
   // map.  Batch mode leaves the cap unset.
   std::size_t stream_inflight_cap = 4096;
 
-  // (streaming) · 2048 · retained recent latency samples per API.  Batch
-  // mode keeps every sample for exact CDFs; streaming keeps the newest
-  // [cap/2, cap] (amortized compaction) for report context, and the
-  // constant-memory P² sketch (util/quantile_sketch.h) carries the
-  // full-history baseline quantiles.  Detection is unaffected: the
-  // level-shift detector owns its own bounded window.
-  std::size_t stream_series_cap = 2048;
-
   // (streaming) · 0 = unbounded · metric-store retention horizon in
   // seconds.  When set, samples older than (newest − horizon) are trimmed
   // per series; must comfortably exceed rca_window_pad_seconds plus the

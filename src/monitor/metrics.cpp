@@ -32,7 +32,6 @@ std::string PipelineHealthCounters::to_json() const {
   field("stale_series", stale_series);
   field("frozen_samples", frozen_samples);
   field("inflight_evicted", inflight_evicted);
-  field("series_trimmed", series_trimmed);
   out += "}";
   return out;
 }

@@ -43,9 +43,8 @@ struct PipelineHealthCounters {
   std::uint64_t latency_rejected = 0;       // non-finite samples rejected
   std::uint64_t stale_freezes = 0;
   std::uint64_t degraded_reports = 0;
-  // Streaming bounds (zero in batch mode, where the caps stay unset).
+  // Streaming bound (zero in batch mode, where the cap stays unset).
   std::uint64_t inflight_evicted = 0;       // pending requests evicted by cap
-  std::uint64_t series_trimmed = 0;         // retained samples trimmed by cap
   // Monitoring plane (probed watchers; all zero under the oracle substrate).
   std::uint64_t probe_attempts = 0;
   std::uint64_t probe_retries = 0;

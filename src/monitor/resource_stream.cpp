@@ -2,24 +2,17 @@
 
 #include <algorithm>
 
-#include "detect/level_shift.h"
 #include "util/binio.h"
 
 namespace gretel::monitor {
 
-ResourceAnomalyStream::ResourceAnomalyStream(Factory factory)
-    : factory_(std::move(factory)) {}
-
-ResourceAnomalyStream::ResourceAnomalyStream()
-    : ResourceAnomalyStream([] { return detect::make_level_shift(); }) {}
-
 std::optional<ResourceAlarm> ResourceAnomalyStream::observe(
     wire::NodeId node, net::ResourceKind kind, double t_seconds,
     double value) {
-  auto& detector = detectors_[key(node, kind)];
-  if (!detector) detector = factory_();
+  auto& detector = detectors_.try_emplace(key(node, kind), params_)
+                       .first->second;
   ++samples_;
-  const auto alarm = detector->observe(t_seconds, value);
+  const auto alarm = detector.observe(t_seconds, value);
   if (!alarm) return std::nullopt;
   ResourceAlarm out{node, kind, *alarm};
   alarms_.push_back(out);
@@ -33,11 +26,10 @@ void ResourceAnomalyStream::save_state(std::string& out) const {
   std::sort(keys.begin(), keys.end());
   util::put_u32(out, static_cast<std::uint32_t>(keys.size()));
   for (std::uint32_t k : keys) {
-    const auto& det = detectors_.at(k);
     util::put_u32(out, k);
-    util::put_bytes(out, det->name());
+    util::put_bytes(out, detect::LevelShiftDetector::kName);
     std::string blob;
-    det->save_state(blob);
+    detectors_.at(k).save_state(blob);
     util::put_bytes(out, blob);
   }
   util::put_u32(out, static_cast<std::uint32_t>(alarms_.size()));
@@ -74,8 +66,9 @@ bool ResourceAnomalyStream::load_state(std::string_view& in) {
       reset_all();
       return false;
     }
-    auto det = factory_();
-    if (det->name() != name || !det->load_state(blob) || !blob.empty()) {
+    detect::LevelShiftDetector det(params_);
+    if (name != detect::LevelShiftDetector::kName || !det.load_state(blob) ||
+        !blob.empty()) {
       reset_all();
       return false;
     }

@@ -3,19 +3,18 @@
 // continuous stream of API latencies and resource utilization received at
 // the analyzer").
 //
-// Each (node, resource) pair gets its own pluggable detector; confirmed
-// level shifts become ResourceAlarms the analyzer attaches to its
-// diagnoses as corroborating evidence (the red level-shift marks on the
-// CPU pane of the paper's case studies).
+// Each (node, resource) pair gets its own level-shift detector, held by
+// value; confirmed shifts are retained as ResourceAlarms (the red
+// level-shift marks on the CPU pane of the paper's case studies) and
+// checkpointed.  Nothing downstream reads them yet: root-cause analysis
+// judges resources from the metrics store's windows, not from these alarms.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "detect/outlier.h"
+#include "detect/level_shift.h"
 #include "net/node.h"
 #include "wire/endpoint.h"
 
@@ -29,10 +28,10 @@ struct ResourceAlarm {
 
 class ResourceAnomalyStream {
  public:
-  using Factory = std::function<std::unique_ptr<detect::OutlierDetector>()>;
-
-  explicit ResourceAnomalyStream(Factory factory);
-  ResourceAnomalyStream();  // level-shift default
+  // Every stream's detector is built from `params` (production uses the
+  // defaults).
+  explicit ResourceAnomalyStream(detect::LevelShiftParams params = {})
+      : params_(params) {}
 
   // Feeds one sample; a confirmed shift returns an alarm (also retained in
   // alarms()).
@@ -42,8 +41,7 @@ class ResourceAnomalyStream {
 
   const std::vector<ResourceAlarm>& alarms() const { return alarms_; }
 
-  // Alarms for one node inside [from_s, to_s) — the root-cause engine's
-  // corroboration query.
+  // Alarms for one node inside [from_s, to_s).
   std::vector<ResourceAlarm> alarms_for(wire::NodeId node, double from_s,
                                         double to_s) const;
 
@@ -51,9 +49,9 @@ class ResourceAnomalyStream {
 
   // Checkpoint support (src/persist/): serializes every (node, resource)
   // detector's learned state plus the retained alarm list and sample count,
-  // keys sorted for deterministic bytes.  load_state rebuilds detectors via
-  // this stream's factory; torn input or a detector-type mismatch resets
-  // the stream and returns false.
+  // keys sorted for deterministic bytes.  load_state rebuilds detectors
+  // from this stream's params; torn input or a detector name other than
+  // "level-shift" resets the stream and returns false.
   void save_state(std::string& out) const;
   bool load_state(std::string_view& in);
 
@@ -63,10 +61,8 @@ class ResourceAnomalyStream {
            static_cast<std::uint32_t>(kind);
   }
 
-  Factory factory_;
-  std::unordered_map<std::uint32_t,
-                     std::unique_ptr<detect::OutlierDetector>>
-      detectors_;
+  detect::LevelShiftParams params_;
+  std::unordered_map<std::uint32_t, detect::LevelShiftDetector> detectors_;
   std::vector<ResourceAlarm> alarms_;
   std::size_t samples_ = 0;
 };

@@ -2,8 +2,8 @@
 //
 // A checkpoint is one file, written atomically (tmp+fsync+rename, like
 // save_fingerprint_db), holding everything the stream analyzer needs to
-// resume after a kill: the learned analyzer state (detector baselines, P²
-// sketches, pending pairings, orphan clocks — via Analyzer::save_state),
+// resume after a kill: the learned analyzer state (level-shift baselines,
+// pending pairings, orphan clocks — via Analyzer::save_state),
 // the stream flow-ledger counters, the fingerprint-DB identity it was
 // running against, and the journal high-water mark that ties the
 // checkpoint to the report journal.

@@ -16,7 +16,6 @@ std::size_t StateFootprint::approx_bytes() const {
   total += window_capacity * (sizeof(wire::Event) + sizeof(std::uint64_t));
   total += pending_requests * 32;  // hash-map node: key + SimTime + links
   total += inflight_queue * 24;    // InflightEntry
-  total += series_points * 16;     // (t, value) pair
   total += metric_points * 16;
   total += reports_retained * sizeof(StreamReport);
   return total;
@@ -208,7 +207,6 @@ StateFootprint StreamAnalyzer::footprint() {
   const auto& latency = analyzer_.latency();
   fp.pending_requests = latency.pending();
   fp.inflight_queue = latency.inflight_queue();
-  fp.series_points = latency.series_points();
   fp.metric_points = analyzer_.metrics().retained_points();
   fp.reports_retained = recent_.size();
   return fp;

@@ -10,9 +10,9 @@
 //
 //   1. Bounded memory.  Every stateful stage is capped: the source ring
 //      (stream_source_ring), the pending-request table (stream_inflight_cap),
-//      retained latency series (stream_series_cap, with constant-memory P²
-//      sketches keeping full-history baselines), metric retention (stream_metrics_retention_s) and the retained
-//      report ring (stream_report_cap).  footprint() itemizes the state and
+//      metric retention (stream_metrics_retention_s) and the retained
+//      report ring (stream_report_cap); per-API latency state is the
+//      level-shift detector's fixed baseline window.  footprint() itemizes the state and
 //      the soak test asserts the ceiling is flat under sustained overload.
 //
 //   2. Explicit backpressure with exact shed accounting.  offer() admits a
@@ -97,7 +97,6 @@ struct StateFootprint {
   std::size_t window_capacity = 0;    // dual-buffer slots (fixed: 2α)
   std::size_t pending_requests = 0;   // latency pending-table entries
   std::size_t inflight_queue = 0;     // in-flight FIFO bookkeeping entries
-  std::size_t series_points = 0;      // retained latency samples
   std::size_t metric_points = 0;      // retained metric samples
   std::size_t reports_retained = 0;
 

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "detect/level_shift.h"
-
 namespace gretel::detect {
 namespace {
 
@@ -38,27 +36,31 @@ Event rpc_event(ApiId api, Direction dir, std::uint64_t msg,
   return ev;
 }
 
-LatencyTracker fast_tracker() {
-  return LatencyTracker([] {
-    LevelShiftParams p;
-    p.min_baseline = 8;
-    p.confirm = 3;
-    p.sigma_floor = 0.1;
-    p.cooldown_seconds = 0.0;
-    return std::make_unique<LevelShiftDetector>(p);
-  });
+LevelShiftParams fast_params() {
+  LevelShiftParams p;
+  p.min_baseline = 8;
+  p.confirm = 3;
+  p.sigma_floor = 0.1;
+  p.cooldown_seconds = 0.0;
+  return p;
 }
+
+LatencyTracker fast_tracker() { return LatencyTracker(fast_params()); }
 
 TEST(LatencyTracker, PairsRestByConnection) {
   auto tracker = fast_tracker();
   const ApiId api(1);
-  tracker.observe(rest_event(api, Direction::Request, 7, SimTime(0)));
-  tracker.observe(rest_event(api, Direction::Response, 7,
-                             SimTime::epoch() + SimDuration::millis(12)));
-  const auto* series = tracker.series(api);
-  ASSERT_NE(series, nullptr);
-  ASSERT_EQ(series->size(), 1u);
-  EXPECT_NEAR(series->points()[0].value, 12.0, 1e-9);
+  EXPECT_FALSE(tracker.observe(rest_event(api, Direction::Request, 7,
+                                          SimTime(0)))
+                   .has_value());
+  const auto response_ts = SimTime::epoch() + SimDuration::millis(12);
+  const auto sample = tracker.observe(
+      rest_event(api, Direction::Response, 7, response_ts));
+  ASSERT_TRUE(sample.has_value());
+  EXPECT_EQ(sample->api, api);
+  EXPECT_EQ(sample->when, response_ts);
+  EXPECT_NEAR(sample->latency_ms, 12.0, 1e-9);
+  EXPECT_FALSE(sample->alarm.has_value());
   EXPECT_EQ(tracker.pending(), 0u);
   EXPECT_EQ(tracker.samples(), 1u);
 }
@@ -67,11 +69,12 @@ TEST(LatencyTracker, PairsRpcByMessageId) {
   auto tracker = fast_tracker();
   const ApiId api(2);
   tracker.observe(rpc_event(api, Direction::Request, 99, SimTime(0)));
-  tracker.observe(rpc_event(api, Direction::Response, 99,
-                            SimTime::epoch() + SimDuration::millis(30)));
-  const auto* series = tracker.series(api);
-  ASSERT_NE(series, nullptr);
-  EXPECT_NEAR(series->points()[0].value, 30.0, 1e-9);
+  const auto sample = tracker.observe(rpc_event(
+      api, Direction::Response, 99,
+      SimTime::epoch() + SimDuration::millis(30)));
+  ASSERT_TRUE(sample.has_value());
+  EXPECT_EQ(sample->api, api);
+  EXPECT_NEAR(sample->latency_ms, 30.0, 1e-9);
 }
 
 TEST(LatencyTracker, InterleavedConnectionsPairCorrectly) {
@@ -81,16 +84,17 @@ TEST(LatencyTracker, InterleavedConnectionsPairCorrectly) {
   tracker.observe(rest_event(
       api, Direction::Request, 2,
       SimTime::epoch() + SimDuration::millis(1)));
-  tracker.observe(rest_event(
+  const auto conn2 = tracker.observe(rest_event(
       api, Direction::Response, 2,
       SimTime::epoch() + SimDuration::millis(5)));
-  tracker.observe(rest_event(
+  const auto conn1 = tracker.observe(rest_event(
       api, Direction::Response, 1,
       SimTime::epoch() + SimDuration::millis(20)));
-  const auto* series = tracker.series(api);
-  ASSERT_EQ(series->size(), 2u);
-  EXPECT_NEAR(series->points()[0].value, 4.0, 1e-9);   // conn 2
-  EXPECT_NEAR(series->points()[1].value, 20.0, 1e-9);  // conn 1
+  ASSERT_TRUE(conn2.has_value());
+  ASSERT_TRUE(conn1.has_value());
+  EXPECT_EQ(tracker.samples(), 2u);
+  EXPECT_NEAR(conn2->latency_ms, 4.0, 1e-9);
+  EXPECT_NEAR(conn1->latency_ms, 20.0, 1e-9);
 }
 
 TEST(LatencyTracker, OrphanResponseIgnored) {
@@ -111,14 +115,22 @@ TEST(LatencyTracker, UnansweredRequestStaysPending) {
 TEST(LatencyTracker, SeriesSeparatedPerApi) {
   auto tracker = fast_tracker();
   tracker.observe(rest_event(ApiId(1), Direction::Request, 1, SimTime(0)));
-  tracker.observe(rest_event(ApiId(1), Direction::Response, 1,
-                             SimTime::epoch() + SimDuration::millis(5)));
+  const auto rest = tracker.observe(rest_event(
+      ApiId(1), Direction::Response, 1,
+      SimTime::epoch() + SimDuration::millis(5)));
   tracker.observe(rpc_event(ApiId(2), Direction::Request, 1, SimTime(0)));
-  tracker.observe(rpc_event(ApiId(2), Direction::Response, 1,
-                            SimTime::epoch() + SimDuration::millis(9)));
-  EXPECT_EQ(tracker.series(ApiId(1))->size(), 1u);
-  EXPECT_EQ(tracker.series(ApiId(2))->size(), 1u);
-  EXPECT_EQ(tracker.series(ApiId(3)), nullptr);
+  const auto rpc = tracker.observe(rpc_event(
+      ApiId(2), Direction::Response, 1,
+      SimTime::epoch() + SimDuration::millis(9)));
+  // A REST conn_id and an RPC msg_id with the same value never pair with
+  // each other: each response closes its own API's request.
+  ASSERT_TRUE(rest.has_value());
+  ASSERT_TRUE(rpc.has_value());
+  EXPECT_EQ(rest->api, ApiId(1));
+  EXPECT_NEAR(rest->latency_ms, 5.0, 1e-9);
+  EXPECT_EQ(rpc->api, ApiId(2));
+  EXPECT_NEAR(rpc->latency_ms, 9.0, 1e-9);
+  EXPECT_EQ(tracker.samples(), 2u);
 }
 
 TEST(LatencyTracker, AlarmOnSustainedLatencyShift) {
@@ -129,22 +141,27 @@ TEST(LatencyTracker, AlarmOnSustainedLatencyShift) {
     const auto t0 = SimTime::epoch() +
                     SimDuration::nanos(static_cast<std::int64_t>(t_s * 1e9));
     tracker.observe(rest_event(api, Direction::Request, conn, t0));
-    return tracker.observe(rest_event(
+    const auto sample = tracker.observe(rest_event(
         api, Direction::Response, conn++,
         t0 + SimDuration::nanos(
                  static_cast<std::int64_t>(latency_ms * 1e6))));
+    EXPECT_TRUE(sample.has_value());
+    return sample;
   };
 
   for (int i = 0; i < 40; ++i) {
-    ASSERT_FALSE(exchange(i, 10.0 + (i % 3) * 0.3).has_value());
+    ASSERT_FALSE(exchange(i, 10.0 + (i % 3) * 0.3)->alarm.has_value());
   }
   // 50 ms injected latency (the paper's tc experiment).
-  std::optional<LatencyAlarm> alarm;
-  for (int i = 0; i < 10 && !alarm; ++i) alarm = exchange(100 + i, 60.0);
-  ASSERT_TRUE(alarm.has_value());
-  EXPECT_EQ(alarm->api, api);
-  EXPECT_GT(alarm->alarm.magnitude, 30.0);
-  EXPECT_EQ(alarm->alarm.direction, ShiftDirection::Up);
+  std::optional<LatencySample> shifted;
+  for (int i = 0; i < 10 && !(shifted && shifted->alarm); ++i) {
+    shifted = exchange(100 + i, 60.0);
+  }
+  ASSERT_TRUE(shifted.has_value());
+  ASSERT_TRUE(shifted->alarm.has_value());
+  EXPECT_EQ(shifted->api, api);
+  EXPECT_GT(shifted->alarm->magnitude, 30.0);
+  EXPECT_EQ(shifted->alarm->direction, ShiftDirection::Up);
 }
 
 TEST(LatencyTracker, NegativeGapClampedNotPoisoned) {
@@ -154,12 +171,11 @@ TEST(LatencyTracker, NegativeGapClampedNotPoisoned) {
   // request's.  The exchange is real — keep the sample, clamp the gap.
   tracker.observe(rest_event(api, Direction::Request, 1,
                              SimTime::epoch() + SimDuration::millis(10)));
-  tracker.observe(rest_event(api, Direction::Response, 1,
-                             SimTime::epoch() + SimDuration::millis(2)));
-  const auto* series = tracker.series(api);
-  ASSERT_NE(series, nullptr);
-  ASSERT_EQ(series->size(), 1u);
-  EXPECT_NEAR(series->points()[0].value, 0.0, 1e-9);
+  const auto sample = tracker.observe(rest_event(
+      api, Direction::Response, 1,
+      SimTime::epoch() + SimDuration::millis(2)));
+  ASSERT_TRUE(sample.has_value());
+  EXPECT_NEAR(sample->latency_ms, 0.0, 1e-9);
   EXPECT_EQ(tracker.guard_stats().clamped_negative, 1u);
   EXPECT_EQ(tracker.samples(), 1u);
 }
@@ -171,12 +187,11 @@ TEST(LatencyTracker, LateResponseRejectedAtPairingTime) {
   tracker.observe(rest_event(api, Direction::Request, 1, SimTime(0)));
   // The response limps in two seconds later: past the orphan deadline, so
   // the latency reflects the degraded tap, not the service.
-  const auto alarm = tracker.observe(rest_event(
+  const auto sample = tracker.observe(rest_event(
       api, Direction::Response, 1,
       SimTime::epoch() + SimDuration::seconds(2)));
-  EXPECT_FALSE(alarm.has_value());
+  EXPECT_FALSE(sample.has_value());
   EXPECT_EQ(tracker.samples(), 0u);
-  EXPECT_EQ(tracker.series(api), nullptr);
   EXPECT_EQ(tracker.guard_stats().orphans_reaped, 1u);
   EXPECT_EQ(tracker.pending(), 0u);  // the pending slot is reclaimed either way
 }

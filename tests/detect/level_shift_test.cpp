@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -130,9 +133,60 @@ TEST(LevelShift, DirectionFlipsRestartConfirmation) {
 TEST(LevelShift, ResetForgetsState) {
   LevelShiftDetector d(fast_params());
   feed_noise(d, 10.0, 0.3, 100, 12);
+  d.observe(100, std::numeric_limits<double>::quiet_NaN());
   d.reset();
   EXPECT_FALSE(d.armed());
+  EXPECT_EQ(d.rejected_nonfinite(), 0u);
   EXPECT_DOUBLE_EQ(d.level(), 0.0);
+}
+
+// Alarm times raised over a fixed series: a warm-up at 10, a shift to 25,
+// a shift back to 10.
+std::vector<double> alarm_times(LevelShiftDetector& d) {
+  std::vector<double> times;
+  util::Rng rng(16);
+  for (int i = 0; i < 150; ++i) {
+    const double level = i < 60 ? 10.0 : i < 100 ? 25.0 : 10.0;
+    if (const auto alarm = d.observe(i, rng.next_gaussian(level, 0.3))) {
+      times.push_back(alarm->t_seconds);
+    }
+  }
+  return times;
+}
+
+TEST(LevelShift, TornLoadLeavesDetectorReset) {
+  // A saved state with a full window, a pending out-of-band run and a
+  // non-finite rejection, so every section of the blob is populated.
+  LevelShiftDetector saved(fast_params());
+  feed_noise(saved, 10.0, 0.3, 100, 17);
+  saved.observe(100, std::numeric_limits<double>::quiet_NaN());
+  saved.observe(101, 40.0);
+  saved.observe(102, 40.0);
+  std::string blob;
+  saved.save_state(blob);
+
+  LevelShiftDetector fresh(fast_params());
+  const auto expected = alarm_times(fresh);
+  ASSERT_FALSE(expected.empty());
+
+  for (std::size_t keep = 0; keep < blob.size(); ++keep) {
+    SCOPED_TRACE("kept " + std::to_string(keep) + " bytes");
+    // A used detector, so a load that fails to reset shows.
+    LevelShiftDetector d(fast_params());
+    feed_noise(d, 50.0, 0.3, 100, 18);
+    d.observe(100, std::numeric_limits<double>::infinity());
+    std::string_view in(blob.data(), keep);
+    ASSERT_FALSE(d.load_state(in));
+    EXPECT_FALSE(d.armed());
+    EXPECT_EQ(d.rejected_nonfinite(), 0u);
+    EXPECT_EQ(alarm_times(d), expected);
+  }
+
+  LevelShiftDetector whole(fast_params());
+  std::string_view in(blob);
+  ASSERT_TRUE(whole.load_state(in));
+  EXPECT_TRUE(in.empty());
+  EXPECT_EQ(whole.rejected_nonfinite(), 1u);
 }
 
 TEST(LevelShift, FactoryReturnsWorkingDetector) {

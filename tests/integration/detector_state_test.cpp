@@ -3,18 +3,21 @@
 // checkpoints were written in still loads (a u32 tracker count of 1 before
 // the tracker blob, two retired stats words written as 0), and a blob with
 // any other tracker count or a torn tail is rejected with the detector left
-// at its constructed state.
+// at its constructed state.  The latency tracker blob inside it still loads
+// in the layout that carried a P² sketch and the raw latency series.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "gretel/anomaly_detector.h"
 #include "gretel/training.h"
 #include "net/capture.h"
 #include "tempest/workload.h"
+#include "util/binio.h"
 
 namespace gretel::core {
 namespace {
@@ -33,18 +36,15 @@ Env& env() {
   return e;
 }
 
-// Streaming-mode detector (sketches on, orphan reaper armed) so the saved
-// state carries every tracker section.
+// Orphan reaper armed, so the saved state carries every tracker section.
 std::unique_ptr<AnomalyDetector> make_detector() {
   auto& e = env();
   GretelConfig config;
   config.fp_max = e.training.fp_max;
   config.p_rate = 150.0;
   config.orphan_timeout_seconds = 5.0;
-  auto detector = std::make_unique<AnomalyDetector>(
-      &e.training.db, &e.catalog.apis(), config, nullptr);
-  detector->latency().set_sketch_enabled(true);
-  return detector;
+  return std::make_unique<AnomalyDetector>(&e.training.db, &e.catalog.apis(),
+                                           config, nullptr);
 }
 
 std::string save(const std::unique_ptr<AnomalyDetector>& detector) {
@@ -122,6 +122,173 @@ TEST(DetectorCheckpoint, TornBlobLeavesConstructedState) {
     EXPECT_FALSE(detector->load_state(in));
     EXPECT_EQ(save(detector), constructed);
     EXPECT_EQ(detector->stats().events, 0u);
+  }
+}
+
+// --- LatencyTracker blob: the retired sketch and series sections ---
+
+constexpr wire::ApiId kApi(3);
+constexpr std::uint32_t kPendingConn = 500;
+
+wire::EventHeader rest_header(std::uint32_t conn, wire::Direction dir,
+                              SimTime ts) {
+  wire::EventHeader h;
+  h.ts = ts;
+  h.conn_id = conn;
+  h.api = kApi;
+  h.kind = wire::ApiKind::Rest;
+  h.dir = dir;
+  h.status = dir == wire::Direction::Response ? 200 : 0;
+  return h;
+}
+
+SimTime at_ms(double ms) {
+  return SimTime::epoch() +
+         SimDuration::nanos(static_cast<std::int64_t>(ms * 1e6));
+}
+
+// Warm-up: 40 exchanges at ~10 ms on one API (learned baseline), then one
+// request left pending.
+constexpr int kWarmup = 40;
+double warmup_latency_ms(int i) { return 10.0 + (i % 3) * 0.4; }
+
+void warm_up(detect::LatencyTracker& tracker) {
+  for (int i = 0; i < kWarmup; ++i) {
+    const double t_ms = 1000.0 * i;
+    tracker.observe(rest_header(i + 1, wire::Direction::Request, at_ms(t_ms)));
+    tracker.observe(rest_header(i + 1, wire::Direction::Response,
+                                at_ms(t_ms + warmup_latency_ms(i))));
+  }
+  tracker.observe(rest_header(kPendingConn, wire::Direction::Request,
+                              at_ms(1000.0 * kWarmup)));
+}
+
+// Hand-written tracker blob holding the warm-up state.  With no retired
+// content it is the current layout; with a sketch section, series points
+// and a series-trim count it is the layout that still carried them.
+std::string tracker_blob(std::string_view sketch, std::uint32_t points,
+                         std::uint64_t trimmed) {
+  detect::LevelShiftDetector detector;
+  for (int i = 0; i < kWarmup; ++i) {
+    const double t_ms = 1000.0 * i + warmup_latency_ms(i);
+    detector.observe(at_ms(t_ms).to_seconds(),
+                     (at_ms(t_ms) - at_ms(1000.0 * i)).to_millis());
+  }
+  std::string det;
+  detector.save_state(det);
+
+  std::string out;
+  util::put_u32(out, 1);  // pending REST requests
+  util::put_u32(out, kPendingConn);
+  util::put_i64(out, at_ms(1000.0 * kWarmup).nanos());
+  util::put_u32(out, 0);  // pending RPC requests
+  util::put_u32(out, 1);  // APIs
+  util::put_u16(out, kApi.value());
+  util::put_bytes(out, "level-shift");
+  util::put_bytes(out, det);
+  util::put_bytes(out, sketch);
+  util::put_u32(out, points);
+  for (std::uint32_t p = 0; p < points; ++p) {
+    util::put_f64(out, static_cast<double>(p));
+    util::put_f64(out, warmup_latency_ms(static_cast<int>(p)));
+  }
+  util::put_u32(out, 0);        // in-flight FIFO
+  util::put_u64(out, kWarmup);  // samples
+  util::put_u32(out, 0);        // observes since sweep
+  for (int g = 0; g < 4; ++g) util::put_u64(out, 0);  // guard counters
+  util::put_u64(out, trimmed);
+  return out;
+}
+
+// Stand-in bytes for the P² sketch: the loader skips them unread.
+const std::string kSketch(120, '\x5a');
+
+std::string older_layout_blob() {
+  return tracker_blob(kSketch, kWarmup, 17);
+}
+
+std::string save_tracker(const detect::LatencyTracker& tracker) {
+  std::string out;
+  tracker.save_state(out);
+  return out;
+}
+
+using AlarmRecord = std::tuple<std::uint16_t, std::int64_t, double, double,
+                               double, double, int>;
+
+// Closes the pending request, then drives a shift to 60 ms and back.
+std::vector<AlarmRecord> continuation_alarms(detect::LatencyTracker& tracker) {
+  std::vector<AlarmRecord> alarms;
+  const auto feed = [&](const wire::EventHeader& h) {
+    const auto sample = tracker.observe(h);
+    if (sample && sample->alarm) {
+      const auto& a = *sample->alarm;
+      alarms.emplace_back(sample->api.value(), sample->when.nanos(),
+                          a.t_seconds, a.value, a.baseline, a.magnitude,
+                          a.direction == detect::ShiftDirection::Up ? 1 : 0);
+    }
+  };
+  feed(rest_header(kPendingConn, wire::Direction::Response,
+                   at_ms(1000.0 * kWarmup + 11.0)));
+  for (int i = 0; i < 60; ++i) {
+    const double t_ms = 1000.0 * (kWarmup + 1 + i);
+    const double latency = (i >= 10 && i < 35 ? 60.0 : 10.0) + (i % 2) * 0.5;
+    const auto conn = static_cast<std::uint32_t>(1000 + i);
+    feed(rest_header(conn, wire::Direction::Request, at_ms(t_ms)));
+    feed(rest_header(conn, wire::Direction::Response, at_ms(t_ms + latency)));
+  }
+  return alarms;
+}
+
+TEST(DetectorCheckpoint, HandWrittenTrackerBlobMatchesSaveState) {
+  detect::LatencyTracker tracker;
+  warm_up(tracker);
+  EXPECT_EQ(save_tracker(tracker), tracker_blob({}, 0, 0));
+}
+
+TEST(DetectorCheckpoint, OlderTrackerLayoutRestoresLearnedState) {
+  detect::LatencyTracker uninterrupted;
+  warm_up(uninterrupted);
+  const auto expected = continuation_alarms(uninterrupted);
+  ASSERT_EQ(expected.size(), 2u);  // the shift up and the shift back
+
+  const std::string current = tracker_blob({}, 0, 0);
+  const std::string older = older_layout_blob();
+  ASSERT_GT(older.size(), current.size());
+
+  detect::LatencyTracker from_current;
+  std::string_view in(current);
+  ASSERT_TRUE(from_current.load_state(in));
+  EXPECT_TRUE(in.empty());
+
+  detect::LatencyTracker from_older;
+  in = older;
+  ASSERT_TRUE(from_older.load_state(in));
+  EXPECT_TRUE(in.empty());
+  // The retired sections are dropped: the restored tracker saves the
+  // current layout of the same learned state.
+  EXPECT_EQ(save_tracker(from_older), current);
+  EXPECT_EQ(from_older.samples(), static_cast<std::uint64_t>(kWarmup));
+  EXPECT_EQ(from_older.pending(), 1u);
+
+  EXPECT_EQ(continuation_alarms(from_current), expected);
+  EXPECT_EQ(continuation_alarms(from_older), expected);
+}
+
+TEST(DetectorCheckpoint, TornOlderTrackerBlobLeavesTrackerReset) {
+  const std::string fresh = save_tracker(detect::LatencyTracker());
+  const std::string older = older_layout_blob();
+  // Every cut, which covers each byte of the retired sketch bytes, the
+  // series points and the series-trim word.
+  for (std::size_t keep = 0; keep < older.size(); ++keep) {
+    SCOPED_TRACE("kept " + std::to_string(keep) + " bytes");
+    detect::LatencyTracker tracker;
+    warm_up(tracker);
+    std::string_view in(older.data(), keep);
+    ASSERT_FALSE(tracker.load_state(in));
+    EXPECT_EQ(save_tracker(tracker), fresh);
+    EXPECT_EQ(tracker.samples(), 0u);
+    EXPECT_EQ(tracker.pending(), 0u);
   }
 }
 

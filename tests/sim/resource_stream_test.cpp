@@ -15,14 +15,12 @@ using net::ResourceKind;
 using wire::NodeId;
 
 ResourceAnomalyStream fast_stream() {
-  return ResourceAnomalyStream([] {
-    detect::LevelShiftParams p;
-    p.min_baseline = 8;
-    p.confirm = 3;
-    p.sigma_floor = 0.1;
-    p.cooldown_seconds = 0.0;
-    return std::make_unique<detect::LevelShiftDetector>(p);
-  });
+  detect::LevelShiftParams p;
+  p.min_baseline = 8;
+  p.confirm = 3;
+  p.sigma_floor = 0.1;
+  p.cooldown_seconds = 0.0;
+  return ResourceAnomalyStream(p);
 }
 
 TEST(ResourceAnomalyStream, QuietOnStationary) {

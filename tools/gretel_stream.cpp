@@ -189,16 +189,15 @@ int main(int argc, char** argv) {
   auto fp = streamer.footprint();
   std::printf(
       "state: ring=%zu rec (%zu B)  window=%zu slots  pending=%zu  "
-      "series=%zu pts  reports=%zu  ~%zu B (peak ~%zu B)\n",
+      "reports=%zu  ~%zu B (peak ~%zu B)\n",
       fp.source_ring_records, fp.source_ring_bytes, fp.window_capacity,
-      fp.pending_requests, fp.series_points, fp.reports_retained,
+      fp.pending_requests, fp.reports_retained,
       fp.approx_bytes(), streamer.peak_state_bytes());
   const auto health = streamer.health();
   std::printf(
-      "health: losses=%llu orphans=%llu evicted=%llu trimmed=%llu\n",
+      "health: losses=%llu orphans=%llu evicted=%llu\n",
       static_cast<unsigned long long>(health.losses_recorded),
       static_cast<unsigned long long>(health.orphans_reaped),
-      static_cast<unsigned long long>(health.inflight_evicted),
-      static_cast<unsigned long long>(health.series_trimmed));
+      static_cast<unsigned long long>(health.inflight_evicted));
   return 0;
 }
