@@ -33,15 +33,11 @@ int main(int argc, char** argv) {
   using namespace gretel;
   tools::Args args(argc, argv);
 
-  const auto scenarios =
-      static_cast<std::size_t>(args.get_int("--scenarios", 500));
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("--seed", 0xCA59A16EL));
+  const auto scenarios = args.get_uint("--scenarios", 500);
+  const auto seed = args.get_uint("--seed", 0xCA59A16E);
   const double fraction = args.get_double("--fraction", 0.12);
-  const auto budget = static_cast<std::size_t>(
-      args.get_int("--budget", 200000));
-  const auto recheck = static_cast<std::size_t>(
-      args.get_int("--recheck", 10));
+  const auto budget = args.get_uint("--budget", 200000);
+  const auto recheck = args.get_uint("--recheck", 10);
   const std::string out_path =
       args.get("--out").value_or("BENCH_campaigns.json");
   const bool tripwire = args.has_flag("--tripwire");

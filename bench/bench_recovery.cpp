@@ -85,15 +85,16 @@ std::vector<CheckpointSample> measure_checkpoint_cost(
   auto opt = env.analyzer_options(std::max(
       span_s > 0 ? static_cast<double>(records.size()) / span_s : 150.0,
       150.0));
-  opt.config.stream_tick_ms = tick_ms;
+  stream::StreamOptions stream_opts;
+  stream_opts.tick_ms = tick_ms;
   // Cadence off (one checkpoint per eon): only the forced writes below
   // run, so each sample times exactly one checkpoint_now().
-  opt.config.checkpoint_interval_s = 1e9;
+  stream_opts.checkpoint_interval_s = 1e9;
 
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
   stream::StreamAnalyzer streamer(&env.training.db, &env.catalog.apis(),
-                                  &env.deployment, opt);
+                                  &env.deployment, opt, {}, stream_opts);
   std::vector<CheckpointSample> samples;
   if (!streamer.enable_durability(dir)) return samples;
 
@@ -126,12 +127,11 @@ std::vector<CheckpointSample> measure_checkpoint_cost(
 int main(int argc, char** argv) {
   tools::Args args(argc, argv);
 
-  const auto rounds = static_cast<std::size_t>(args.get_int("--rounds", 12));
+  const auto rounds = args.get_uint("--rounds", 12);
   const int tests = static_cast<int>(args.get_int("--tests", 8));
   const long window_s = args.get_int("--window", 45);
   const double fraction = args.get_double("--fraction", 0.12);
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("--seed", 0x5EC0L));
+  const auto seed = args.get_uint("--seed", 0x5EC0);
   const double tick_ms = args.get_double("--tick-ms", 200.0);
   const double ckp_interval =
       args.get_double("--checkpoint-interval", 2.0);
@@ -170,8 +170,8 @@ int main(int argc, char** argv) {
   ccfg.rounds = rounds;
   ccfg.concurrent_tests = tests;
   ccfg.window_s = static_cast<double>(window_s);
-  ccfg.stream_tick_ms = tick_ms;
-  ccfg.checkpoint_interval_s = ckp_interval;
+  ccfg.stream.tick_ms = tick_ms;
+  ccfg.stream.checkpoint_interval_s = ckp_interval;
   ccfg.dir = dir + "/kill-points";
   campaign::RecoveryCampaign rc(&env.catalog, &env.training, ccfg);
   const auto report = rc.run();

@@ -87,8 +87,9 @@ RunOutcome run_stream(bench::BenchEnv& env, std::uint64_t seed, int tests,
       span_s > 0 ? static_cast<double>(records.size()) / span_s : 150.0;
 
   auto opt = env.analyzer_options(std::max(p_rate, 150.0));
-  opt.config.stream_tick_ms = tick_ms;
-  if (ring > 0) opt.config.stream_source_ring = ring;
+  stream::StreamOptions stream_opts;
+  stream_opts.tick_ms = tick_ms;
+  if (ring > 0) stream_opts.source_ring = ring;
 
   // instance label -> earliest emission watermark naming it.
   std::unordered_map<std::uint32_t, util::SimTime> first_named;
@@ -99,7 +100,8 @@ RunOutcome run_stream(bench::BenchEnv& env, std::uint64_t seed, int tests,
           if (!ev.is_error() || !ev.truth_instance.valid()) continue;
           first_named.try_emplace(ev.truth_instance.value(), r.emitted_at);
         }
-      });
+      },
+      stream_opts);
   for (const auto& r : records) {
     streamer.advance_to(r.ts);
     streamer.offer(r);
@@ -128,16 +130,14 @@ RunOutcome run_stream(bench::BenchEnv& env, std::uint64_t seed, int tests,
 int main(int argc, char** argv) {
   tools::Args args(argc, argv);
 
-  const auto runs = static_cast<std::size_t>(args.get_int("--runs", 10));
+  const auto runs = args.get_uint("--runs", 10);
   const int tests = static_cast<int>(args.get_int("--tests", 24));
   const int faults = static_cast<int>(args.get_int("--faults", 4));
   const long window_s = args.get_int("--window", 45);
   const double fraction = args.get_double("--fraction", 0.12);
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("--seed", 0x57A71E57L));
+  const auto seed = args.get_uint("--seed", 0x57A71E57);
   const double tick_ms = args.get_double("--tick-ms", 250.0);
-  const auto overload_ring =
-      static_cast<std::size_t>(args.get_int("--overload-ring", 96));
+  const auto overload_ring = args.get_uint("--overload-ring", 96);
   const std::string out_path =
       args.get("--out").value_or("BENCH_stream_latency.json");
   const bool tripwire = args.has_flag("--tripwire");

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "campaign/scenario.h"
-#include "gretel/config.h"
 #include "tempest/catalog.h"
 
 namespace gretel::campaign {
@@ -35,17 +34,9 @@ struct CampaignPlan {
   // first-report latency per scenario.  Scoring is unchanged; reports are
   // tick-quantized, so fingerprints may differ from batch mode.
   bool streaming = false;
-  // Tick cadence for streaming execution (<= 0 keeps the config default).
+  // Tick cadence for streaming execution (<= 0 keeps the
+  // stream::StreamOptions default).
   double stream_tick_ms = 0.0;
-
-  // Reads the campaign_* knobs from the promoted GretelConfig rows.
-  static CampaignPlan from(const core::GretelConfig& config) {
-    CampaignPlan p;
-    p.seed = config.campaign_seed;
-    p.budget_events = config.campaign_budget_events;
-    p.max_concurrent_faults = config.campaign_max_concurrent_faults;
-    return p;
-  }
 };
 
 class ScenarioGenerator {

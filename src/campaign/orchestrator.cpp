@@ -208,8 +208,6 @@ ScenarioResult CampaignOrchestrator::run_guarded(
     opt.probed_monitoring = true;
     opt.monitor_chaos = spec.monitor;
   }
-  if (plan_.streaming && plan_.stream_tick_ms > 0.0)
-    opt.config.stream_tick_ms = plan_.stream_tick_ms;
 
   // Streaming execution reuses the exact batch pipeline behind the
   // StreamAnalyzer front end; scoring below reads whichever diagnosis set
@@ -220,6 +218,8 @@ ScenarioResult CampaignOrchestrator::run_guarded(
   util::SimTime first_report_at;
   bool saw_report = false;
   if (plan_.streaming) {
+    stream::StreamOptions stream_opts;
+    if (plan_.stream_tick_ms > 0.0) stream_opts.tick_ms = plan_.stream_tick_ms;
     streamer.emplace(&training_->db, &catalog.apis(), &deployment, opt,
                      [&](const stream::StreamReport& r) {
                        if (!saw_report) {
@@ -227,7 +227,8 @@ ScenarioResult CampaignOrchestrator::run_guarded(
                          first_report_at = r.emitted_at;
                        }
                        streamed.push_back(r.diagnosis);
-                     });
+                     },
+                     stream_opts);
   } else {
     batch.emplace(&training_->db, &catalog.apis(), &deployment, opt);
   }

@@ -117,9 +117,6 @@ RecoveryRoundResult RecoveryCampaign::run_round(std::uint64_t round,
   opt.config.fp_max = training_->fp_max;
   opt.config.p_rate =
       std::max(span > 0 ? records.size() / span : 150.0, 150.0);
-  opt.config.stream_tick_ms = cfg_.stream_tick_ms;
-  opt.config.checkpoint_interval_s = cfg_.checkpoint_interval_s;
-  opt.config.journal_segment_records = cfg_.journal_segment_records;
   opt.run_root_cause = false;
   const core::Analyzer::Options opt_restore = opt;  // opt is moved below
 
@@ -131,7 +128,8 @@ RecoveryRoundResult RecoveryCampaign::run_round(std::uint64_t round,
       [&](const stream::StreamReport& r) {
         acked.push_back(core::to_json(r.diagnosis, catalog.apis(),
                                       training_->db));
-      });
+      },
+      cfg_.stream);
   if (!analyzer->enable_durability(dir)) {
     res.note = "enable_durability failed";
     return res;
@@ -169,10 +167,9 @@ RecoveryRoundResult RecoveryCampaign::run_round(std::uint64_t round,
   }
   persist::clear_crash_hook();
   const SimTime crash_watermark = analyzer->watermark();
+  const auto tick_ns = static_cast<std::int64_t>(cfg_.stream.tick_ms * 1e6);
   const SimTime stream_start =
-      SimTime((records.front().ts.nanos() /
-               static_cast<std::int64_t>(cfg_.stream_tick_ms * 1e6)) *
-              static_cast<std::int64_t>(cfg_.stream_tick_ms * 1e6));
+      SimTime((records.front().ts.nanos() / tick_ns) * tick_ns);
   res.reports_pre_crash = acked.size();
 
   // Process death: the object goes away, only the files survive.
@@ -204,7 +201,7 @@ RecoveryRoundResult RecoveryCampaign::run_round(std::uint64_t round,
         acked.push_back(core::to_json(r.diagnosis, catalog.apis(),
                                       training_->db));
       },
-      &ri);
+      &ri, cfg_.stream);
   res.recovery_ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
@@ -243,8 +240,8 @@ RecoveryRoundResult RecoveryCampaign::run_round(std::uint64_t round,
   const SimTime floor = ri.recovered ? restored->watermark() : stream_start;
   res.baseline_regressed_s = (crash_watermark - floor).to_seconds();
   res.baseline_bounded =
-      res.baseline_regressed_s <=
-      cfg_.checkpoint_interval_s + 2.0 * cfg_.stream_tick_ms / 1e3 + 1e-9;
+      res.baseline_regressed_s <= cfg_.stream.checkpoint_interval_s +
+                                      2.0 * cfg_.stream.tick_ms / 1e3 + 1e-9;
   if (!res.baseline_bounded && res.note.empty())
     res.note = "baseline regressed " +
                std::to_string(res.baseline_regressed_s) + "s";

@@ -17,7 +17,7 @@
 //      (the journal fsyncs before the sink is called).
 //   2. At most one checkpoint interval (plus one tick of quantization) of
 //      learned baseline regresses: the restored watermark trails the
-//      crash watermark by no more than checkpoint_interval_s + tick.
+//      crash watermark by no more than checkpoint_interval_s + tick_ms.
 //   3. The flow ledger re-reconciles after restart:
 //      offered == ingested + shed with queued() == 0, both immediately
 //      after restore() and again after the stream is resumed and finished.
@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "gretel/training.h"
+#include "stream/stream_analyzer.h"
 #include "tempest/catalog.h"
 
 namespace gretel::campaign {
@@ -77,10 +78,12 @@ struct RecoveryCampaignConfig {
   std::size_t rounds = 12;
   int concurrent_tests = 8;
   double window_s = 45.0;
-  double stream_tick_ms = 200.0;
-  double checkpoint_interval_s = 2.0;
-  // Small segments so rounds exercise rotation + purge, not just one file.
-  std::size_t journal_segment_records = 8;
+  // Stream cadence and durability of every round (the tool validates it
+  // as one StreamOptions).  Small segments so rounds exercise rotation +
+  // purge, not just one file.
+  stream::StreamOptions stream = {.tick_ms = 200.0,
+                                  .checkpoint_interval_s = 2.0,
+                                  .journal_segment_records = 8};
   // Root directory for per-round persistence subdirs (wiped per round).
   std::string dir = "recovery-campaign";
 };

@@ -8,27 +8,15 @@ namespace gretel::core {
 
 namespace {
 
-monitor::ProbeConfig probe_config_from(const GretelConfig& config,
-                                       std::uint64_t seed) {
-  monitor::ProbeConfig p;
-  p.timeout_ms = config.probe_timeout_ms;
-  p.retries = config.probe_retries;
-  p.backoff_base_ms = config.backoff_base_ms;
-  p.backoff_cap_ms = config.backoff_cap_ms;
-  p.breaker_open_after = config.breaker_open_after;
-  p.flap_hysteresis = config.flap_hysteresis;
-  p.seed = seed;
-  return p;
-}
-
 monitor::DependencyWatcher make_watcher(const stack::Deployment* deployment,
                                         const Analyzer::Options& options) {
   if (!options.probed_monitoring)
     return monitor::DependencyWatcher(deployment);
-  return monitor::DependencyWatcher(
-      deployment,
-      probe_config_from(options.config, options.monitor_chaos.seed),
-      options.monitor_chaos);
+  // Default probe deadlines, retries, backoff, breaker and hysteresis
+  // (monitor::ProbeConfig); only the jitter seed follows the chaos plan.
+  monitor::ProbeConfig probe;
+  probe.seed = options.monitor_chaos.seed;
+  return monitor::DependencyWatcher(deployment, probe, options.monitor_chaos);
 }
 
 }  // namespace
@@ -36,7 +24,7 @@ monitor::DependencyWatcher make_watcher(const stack::Deployment* deployment,
 Analyzer::Analyzer(const FingerprintDb* db, const wire::ApiCatalog* catalog,
                    const stack::Deployment* deployment, Options options)
     : tap_(catalog, deployment->service_by_port(),
-           std::max<std::size_t>(1, options.config.decode_arena_kb) * 1024),
+           GretelConfig::decode_arena_kb * 1024),
       watcher_(make_watcher(deployment, options)),
       rca_(db, catalog, deployment, &metrics_, &watcher_,
            RootCauseEngine::Options::from(options.config)),
@@ -53,19 +41,7 @@ Analyzer::Analyzer(const FingerprintDb* db, const wire::ApiCatalog* catalog,
                   }
                 }),
       run_root_cause_(options.run_root_cause),
-      diagnosis_sink_(std::move(options.diagnosis_sink)) {
-  if (options.streaming) {
-    // Arm the bounded-state knobs.  The in-flight cap only engages under
-    // sustained response loss, and metric retention only trims history the
-    // RCA window can no longer reach.
-    const auto& cfg = detector_.config();
-    if (cfg.stream_inflight_cap > 0) {
-      detector_.latency().set_inflight_cap(
-          std::max<std::size_t>(64, cfg.stream_inflight_cap));
-    }
-    metrics_.set_retention_seconds(cfg.stream_metrics_retention_s);
-  }
-}
+      diagnosis_sink_(std::move(options.diagnosis_sink)) {}
 
 void Analyzer::on_wire(const net::WireRecord& record) {
   const auto failures_before = tap_.stats().decode_failures;

@@ -42,11 +42,6 @@ class Analyzer {
     // delays, timeouts, flipped results, agent crashes, frozen streams).
     // Only consulted when probed_monitoring is set.
     monitor::MonitorChaosConfig monitor_chaos;
-    // Streaming mode: arms the bounded-state knobs in config (in-flight
-    // cap, metric retention) so pending-request and metric state stays
-    // O(1) in stream length.  Off (the default) keeps batch behavior
-    // byte-identical to pre-streaming builds — the caps never engage.
-    bool streaming = false;
     // When set, each Diagnosis is delivered here instead of being
     // accumulated in diagnoses() — the streaming path's bounded
     // alternative to the (unbounded) retained vector.
@@ -75,9 +70,11 @@ class Analyzer {
   void finish();
 
   // Incremental streaming tick (see AnomalyDetector::tick): emits ready
-  // reports, force-emits overdue ones, sweeps orphans.  `now` is the
-  // stream watermark.
-  void tick(util::SimTime now) { detector_.tick(now); }
+  // reports, force-emits those pending longer than `max_report_delay_s`
+  // (0 = never), sweeps orphans.  `now` is the stream watermark.
+  void tick(util::SimTime now, double max_report_delay_s) {
+    detector_.tick(now, max_report_delay_s);
+  }
 
   // Telemetry-loss notification from a streaming admission layer (records
   // shed before decode): folded into the detector's window-loss
@@ -117,6 +114,9 @@ class Analyzer {
 
   const GretelConfig& config() const { return detector_.config(); }
 
+  // Request/response pairing and per-API latency state.  Mutable so a
+  // streaming front end can arm the in-flight cap.
+  detect::LatencyTracker& latency() { return detector_.latency(); }
   const detect::LatencyTracker& latency() const {
     return detector_.latency();
   }

@@ -8,6 +8,15 @@
 
 namespace gretel::core {
 
+namespace {
+
+// Two operational triggers for the same API closer than this many events
+// are treated as one fault (duplicate REST error relays).  A fixed
+// implementation constant, not a knob.
+constexpr std::size_t kSuppressEvents = 96;
+
+}  // namespace
+
 AnomalyDetector::AnomalyDetector(const FingerprintDb* db,
                                  const wire::ApiCatalog* catalog,
                                  GretelConfig config, FaultCallback callback)
@@ -58,7 +67,7 @@ void AnomalyDetector::maybe_trigger_operational(std::uint64_t seq,
                                                 util::SimTime ts) {
   if (const auto it = last_trigger_.find(api);
       it != last_trigger_.end() &&
-      seq - it->second < config_.suppress_events) {
+      seq - it->second < kSuppressEvents) {
     ++stats_.suppressed_triggers;
     return;
   }
@@ -96,12 +105,12 @@ void AnomalyDetector::run_snapshot(const PendingSnapshot& pending) {
   // failure is relayed to the dashboard by a generic status GET; the error
   // message immediately preceding the trigger is the real fault.  The scan
   // is one find_last_set over the error-flag column, limited to the
-  // suppress_events window before the trigger.
+  // kSuppressEvents window before the trigger.
   wire::ApiId anchor = pending.api;
   std::size_t anchor_index = center_index;
   if (pending.kind == FaultKind::Operational) {
-    const std::size_t scan_lo = center_index > config_.suppress_events
-                                    ? center_index - config_.suppress_events
+    const std::size_t scan_lo = center_index > kSuppressEvents
+                                    ? center_index - kSuppressEvents
                                     : 0;
     const auto hit = simd::find_last_set_u8(
         window_cols_.err.data() + scan_lo, center_index - scan_lo);
@@ -113,7 +122,7 @@ void AnomalyDetector::run_snapshot(const PendingSnapshot& pending) {
     // each fault once.
     if (const auto it = last_report_.find(anchor);
         it != last_report_.end() &&
-        pending.center - it->second < config_.suppress_events) {
+        pending.center - it->second < kSuppressEvents) {
       ++stats_.suppressed_triggers;
       return;
     }
@@ -171,17 +180,16 @@ void AnomalyDetector::flush() {
   refresh_guard_stats();
 }
 
-void AnomalyDetector::tick(util::SimTime now) {
+void AnomalyDetector::tick(util::SimTime now, double max_report_delay_s) {
   run_ready(/*force=*/false);
 
   // Deadline forcing: a pending trigger whose future half-window never
   // filled (the stream went quiet) is emitted with the context that did
   // arrive rather than waiting for traffic that may never come.
-  if (config_.stream_max_report_delay_s > 0.0) {
+  if (max_report_delay_s > 0.0) {
     auto it = pending_.begin();
     while (it != pending_.end()) {
-      if ((now - it->triggered_at).to_seconds() >
-          config_.stream_max_report_delay_s) {
+      if ((now - it->triggered_at).to_seconds() > max_report_delay_s) {
         ++stats_.forced_reports;
         run_snapshot(*it);
         it = pending_.erase(it);

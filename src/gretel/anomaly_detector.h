@@ -49,14 +49,15 @@ class AnomalyDetector {
   // Runs any triggers still waiting for future context (end of stream).
   void flush();
 
-  // Incremental streaming tick (stream_tick_ms cadence): emits every report
-  // whose future context is ready — without ending the stream — then
-  // force-emits pending triggers older than stream_max_report_delay_s (a
-  // fault followed by silence still reports within a bounded delay),
-  // time-sweeps the orphan reaper (an idle stream never reaches the
-  // observe-cadence sweep), and refreshes the guard statistics.  `now` is
-  // the stream watermark in sim time.  Batch callers never need this.
-  void tick(util::SimTime now);
+  // Incremental streaming tick (stream::StreamOptions::tick_ms cadence):
+  // emits every report whose future context is ready — without ending the
+  // stream — then force-emits pending triggers older than
+  // `max_report_delay_s` (a fault followed by silence still reports within
+  // a bounded delay; 0 = never force), time-sweeps the orphan reaper (an
+  // idle stream never reaches the observe-cadence sweep), and refreshes the
+  // guard statistics.  `now` is the stream watermark in sim time.  Batch
+  // callers never need this.
+  void tick(util::SimTime now, double max_report_delay_s);
 
   // Telemetry-loss notification from the ingestion layer: `count` frames
   // between the previous event and the next one were lost before decoding

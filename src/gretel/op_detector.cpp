@@ -29,6 +29,32 @@ double OperationDetector::theta(std::size_t n) const {
 
 namespace {
 
+// Fixed tuning of the evidence-ranked Algorithm 2 below.  The paper gives
+// no values for these; they are implementation constants, not knobs.
+
+// (Fig. 4 relaxation) Minimum trailing literals that must be evidenced
+// before the fault when the snapshot cannot reach back to the operation's
+// start; candidates with fewer literals must show them all.
+constexpr std::size_t kMinLiteralSuffix = 4;
+
+// The faulty operation is executing *at* the fault, so its most recent
+// state-change literal must have occurred within this many seconds before
+// the fault; coincidental matches scattered across the window fail this
+// anchoring requirement.
+constexpr double kAnchorProximitySeconds = 2.0;
+
+// Operational matching keeps the candidates whose anchored backward
+// evidence (consumed literals) is within this fraction of the best
+// candidate's: the faulty operation accumulates evidence as the context
+// buffer grows while coincidental matches stay shallow.
+constexpr double kEvidenceRatio = 0.5;
+
+// (θ stopping rule) Growth of the context buffer stops early once the
+// matched set and the deepest evidence have been stable for this many
+// consecutive growths (further context could only admit coincidental
+// matches and drop θ).
+constexpr int kStableGrowthsStop = 5;
+
 // Backward evidence for operational faults.  The faulty operation aborted
 // at the fault, so all its evidence lies before it: consume the literal
 // list right-to-left starting at the fault position.  Each literal jumps
@@ -36,17 +62,16 @@ namespace {
 // (simd::find_last_eq_u16) — equivalent to the one-symbol-per-iteration
 // backward walk, which greedily consumed each literal at its rightmost
 // eligible position.  Returns the number of consumed literals, or 0 when
-//  * the literal closest to the fault is farther than `proximity_s` seconds
-//    from it (the failed operation was executing right there, coincidental
-//    matches are scattered), or
-//  * fewer than min(min_suffix, |literals|) literals are evidenced —
+//  * the literal closest to the fault is farther than
+//    kAnchorProximitySeconds from it (the failed operation was executing
+//    right there, coincidental matches are scattered), or
+//  * fewer than min(kMinLiteralSuffix, |literals|) literals are evidenced —
 //    literals older than the window are excused (Fig. 4), a near-empty
 //    match is not.
 std::size_t backward_evidence(std::span<const wire::ApiId> literals,
                               const std::uint16_t* symbols, std::size_t n,
                               std::span<const double> snapshot_ts,
-                              std::size_t fault_pos, double fault_ts,
-                              std::size_t min_suffix, double proximity_s) {
+                              std::size_t fault_pos, double fault_ts) {
   if (literals.empty() || n == 0) return 0;
   std::size_t i = literals.size();
   std::size_t end = std::min(fault_pos, n - 1) + 1;  // exclusive bound
@@ -54,14 +79,15 @@ std::size_t backward_evidence(std::span<const wire::ApiId> literals,
     const auto pos =
         simd::find_last_eq_u16(symbols, end, literals[i - 1].value());
     if (pos == simd::npos) break;
-    if (i == literals.size() && fault_ts - snapshot_ts[pos] > proximity_s) {
+    if (i == literals.size() &&
+        fault_ts - snapshot_ts[pos] > kAnchorProximitySeconds) {
       return 0;  // not anchored at the fault
     }
     --i;
     end = pos;
   }
   const std::size_t consumed = literals.size() - i;
-  if (consumed < std::min(min_suffix, literals.size())) return 0;
+  if (consumed < std::min(kMinLiteralSuffix, literals.size())) return 0;
   return consumed;
 }
 
@@ -188,7 +214,7 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
         mask_gate ? simd::presence_mask_u16(symbols + lo, hi - lo) : ~0ull;
 
     // Evidence per candidate; the matched set keeps those whose evidence is
-    // within evidence_ratio of the deepest candidate's, plus every
+    // within kEvidenceRatio of the deepest candidate's, plus every
     // candidate with a *complete* variant — the entire truncated prefix in
     // the window is conclusive no matter how short it is (an early-step
     // fault has little history by definition).
@@ -206,12 +232,11 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
           const auto& literals = candidates[ci].variants[vi];
           const auto consumed = backward_evidence(
               literals, symbols + lo, hi - lo, snapshot_ts, fault_in_slice,
-              fault_ts, config_.min_literal_suffix,
-              config_.anchor_proximity_seconds);
+              fault_ts);
           evidence[ci] = std::max(evidence[ci], consumed);
           // Completeness is only conclusive with enough literals behind it;
           // trivially-short prefixes must clear the depth cutoff instead.
-          if (consumed >= config_.min_literal_suffix &&
+          if (consumed >= kMinLiteralSuffix &&
               consumed == literals.size()) {
             complete[ci] = 1;
           }
@@ -219,7 +244,7 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
         best = std::max(best, evidence[ci]);
       }
       const auto cutoff = static_cast<std::size_t>(
-          std::ceil(config_.evidence_ratio * static_cast<double>(best)));
+          std::ceil(kEvidenceRatio * static_cast<double>(best)));
       for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
         if (complete[ci] || (evidence[ci] > 0 && evidence[ci] >= cutoff))
           matched.push_back(candidates[ci].index);
@@ -247,7 +272,7 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
     // this is where §5.3.1's "stop as soon as θ drops" lands under
     // evidence-ranked matching (θ would only fall from here).
     if (!matched.empty() && matched == prev_matched && best == prev_best) {
-      if (++stable_iterations >= config_.stable_growths_stop) {
+      if (++stable_iterations >= kStableGrowthsStop) {
         result.matched = std::move(matched);
         result.beta_final = beta;
         result.theta = theta(result.matched.size());

@@ -39,7 +39,7 @@ class RootCauseEngine {
     // Per-analysis probe deadline budget; 0 = unbounded (legacy).
     double probe_budget_ms = 0.0;
 
-    // The same knobs, read from the promoted GretelConfig rows.
+    // The analyzer's RCA knobs, read from their GretelConfig rows.
     static Options from(const GretelConfig& config) {
       Options o;
       o.window_pad = util::SimDuration(static_cast<std::int64_t>(

@@ -86,8 +86,8 @@ class CaptureTap {
  public:
   // The tap needs the API catalog to resolve symbols and the node->service
   // map to attribute a REST request to the service exposing the endpoint.
-  // `arena_slab_bytes` sizes the decode scratch arena's slabs
-  // (GretelConfig::decode_arena_kb upstream).
+  // `arena_slab_bytes` sizes the decode scratch arena's slabs (the
+  // analyzer passes the fixed GretelConfig::decode_arena_kb).
   CaptureTap(const wire::ApiCatalog* catalog,
              std::unordered_map<std::uint16_t, wire::ServiceKind>
                  service_by_port,

@@ -1,12 +1,47 @@
 #include "stream/stream_analyzer.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "gretel/db_io.h"
 #include "gretel/json_export.h"
 #include "util/crc32.h"
 
 namespace gretel::stream {
+
+namespace {
+
+// Newest checkpoint files retained on disk; older ones are pruned after
+// each successful write.  Two means a checkpoint torn by a crash mid-write
+// still leaves a previous complete one to fall back to (the loader falls
+// back across corrupt files regardless).  A constant, not a knob.
+constexpr std::size_t kCheckpointKeep = 2;
+
+}  // namespace
+
+std::vector<std::string> StreamOptions::validate() const {
+  std::vector<std::string> errors;
+  const auto bad = [&errors](const std::string& msg) {
+    errors.push_back(msg);
+  };
+  if (!std::isfinite(tick_ms) || tick_ms <= 0.0)
+    bad("tick_ms must be > 0 (a zero tick never advances)");
+  if (source_ring == 0) bad("source_ring must be > 0");
+  if (report_cap == 0) bad("report_cap must be > 0");
+  if (!std::isfinite(max_report_delay_s) || max_report_delay_s < 0.0)
+    bad("max_report_delay_s must be >= 0 (0 = off)");
+  if (!std::isfinite(metrics_retention_s) || metrics_retention_s < 0.0)
+    bad("metrics_retention_s must be >= 0 (0 = unbounded)");
+  if (!std::isfinite(checkpoint_interval_s) || checkpoint_interval_s <= 0.0)
+    bad("checkpoint_interval_s must be > 0");
+  else if (std::isfinite(tick_ms) && tick_ms > 0.0 &&
+           checkpoint_interval_s * 1000.0 < tick_ms)
+    bad("checkpoint_interval_s must be at least one stream tick "
+        "(a sub-tick cadence can never fire)");
+  if (journal_segment_records == 0)
+    bad("journal_segment_records must be > 0");
+  return errors;
+}
 
 std::size_t StateFootprint::approx_bytes() const {
   // Element-size approximations for the fixed-stride stores; the source
@@ -23,7 +58,6 @@ std::size_t StateFootprint::approx_bytes() const {
 
 core::Analyzer::Options StreamAnalyzer::prepare(
     core::Analyzer::Options options, StreamAnalyzer* self) {
-  options.streaming = true;
   // The lambda outlives construction only inside analyzer_, a member of
   // *self, so capturing the not-yet-constructed `this` is safe: it is not
   // invoked until events flow.
@@ -37,15 +71,23 @@ StreamAnalyzer::StreamAnalyzer(const core::FingerprintDb* db,
                                const wire::ApiCatalog* catalog,
                                const stack::Deployment* deployment,
                                core::Analyzer::Options options,
-                               ReportSink sink)
+                               ReportSink sink, StreamOptions stream)
     : db_(db),
       catalog_(catalog),
-      cfg_(options.config),
+      opts_(stream),
       tick_len_(util::SimDuration::nanos(std::max<std::int64_t>(
-          1'000'000,
-          static_cast<std::int64_t>(options.config.stream_tick_ms * 1e6)))),
+          1'000'000, static_cast<std::int64_t>(stream.tick_ms * 1e6)))),
       sink_(std::move(sink)),
-      analyzer_(db, catalog, deployment, prepare(std::move(options), this)) {}
+      analyzer_(db, catalog, deployment, prepare(std::move(options), this)) {
+  // Arm the bounded-state caps on the analyzer this stream owns.  The
+  // in-flight cap only engages under sustained response loss, and metric
+  // retention only trims history the RCA window can no longer reach.
+  if (opts_.inflight_cap > 0) {
+    analyzer_.latency().set_inflight_cap(
+        std::max<std::size_t>(64, opts_.inflight_cap));
+  }
+  analyzer_.metrics().set_retention_seconds(opts_.metrics_retention_s);
+}
 
 util::SimTime StreamAnalyzer::grid_floor(util::SimTime t) const {
   const auto step = tick_len_.count();
@@ -59,14 +101,14 @@ bool StreamAnalyzer::offer(const net::WireRecord& record) {
   }
   ++counters_.offered;
 
-  const std::size_t cap = std::max<std::size_t>(1, cfg_.stream_source_ring);
+  const std::size_t cap = std::max<std::size_t>(1, opts_.source_ring);
   if (ring_.size() >= cap) {
     if (!gate_closed_) {
       gate_closed_ = true;
       ++counters_.shed_episodes;
     }
     ++counters_.shed;
-    if (cfg_.stream_shed_policy == core::StreamShedPolicy::DropNewest) {
+    if (opts_.shed_policy == StreamShedPolicy::DropNewest) {
       // The freshest record is the loss; it has no queued successor yet,
       // so the annotation trails until the next admitted record.
       ++tail_losses_;
@@ -98,7 +140,7 @@ bool StreamAnalyzer::offer(const net::WireRecord& record) {
 
 std::size_t StreamAnalyzer::credits() const {
   if (gate_closed_) return 0;
-  const std::size_t cap = std::max<std::size_t>(1, cfg_.stream_source_ring);
+  const std::size_t cap = std::max<std::size_t>(1, opts_.source_ring);
   return cap > ring_.size() ? cap - ring_.size() : 0;
 }
 
@@ -135,7 +177,7 @@ void StreamAnalyzer::drain_ring() {
   // window instead of admit/shed flapping at the rim.  A full drain
   // trivially clears the bar.
   if (gate_closed_ &&
-      ring_.size() <= std::max<std::size_t>(1, cfg_.stream_source_ring) / 2) {
+      ring_.size() <= std::max<std::size_t>(1, opts_.source_ring) / 2) {
     gate_closed_ = false;
   }
 }
@@ -143,7 +185,7 @@ void StreamAnalyzer::drain_ring() {
 void StreamAnalyzer::run_tick() {
   ++counters_.ticks;
   drain_ring();
-  analyzer_.tick(watermark_);
+  analyzer_.tick(watermark_, opts_.max_report_delay_s);
   // Checkpoint cadence rides the tick grid: the ring just drained, so the
   // ledger reconciles with queued() == 0 inside the snapshot.  The first
   // tick anchors the cadence instead of checkpointing empty state.
@@ -152,7 +194,7 @@ void StreamAnalyzer::run_tick() {
       checkpoint_anchored_ = true;
       last_checkpoint_at_ = watermark_;
     } else if ((watermark_ - last_checkpoint_at_).to_seconds() >=
-               cfg_.checkpoint_interval_s) {
+               opts_.checkpoint_interval_s) {
       checkpoint_now();
     }
   }
@@ -192,7 +234,7 @@ void StreamAnalyzer::on_diagnosis(const core::Diagnosis& d) {
   ++counters_.reports;
   if (sink_) sink_(report);
   recent_.push_back(std::move(report));
-  const std::size_t cap = std::max<std::size_t>(1, cfg_.stream_report_cap);
+  const std::size_t cap = std::max<std::size_t>(1, opts_.report_cap);
   while (recent_.size() > cap) {
     recent_.pop_front();
     ++counters_.reports_evicted;
@@ -213,9 +255,14 @@ StateFootprint StreamAnalyzer::footprint() {
 }
 
 bool StreamAnalyzer::enable_durability(const std::string& dir) {
-  std::size_t truncated = 0;
+  return arm_durability(dir, nullptr);
+}
+
+bool StreamAnalyzer::arm_durability(const std::string& dir,
+                                    std::size_t* truncated) {
+  std::size_t dropped = 0;
   auto journal = persist::ReportJournal::open(
-      dir, std::max<std::size_t>(1, cfg_.journal_segment_records), &truncated);
+      dir, std::max<std::size_t>(1, opts_.journal_segment_records), &dropped);
   if (!journal) return false;
   journal_ = std::move(*journal);
   persist_dir_ = dir;
@@ -223,6 +270,7 @@ bool StreamAnalyzer::enable_durability(const std::string& dir) {
   // learned baselines onto a different fingerprint DB.
   db_catalog_hash_ = core::catalog_hash(*catalog_);
   db_content_crc_ = util::crc32(core::encode_fingerprint_db(*db_, *catalog_));
+  if (truncated) *truncated = dropped;
   return true;
 }
 
@@ -250,8 +298,7 @@ bool StreamAnalyzer::checkpoint_now() {
   m.db_catalog_hash = db_catalog_hash_;
   m.db_content_crc = db_content_crc_;
   analyzer_.save_state(ckp.analyzer_state);
-  if (!persist::write_checkpoint(persist_dir_, ckp,
-                                 std::max<std::size_t>(1, cfg_.checkpoint_keep)))
+  if (!persist::write_checkpoint(persist_dir_, ckp, kCheckpointKeep))
     return false;
   ++checkpoint_seq_;
   last_checkpoint_at_ = watermark_;
@@ -264,29 +311,22 @@ bool StreamAnalyzer::checkpoint_now() {
 std::unique_ptr<StreamAnalyzer> StreamAnalyzer::restore(
     const core::FingerprintDb* db, const wire::ApiCatalog* catalog,
     const stack::Deployment* deployment, core::Analyzer::Options options,
-    const std::string& dir, ReportSink sink, RecoveryInfo* info) {
+    const std::string& dir, ReportSink sink, RecoveryInfo* info,
+    StreamOptions stream) {
   RecoveryInfo local;
   RecoveryInfo& ri = info ? *info : local;
   ri = RecoveryInfo{};
 
-  std::unique_ptr<StreamAnalyzer> sa(new StreamAnalyzer(
-      db, catalog, deployment, std::move(options), std::move(sink)));
+  // A freshly constructed analyzer is the cold-start state.
+  const auto fresh = [&] {
+    return std::unique_ptr<StreamAnalyzer>(
+        new StreamAnalyzer(db, catalog, deployment, options, sink, stream));
+  };
+  auto sa = fresh();
 
   // Opening the journal first truncates the torn tail (crash-mid-append
   // artifact) before anything reads it back.
-  std::size_t truncated = 0;
-  {
-    auto journal = persist::ReportJournal::open(
-        dir, std::max<std::size_t>(1, sa->cfg_.journal_segment_records),
-        &truncated);
-    if (!journal) return nullptr;
-    sa->journal_ = std::move(*journal);
-  }
-  sa->persist_dir_ = dir;
-  sa->db_catalog_hash_ = core::catalog_hash(*catalog);
-  sa->db_content_crc_ =
-      util::crc32(core::encode_fingerprint_db(*db, *catalog));
-  ri.journal_records_truncated = truncated;
+  if (!sa->arm_durability(dir, &ri.journal_records_truncated)) return nullptr;
 
   std::uint64_t replay_from = 0;
   auto ckp = persist::load_newest_checkpoint(dir,
@@ -325,8 +365,14 @@ std::unique_ptr<StreamAnalyzer> StreamAnalyzer::restore(
         ri.checkpoint_tick = m.tick;
       } else {
         // Sections passed CRC but the analyzer blob would not decode
-        // (version skew): count it with the corrupt skips and cold-start.
+        // (version skew) or left bytes over: count it with the corrupt
+        // skips and cold-start.  load_state may have applied some sections
+        // before it stopped, so the partly loaded analyzer is discarded
+        // for a fresh one (its journal closed before the reopen).
         ++ri.corrupt_checkpoints_skipped;
+        sa.reset();
+        sa = fresh();
+        if (!sa->arm_durability(dir, nullptr)) return nullptr;
       }
     }
   }

@@ -9,14 +9,15 @@
 // three hard guarantees (docs/ARCHITECTURE.md, "Streaming mode"):
 //
 //   1. Bounded memory.  Every stateful stage is capped: the source ring
-//      (stream_source_ring), the pending-request table (stream_inflight_cap),
-//      metric retention (stream_metrics_retention_s) and the retained
-//      report ring (stream_report_cap); per-API latency state is the
-//      level-shift detector's fixed baseline window.  footprint() itemizes the state and
-//      the soak test asserts the ceiling is flat under sustained overload.
+//      (StreamOptions::source_ring), the pending-request table
+//      (inflight_cap), metric retention (metrics_retention_s) and the
+//      retained report ring (report_cap); per-API latency state is the
+//      level-shift detector's fixed baseline window.  footprint()
+//      itemizes the state and the soak test asserts the ceiling is flat
+//      under sustained overload.
 //
 //   2. Explicit backpressure with exact shed accounting.  offer() admits a
-//      record or sheds one under stream_shed_policy; credits() tells a
+//      record or sheds one under shed_policy; credits() tells a
 //      cooperating producer how many records the ring will take without
 //      shedding (0 while the gate is closed — it reopens at half
 //      occupancy, giving hysteresis instead of flapping at the rim).
@@ -26,18 +27,19 @@
 //      offered == ingested + shed + queued() holds at all times.
 //
 //   3. Bounded report latency.  advance_to(watermark) runs a detection
-//      tick each time the watermark crosses a stream_tick_ms boundary:
-//      queued records are drained into the analyzer, ready reports are
-//      emitted, pending triggers older than stream_max_report_delay_s are
-//      force-emitted with the context that did arrive, and idle-stream
-//      orphans are reaped.  Each report is stamped with its emission tick and the
+//      tick each time the watermark crosses a tick_ms boundary: queued
+//      records are drained into the analyzer, ready reports are emitted,
+//      pending triggers older than max_report_delay_s are force-emitted
+//      with the context that did arrive, and idle-stream orphans are
+//      reaped.  Each report is stamped with its emission tick and the
 //      trigger-to-emission delay (bench/bench_stream_latency.cpp measures
 //      the fault-injection-to-first-report distribution on top of this).
 //
 // Determinism caveat: streaming reports are tick-quantized and, under the
 // in-flight cap or shed pressure, depend on arrival timing — the batch
-// byte-identity contract applies to batch mode only (which this class does
-// not touch; all caps default off unless Options::streaming is set).
+// byte-identity contract applies to batch mode only.  A plain
+// core::Analyzer never sees these caps: only this class arms them, on the
+// analyzer it owns.
 //
 // Thread contract: single-threaded, like the Analyzer facade it wraps —
 // one producer thread calls offer()/on_metric()/advance_to()/finish().
@@ -57,6 +59,75 @@
 #include "persist/journal.h"
 
 namespace gretel::stream {
+
+// Streaming admission policy when the bounded source ring is full and the
+// producer keeps pushing (i.e. it ignores the credit scheme).  Either way
+// every shed record is accounted exactly and attributed as a window loss at
+// the position it would have occupied, so downstream reports carry the
+// degraded-confidence annotation.
+enum class StreamShedPolicy : std::uint8_t {
+  // Refuse the new record (freshest data is lost; queued context survives).
+  DropNewest,
+  // Evict the oldest queued record to admit the new one (context is lost;
+  // the stream stays current — the usual choice for live detection).
+  DropOldest,
+};
+
+// The stream's own knobs: cadence, bounded-state caps and durability.
+// Only StreamAnalyzer reads them; the analyzer it wraps keeps its
+// core::GretelConfig.  Declared at namespace scope so it can be a `= {}`
+// default argument (GCC rejects one for an aggregate nested in the class
+// that declares the default).  Documented as: default · effect.
+struct StreamOptions {
+  // 250 · detection cadence in simulated ms: once per tick the stream
+  // drains its ring, emits ready and overdue reports and sweeps orphans.
+  double tick_ms = 250.0;
+
+  // 8192 · source-ring capacity in records.  Credits equal the free
+  // capacity; once the ring fills they stay at zero until it drains to
+  // half, so a cooperating producer never sheds.
+  std::size_t source_ring = 8192;
+
+  // DropOldest · what admission does when the ring is full and the
+  // producer pushes anyway; every shed record is accounted as a window
+  // loss in place.
+  StreamShedPolicy shed_policy = StreamShedPolicy::DropOldest;
+
+  // 4096 · cap on the in-flight (request-awaiting-response) table (floor
+  // 64; 0 = uncapped).  Past it the oldest pending request is evicted with
+  // accounting (inflight_evicted) instead of growing the map.
+  std::size_t inflight_cap = 4096;
+
+  // 0 = unbounded · metric retention horizon in seconds.  Must comfortably
+  // exceed rca_window_pad_seconds plus the report delay, or RCA loses its
+  // baseline context.
+  double metrics_retention_s = 0.0;
+
+  // 256 · newest reports kept for recent_reports(); older ones are evicted
+  // with accounting.  The sink sees every report regardless.
+  std::size_t report_cap = 256;
+
+  // 2.0 · seconds after which a trigger whose future half-window has not
+  // filled (the stream went quiet) is force-emitted with the context that
+  // did arrive.  0 = never force.
+  double max_report_delay_s = 2.0;
+
+  // --- durability: read only once enable_durability() or restore() arms
+  // a persistence directory. ---
+
+  // 5.0 · stream seconds between checkpoints, taken at tick boundaries; a
+  // crash regresses at most this much learned baseline.  Must be at least
+  // one tick — a sub-tick cadence can never fire.
+  double checkpoint_interval_s = 5.0;
+
+  // 4096 · journal records per WAL segment.  Smaller segments bound the
+  // replay scan after a crash; larger ones reduce file churn.
+  std::size_t journal_segment_records = 4096;
+
+  // One itemized, human-readable error per nonsensical value (empty =
+  // valid), like core::GretelConfig::validate().
+  std::vector<std::string> validate() const;
+};
 
 // One emitted diagnosis, stamped with its position in stream time.
 struct StreamReport {
@@ -133,14 +204,15 @@ class StreamAnalyzer {
  public:
   using ReportSink = std::function<void(const StreamReport&)>;
 
-  // Wraps a streaming Analyzer (Options::streaming is forced on, arming
-  // every bounded-state knob in options.config).  `sink`, when set, sees
-  // every report at emission; the newest stream_report_cap reports are
-  // also retained in recent_reports() either way.
+  // Wraps an Analyzer built from `options` and arms the stream's
+  // bounded-state caps (in-flight cap, metric retention) on it.  `sink`,
+  // when set, sees every report at emission; the newest stream.report_cap
+  // reports are also retained in recent_reports() either way.
   StreamAnalyzer(const core::FingerprintDb* db,
                  const wire::ApiCatalog* catalog,
                  const stack::Deployment* deployment,
-                 core::Analyzer::Options options, ReportSink sink = {});
+                 core::Analyzer::Options options, ReportSink sink = {},
+                 StreamOptions stream = {});
 
   StreamAnalyzer(const StreamAnalyzer&) = delete;
   StreamAnalyzer& operator=(const StreamAnalyzer&) = delete;
@@ -158,12 +230,12 @@ class StreamAnalyzer {
   std::size_t credits() const;
 
   // Metric samples bypass the ring (they are scalar and already bounded
-  // by stream_metrics_retention_s) and go straight to the analyzer.
+  // by metrics_retention_s) and go straight to the analyzer.
   void on_metric(wire::NodeId node, net::ResourceKind kind,
                  double t_seconds, double value);
 
   // Advances the stream watermark, running one detection tick per
-  // stream_tick_ms boundary crossed.  The first call (or offer) anchors
+  // tick_ms boundary crossed.  The first call (or offer) anchors
   // the tick grid at the watermark's grid floor, so a capture starting at
   // t=600s does not replay 2400 empty ticks from the epoch.
   void advance_to(util::SimTime watermark);
@@ -178,7 +250,7 @@ class StreamAnalyzer {
   util::SimTime watermark() const { return watermark_; }
   bool gate_closed() const { return gate_closed_; }
 
-  // Newest retained reports (bounded by stream_report_cap; older ones
+  // Newest retained reports (bounded by report_cap; older ones
   // were delivered to the sink and evicted, counters().reports_evicted).
   const std::deque<StreamReport>& recent_reports() const { return recent_; }
 
@@ -231,14 +303,15 @@ class StreamAnalyzer {
   // ledger, watermark and tick grid, truncates the journal's torn tail,
   // and replays the journaled report tail into RecoveryInfo (not the
   // sink — those reports were already delivered before the crash).  The
-  // returned analyzer resumes durable.  With no checkpoint on disk this
-  // degenerates to a cold start with durability armed.  Returns nullptr
-  // only when the journal cannot be opened at all.
+  // returned analyzer resumes durable.  With no usable checkpoint on disk
+  // (none, all corrupt, or a different fingerprint DB) this degenerates to
+  // a cold start — a freshly constructed analyzer — with durability armed.
+  // Returns nullptr only when the journal cannot be opened at all.
   static std::unique_ptr<StreamAnalyzer> restore(
       const core::FingerprintDb* db, const wire::ApiCatalog* catalog,
       const stack::Deployment* deployment, core::Analyzer::Options options,
       const std::string& dir, ReportSink sink = {},
-      RecoveryInfo* info = nullptr);
+      RecoveryInfo* info = nullptr, StreamOptions stream = {});
 
  private:
   struct Slot {
@@ -251,13 +324,16 @@ class StreamAnalyzer {
   static core::Analyzer::Options prepare(core::Analyzer::Options options,
                                          StreamAnalyzer* self);
   util::SimTime grid_floor(util::SimTime t) const;
+  // Opens the journal under `dir` (truncating a torn tail; the dropped
+  // record count goes to `truncated` when set) and stamps the DB identity.
+  bool arm_durability(const std::string& dir, std::size_t* truncated);
   void on_diagnosis(const core::Diagnosis& d);
   void drain_ring();
   void run_tick();
 
   const core::FingerprintDb* db_;
   const wire::ApiCatalog* catalog_;
-  core::GretelConfig cfg_;       // the caller's config
+  StreamOptions opts_;
   util::SimDuration tick_len_;
   ReportSink sink_;
   core::Analyzer analyzer_;      // last: its sink lambda captures `this`

@@ -194,17 +194,6 @@ TEST(CampaignEngine, EventBudgetTruncatesDeterministically) {
   EXPECT_EQ(result.events, 64u);
 }
 
-TEST(CampaignEngine, PlanReadsThePromotedConfigKnobs) {
-  core::GretelConfig config;
-  config.campaign_seed = 99;
-  config.campaign_budget_events = 1234;
-  config.campaign_max_concurrent_faults = 5;
-  const auto plan = CampaignPlan::from(config);
-  EXPECT_EQ(plan.seed, 99u);
-  EXPECT_EQ(plan.budget_events, 1234u);
-  EXPECT_EQ(plan.max_concurrent_faults, 5u);
-}
-
 TEST(CampaignCluster, GroupsByFingerprintAndCountsNovelty) {
   std::vector<ScenarioResult> results(5);
   for (std::size_t i = 0; i < results.size(); ++i) {

@@ -41,67 +41,34 @@ TEST(ConfigValidate, EachBadKnobIsItemized) {
   }
   {
     GretelConfig c;
-    c.t_seconds = -1.0;
-    EXPECT_TRUE(has_error(c, "t_seconds"));
+    c.c1 = 0.0;
+    EXPECT_TRUE(has_error(c, "c1"));
+    c.c2 = kInf;
+    EXPECT_TRUE(has_error(c, "c2"));
   }
   {
     GretelConfig c;
-    c.evidence_ratio = 1.5;
-    EXPECT_TRUE(has_error(c, "evidence_ratio"));
+    c.ingest_batch = 0;
+    EXPECT_TRUE(has_error(c, "ingest_batch"));
   }
   {
     GretelConfig c;
-    c.stream_tick_ms = 0.0;
-    EXPECT_TRUE(has_error(c, "stream_tick_ms"));
-    c.stream_tick_ms = kInf;
-    EXPECT_TRUE(has_error(c, "stream_tick_ms"));
+    c.rca_k_sigma = kNaN;
+    EXPECT_TRUE(has_error(c, "rca_k_sigma"));
   }
   {
     GretelConfig c;
-    c.stream_source_ring = 0;
-    EXPECT_TRUE(has_error(c, "stream_source_ring"));
+    c.probe_budget_ms = -1.0;
+    EXPECT_TRUE(has_error(c, "probe_budget_ms"));
   }
-  {
-    GretelConfig c;
-    c.stream_max_report_delay_s = -0.5;
-    EXPECT_TRUE(has_error(c, "stream_max_report_delay_s"));
-  }
-  {
-    GretelConfig c;
-    c.checkpoint_interval_s = 0.0;
-    EXPECT_TRUE(has_error(c, "checkpoint_interval_s"));
-    c.checkpoint_interval_s = kNaN;
-    EXPECT_TRUE(has_error(c, "checkpoint_interval_s"));
-  }
-  {
-    GretelConfig c;
-    c.checkpoint_keep = 0;
-    EXPECT_TRUE(has_error(c, "checkpoint_keep"));
-  }
-  {
-    GretelConfig c;
-    c.journal_segment_records = 0;
-    EXPECT_TRUE(has_error(c, "journal_segment_records"));
-  }
-}
-
-TEST(ConfigValidate, SubTickCheckpointCadenceIsRejected) {
-  // A cadence shorter than one tick can never fire: the checkpoint clock
-  // only advances at tick boundaries.
-  GretelConfig c;
-  c.stream_tick_ms = 500.0;
-  c.checkpoint_interval_s = 0.1;  // 100ms < one 500ms tick
-  EXPECT_TRUE(has_error(c, "at least one stream tick"));
-  c.checkpoint_interval_s = 0.5;  // exactly one tick: allowed
-  EXPECT_TRUE(c.validate().empty());
 }
 
 TEST(ConfigValidate, ErrorsAccumulateAcrossKnobs) {
   GretelConfig c;
   c.fp_max = 0;
-  c.stream_tick_ms = -1.0;
-  c.checkpoint_keep = 0;
-  c.journal_segment_records = 0;
+  c.p_rate = -1.0;
+  c.ingest_batch = 0;
+  c.orphan_timeout_seconds = -1.0;
   EXPECT_GE(c.validate().size(), 4u);
 }
 

@@ -18,7 +18,6 @@ TEST(GretelConfig, AlphaFormulaPaperValues) {
   GretelConfig config;
   config.fp_max = 384;
   config.p_rate = 150.0;
-  config.t_seconds = 1.0;
   EXPECT_EQ(config.alpha(), 768u);
   // β0 = c1·α ≈ 76 (the paper rounds to 80), δ = c2·α ≈ 30.
   EXPECT_EQ(config.beta0(), 76u);
@@ -29,7 +28,6 @@ TEST(GretelConfig, HighRateDominatesAlpha) {
   GretelConfig config;
   config.fp_max = 384;
   config.p_rate = 50000.0;
-  config.t_seconds = 1.0;
   EXPECT_EQ(config.alpha(), 100000u);
 }
 

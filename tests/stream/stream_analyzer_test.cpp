@@ -68,14 +68,15 @@ std::string batch_json(const std::vector<net::WireRecord>& recs) {
 // Streams the capture in arrival order and returns the emitted diagnoses
 // serialized exactly like the batch path.
 std::string stream_json(const std::vector<net::WireRecord>& recs,
-                        core::Analyzer::Options opt) {
+                        const StreamOptions& stream) {
   auto& e = env();
   std::vector<core::Diagnosis> emitted;
   StreamAnalyzer streamer(&e.training.db, &e.catalog.apis(), &e.deployment,
-                          std::move(opt),
+                          base_options(),
                           [&](const StreamReport& r) {
                             emitted.push_back(r.diagnosis);
-                          });
+                          },
+                          stream);
   for (const auto& r : recs) {
     streamer.advance_to(r.ts);
     streamer.offer(r);
@@ -89,20 +90,20 @@ std::string stream_json(const std::vector<net::WireRecord>& recs,
 // runs, never what it concludes.
 TEST(StreamAnalyzer, UnstressedStreamMatchesBatchExactly) {
   const auto recs = record_workload(10, 3, 0x5EED01);
-  auto opt = base_options();
-  opt.config.stream_max_report_delay_s = 0.0;  // no deadline forcing
+  StreamOptions stream;
+  stream.max_report_delay_s = 0.0;  // no deadline forcing
   const auto reference = batch_json(recs);
   EXPECT_NE(reference, "[]") << "a run with no reports proves nothing";
-  EXPECT_EQ(reference, stream_json(recs, opt));
+  EXPECT_EQ(reference, stream_json(recs, stream));
 }
 
 TEST(StreamAnalyzer, TickCadenceDoesNotChangeReports) {
   const auto recs = record_workload(8, 2, 0x5EED02);
-  auto fast = base_options();
-  fast.config.stream_max_report_delay_s = 0.0;
-  fast.config.stream_tick_ms = 100.0;
+  StreamOptions fast;
+  fast.max_report_delay_s = 0.0;
+  fast.tick_ms = 100.0;
   auto slow = fast;
-  slow.config.stream_tick_ms = 997.0;
+  slow.tick_ms = 997.0;
   EXPECT_EQ(stream_json(recs, fast), stream_json(recs, slow));
 }
 
@@ -110,10 +111,10 @@ TEST(StreamAnalyzer, DropOldestShedsWithExactAccounting) {
   auto& e = env();
   const auto recs = record_workload(8, 2, 0x5EED03);
   ASSERT_GT(recs.size(), 64u);
-  auto opt = base_options();
-  opt.config.stream_source_ring = 8;
+  StreamOptions stream;
+  stream.source_ring = 8;
   StreamAnalyzer streamer(&e.training.db, &e.catalog.apis(), &e.deployment,
-                          opt);
+                          base_options(), {}, stream);
   // Offer everything without ever advancing the watermark: nothing drains,
   // so all but the newest 8 records must be shed — each loss accounted.
   for (const auto& r : recs) streamer.offer(r);
@@ -135,11 +136,11 @@ TEST(StreamAnalyzer, DropNewestRefusesTheFreshRecord) {
   auto& e = env();
   const auto recs = record_workload(8, 2, 0x5EED03);
   ASSERT_GT(recs.size(), 16u);
-  auto opt = base_options();
-  opt.config.stream_source_ring = 4;
-  opt.config.stream_shed_policy = core::StreamShedPolicy::DropNewest;
+  StreamOptions stream;
+  stream.source_ring = 4;
+  stream.shed_policy = StreamShedPolicy::DropNewest;
   StreamAnalyzer streamer(&e.training.db, &e.catalog.apis(), &e.deployment,
-                          opt);
+                          base_options(), {}, stream);
   std::size_t accepted = 0;
   for (const auto& r : recs) accepted += streamer.offer(r) ? 1 : 0;
   EXPECT_EQ(accepted, 4u);  // the first four; everything after is refused
@@ -154,10 +155,10 @@ TEST(StreamAnalyzer, DropNewestRefusesTheFreshRecord) {
 TEST(StreamAnalyzer, CreditGateReopensAfterDrain) {
   auto& e = env();
   const auto recs = record_workload(8, 2, 0x5EED03);
-  auto opt = base_options();
-  opt.config.stream_source_ring = 8;
+  StreamOptions stream;
+  stream.source_ring = 8;
   StreamAnalyzer streamer(&e.training.db, &e.catalog.apis(), &e.deployment,
-                          opt);
+                          base_options(), {}, stream);
   for (std::size_t i = 0; i < 9 && i < recs.size(); ++i)
     streamer.offer(recs[i]);
   ASSERT_TRUE(streamer.gate_closed());
@@ -176,10 +177,10 @@ TEST(StreamAnalyzer, DeadlineForcesReportsWhenStreamGoesQuiet) {
   // deadline can emit it before finish().
   const auto recs = record_workload(1, 1, 0x5EED04);
   ASSERT_FALSE(recs.empty());
-  auto opt = base_options();
-  opt.config.stream_max_report_delay_s = 1.0;
+  StreamOptions stream;
+  stream.max_report_delay_s = 1.0;
   StreamAnalyzer streamer(&e.training.db, &e.catalog.apis(), &e.deployment,
-                          opt);
+                          base_options(), {}, stream);
   for (const auto& r : recs) {
     streamer.advance_to(r.ts);
     streamer.offer(r);

@@ -10,6 +10,8 @@
 //   - corrupt checkpoints fall back to the next-newest valid one;
 //   - a fingerprint-DB identity mismatch cold-starts the learned state
 //     instead of grafting baselines onto the wrong APIs;
+//   - an analyzer blob that will not decode cleanly cold-starts from a
+//     fresh analyzer, not a partly loaded one;
 //   - the flow ledger reconciles after a restore-and-resume run.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -81,11 +83,36 @@ core::Analyzer::Options base_options() {
   core::Analyzer::Options opt;
   opt.config.fp_max = e.training.fp_max;
   opt.config.p_rate = 150.0;
-  opt.config.stream_tick_ms = 200.0;
-  opt.config.checkpoint_interval_s = 2.0;
-  opt.config.journal_segment_records = 8;
   opt.run_root_cause = false;
   return opt;
+}
+
+StreamOptions base_stream() {
+  StreamOptions stream;
+  stream.tick_ms = 200.0;
+  stream.checkpoint_interval_s = 2.0;
+  stream.journal_segment_records = 8;
+  return stream;
+}
+
+// Re-writes the newest checkpoint under `dir`, altered by `tamper`, as a
+// newer file with valid CRCs.
+template <class Tamper>
+bool rewrite_newest_checkpoint(const std::string& dir, Tamper tamper) {
+  auto ckp = persist::load_newest_checkpoint(dir, nullptr);
+  if (!ckp) return false;
+  tamper(*ckp);
+  ckp->meta.checkpoint_seq += 1;
+  return persist::write_checkpoint(dir, *ckp, 10);
+}
+
+// restore() over `dir` with the options every test here runs with.
+std::unique_ptr<StreamAnalyzer> restore(const std::string& dir,
+                                        RecoveryInfo* ri) {
+  auto& e = env();
+  return StreamAnalyzer::restore(&e.training.db, &e.catalog.apis(),
+                                 &e.deployment, base_options(), dir, {}, ri,
+                                 base_stream());
 }
 
 std::string report_json(const core::Diagnosis& d) {
@@ -101,9 +128,11 @@ std::vector<std::string> run_stream(const std::vector<net::WireRecord>& recs,
   auto& e = env();
   std::vector<std::string> emitted;
   StreamAnalyzer streamer(&e.training.db, &e.catalog.apis(), &e.deployment,
-                          base_options(), [&](const StreamReport& r) {
+                          base_options(),
+                          [&](const StreamReport& r) {
                             emitted.push_back(report_json(r.diagnosis));
-                          });
+                          },
+                          base_stream());
   if (!dir.empty()) {
     EXPECT_TRUE(streamer.enable_durability(dir));
   }
@@ -138,7 +167,8 @@ TEST(Journal, EveryEmittedReportIsOnDiskBeforeTheSinkSeesIt) {
         // journal already holds this report's record.
         EXPECT_EQ(sa->journal_next_seq(), emitted.size() + 1);
         emitted.push_back(report_json(r.diagnosis));
-      });
+      },
+      base_stream());
   ASSERT_TRUE(sa->enable_durability(dir.path));
   for (const auto& r : recs) {
     sa->advance_to(r.ts);
@@ -167,7 +197,7 @@ TEST(Recovery, CleanShutdownRestoreResumesExactState) {
   util::SimTime watermark;
   {
     StreamAnalyzer streamer(&e.training.db, &e.catalog.apis(), &e.deployment,
-                            base_options());
+                            base_options(), {}, base_stream());
     ASSERT_TRUE(streamer.enable_durability(dir.path));
     for (const auto& r : recs) {
       streamer.advance_to(r.ts);
@@ -178,9 +208,7 @@ TEST(Recovery, CleanShutdownRestoreResumesExactState) {
     watermark = streamer.watermark();
   }
   RecoveryInfo ri;
-  auto restored = StreamAnalyzer::restore(&e.training.db, &e.catalog.apis(),
-                                          &e.deployment, base_options(),
-                                          dir.path, {}, &ri);
+  auto restored = restore(dir.path, &ri);
   ASSERT_NE(restored, nullptr);
   EXPECT_TRUE(ri.recovered);
   EXPECT_FALSE(ri.db_mismatch);
@@ -202,7 +230,6 @@ TEST(Recovery, CleanShutdownRestoreResumesExactState) {
 }
 
 TEST(Recovery, JournalTailReplaysAfterUncleanStop) {
-  auto& e = env();
   const auto recs = record_workload(10, 3, 0x5EED41);
   TempDir dir;
   // No finish(): the analyzer dies with reports journaled since the last
@@ -212,9 +239,7 @@ TEST(Recovery, JournalTailReplaysAfterUncleanStop) {
   ASSERT_FALSE(emitted.empty());
 
   RecoveryInfo ri;
-  auto restored = StreamAnalyzer::restore(&e.training.db, &e.catalog.apis(),
-                                          &e.deployment, base_options(),
-                                          dir.path, {}, &ri);
+  auto restored = restore(dir.path, &ri);
   ASSERT_NE(restored, nullptr);
   // Leg 1 of the invariant: zero journaled reports lost.  Sequence
   // numbering resumes exactly after every report the sink acknowledged.
@@ -231,14 +256,16 @@ TEST(Recovery, NoCheckpointMeansColdStartButJournalStillCounts) {
   auto& e = env();
   const auto recs = record_workload(10, 3, 0x5EED41);
   TempDir dir;
-  auto opt = base_options();
-  opt.config.checkpoint_interval_s = 1e9;  // cadence never fires
+  auto stream = base_stream();
+  stream.checkpoint_interval_s = 1e9;  // cadence never fires
   std::vector<std::string> emitted;
   {
     StreamAnalyzer streamer(&e.training.db, &e.catalog.apis(), &e.deployment,
-                            opt, [&](const StreamReport& r) {
+                            base_options(),
+                            [&](const StreamReport& r) {
                               emitted.push_back(report_json(r.diagnosis));
-                            });
+                            },
+                            stream);
     ASSERT_TRUE(streamer.enable_durability(dir.path));
     for (const auto& r : recs) {
       streamer.advance_to(r.ts);
@@ -248,9 +275,7 @@ TEST(Recovery, NoCheckpointMeansColdStartButJournalStillCounts) {
   }
   ASSERT_FALSE(emitted.empty());
   RecoveryInfo ri;
-  auto restored = StreamAnalyzer::restore(&e.training.db, &e.catalog.apis(),
-                                          &e.deployment, base_options(),
-                                          dir.path, {}, &ri);
+  auto restored = restore(dir.path, &ri);
   ASSERT_NE(restored, nullptr);
   EXPECT_FALSE(ri.recovered);
   ASSERT_EQ(ri.replayed.size(), emitted.size());
@@ -261,7 +286,6 @@ TEST(Recovery, NoCheckpointMeansColdStartButJournalStillCounts) {
 }
 
 TEST(Checkpoint, RestoreFallsBackAcrossACorruptNewestFile) {
-  auto& e = env();
   const auto recs = record_workload(10, 3, 0x5EED41);
   TempDir dir;
   run_stream(recs, dir.path);  // finish() leaves a valid final checkpoint
@@ -276,9 +300,7 @@ TEST(Checkpoint, RestoreFallsBackAcrossACorruptNewestFile) {
     std::fclose(f);
   }
   RecoveryInfo ri;
-  auto restored = StreamAnalyzer::restore(&e.training.db, &e.catalog.apis(),
-                                          &e.deployment, base_options(),
-                                          dir.path, {}, &ri);
+  auto restored = restore(dir.path, &ri);
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(ri.corrupt_checkpoints_skipped, 1u);
   if (seqs.size() > 1) {
@@ -288,28 +310,54 @@ TEST(Checkpoint, RestoreFallsBackAcrossACorruptNewestFile) {
 }
 
 TEST(Recovery, DbIdentityMismatchColdStartsLearnedState) {
-  auto& e = env();
   const auto recs = record_workload(10, 3, 0x5EED41);
   TempDir dir;
   const auto emitted = run_stream(recs, dir.path);
   // Simulate a DB hot swap between checkpoint and crash: rewrite the
   // newest checkpoint with a different db identity (valid CRCs, wrong DB).
-  auto ckp = persist::load_newest_checkpoint(dir.path, nullptr);
-  ASSERT_TRUE(ckp.has_value());
-  ckp->meta.db_catalog_hash ^= 0xBADBADBADull;
-  ckp->meta.checkpoint_seq += 1;
-  ASSERT_TRUE(persist::write_checkpoint(dir.path, *ckp, 10));
+  ASSERT_TRUE(rewrite_newest_checkpoint(dir.path, [](persist::Checkpoint& c) {
+    c.meta.db_catalog_hash ^= 0xBADBADBADull;
+  }));
 
   RecoveryInfo ri;
-  auto restored = StreamAnalyzer::restore(&e.training.db, &e.catalog.apis(),
-                                          &e.deployment, base_options(),
-                                          dir.path, {}, &ri);
+  auto restored = restore(dir.path, &ri);
   ASSERT_NE(restored, nullptr);
   EXPECT_TRUE(ri.db_mismatch);
   EXPECT_FALSE(ri.recovered);
   // The journal does not depend on the DB identity: report numbering is
   // still exact.
   EXPECT_EQ(restored->journal_next_seq(), emitted.size());
+}
+
+TEST(Recovery, TrailingBytesInAnalyzerStateColdStartFromAFreshAnalyzer) {
+  auto& e = env();
+  const auto recs = record_workload(10, 3, 0x5EED41);
+  TempDir dir;
+  run_stream(recs, dir.path);  // finish() leaves a valid final checkpoint
+  // A checkpoint whose sections pass CRC but whose analyzer blob decodes
+  // with one byte left over: the learned sections load, then the leftover
+  // byte rejects the blob.
+  ASSERT_TRUE(rewrite_newest_checkpoint(dir.path, [](persist::Checkpoint& c) {
+    c.analyzer_state.push_back('\x01');
+  }));
+
+  RecoveryInfo ri;
+  auto restored = restore(dir.path, &ri);
+  ASSERT_NE(restored, nullptr);
+  EXPECT_FALSE(ri.recovered);
+  EXPECT_EQ(ri.corrupt_checkpoints_skipped, 1u);
+  // Cold start means cold: none of the partly loaded learned state
+  // survives.
+  StreamAnalyzer fresh(&e.training.db, &e.catalog.apis(), &e.deployment,
+                       base_options(), {}, base_stream());
+  std::string restored_state, fresh_state;
+  restored->analyzer().save_state(restored_state);
+  fresh.analyzer().save_state(fresh_state);
+  EXPECT_TRUE(restored_state == fresh_state)
+      << "the cold start kept partly loaded learned state";
+  // The journal stays armed and its numbering exact.
+  EXPECT_TRUE(restored->durable());
+  EXPECT_EQ(restored->journal_next_seq(), restored->counters().reports);
 }
 
 TEST(Recovery, ResumedStreamLedgerReconcilesThroughFinish) {
@@ -320,7 +368,7 @@ TEST(Recovery, ResumedStreamLedgerReconcilesThroughFinish) {
   // First life: feed the first 60%, checkpoint, die without finish().
   {
     StreamAnalyzer streamer(&e.training.db, &e.catalog.apis(), &e.deployment,
-                            base_options());
+                            base_options(), {}, base_stream());
     ASSERT_TRUE(streamer.enable_durability(dir.path));
     const std::size_t cut = recs.size() * 6 / 10;
     for (std::size_t i = 0; i < cut; ++i) {
@@ -331,9 +379,7 @@ TEST(Recovery, ResumedStreamLedgerReconcilesThroughFinish) {
   }
   // Second life: restore and feed everything past the watermark.
   RecoveryInfo ri;
-  auto restored = StreamAnalyzer::restore(&e.training.db, &e.catalog.apis(),
-                                          &e.deployment, base_options(),
-                                          dir.path, {}, &ri);
+  auto restored = restore(dir.path, &ri);
   ASSERT_NE(restored, nullptr);
   ASSERT_TRUE(ri.recovered);
   const auto resumed_from = restored->watermark();

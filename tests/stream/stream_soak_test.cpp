@@ -67,17 +67,18 @@ TEST(StreamSoak, BoundedStateUnderSustainedOverloadAndChaos) {
   opt.monitor_chaos.probe_timeout_rate = 0.05;
   // Every bounded-state knob squeezed so the caps genuinely engage.
   opt.config.orphan_timeout_seconds = 2.0;
-  opt.config.stream_source_ring = 96;
-  opt.config.stream_inflight_cap = 256;
-  opt.config.stream_metrics_retention_s = 30.0;
-  opt.config.stream_report_cap = 32;
+  StreamOptions stream;
+  stream.source_ring = 96;
+  stream.inflight_cap = 256;
+  stream.metrics_retention_s = 30.0;
+  stream.report_cap = 32;
   // Slow ticks relative to the offered rate: per-tick arrivals exceed the
   // ring, so the stream sheds continuously — sustained overload, not a
   // transient burst.
-  opt.config.stream_tick_ms = 2000.0;
+  stream.tick_ms = 2000.0;
 
   StreamAnalyzer streamer(&e.training.db, &e.catalog.apis(), &e.deployment,
-                          opt);
+                          opt, {}, stream);
 
   constexpr int kRounds = 8;
   std::vector<std::size_t> bytes_after_round;
@@ -145,7 +146,7 @@ TEST(StreamSoak, BoundedStateUnderSustainedOverloadAndChaos) {
     auto fp = streamer.footprint();
     EXPECT_LE(fp.source_ring_records, 96u);
     EXPECT_LE(fp.pending_requests,
-              opt.config.stream_inflight_cap + 64)  // cap + floor slack
+              stream.inflight_cap + 64)  // cap + floor slack
         << "round " << round;
     EXPECT_LE(fp.reports_retained, 32u);
     bytes_after_round.push_back(fp.approx_bytes());

@@ -30,8 +30,7 @@ int main(int argc, char** argv) {
     return db_path && cap_path ? 0 : 2;
   }
 
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("--seed", 0xC0DE2016L));
+  const auto seed = args.get_uint("--seed", 0xC0DE2016ull);
   const auto catalog =
       tempest::TempestCatalog::build(seed, args.get_double("--fraction", 1.0));
   auto deployment = stack::Deployment::standard(3);
@@ -57,7 +56,7 @@ int main(int argc, char** argv) {
   options.config.fp_max = db->max_fingerprint_size();
   options.config.p_rate =
       span > 0 ? static_cast<double>(records->size()) / span : 150.0;
-  if (!tools::check_config(options.config, "gretel_analyze")) return 2;
+  if (!tools::check_config("gretel_analyze", options.config)) return 2;
 
   core::Analyzer analyzer(&*db, &catalog.apis(), &deployment, options);
   monitor::ResourceMonitor monitor(&deployment, util::SimDuration::seconds(1),

@@ -82,32 +82,28 @@ int main(int argc, char** argv) {
   using namespace gretel;
   tools::Args args(argc, argv);
 
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("--seed", 0xCA59A16EL));
+  const auto seed = args.get_uint("--seed", 0xCA59A16Eull);
   const double fraction = args.get_double("--fraction", 0.12);
 
-  // The knobs this tool arms, validated as the config rows they map to.
-  {
-    core::GretelConfig probe;
-    probe.campaign_seed = seed;
-    probe.campaign_budget_events =
-        static_cast<std::size_t>(args.get_int("--budget", 200000));
-    probe.stream_tick_ms = args.get_double("--tick-ms", 200.0);
-    probe.checkpoint_interval_s =
-        args.get_double("--checkpoint-interval", 2.0);
-    if (!tools::check_config(probe, "gretel_campaign")) return 2;
-  }
+  // Every flag is parsed (and the recovery rounds' stream knobs
+  // validated) before the environment is built.
+  campaign::CampaignPlan plan;
+  plan.seed = seed;
+  plan.scenarios = args.get_uint("--scenarios", 90);
+  plan.budget_events = args.get_uint("--budget", plan.budget_events);
+  campaign::RecoveryCampaignConfig rcfg;
+  rcfg.seed = seed;
+  rcfg.stream.tick_ms = args.get_double("--tick-ms", rcfg.stream.tick_ms);
+  rcfg.stream.checkpoint_interval_s = args.get_double(
+      "--checkpoint-interval", rcfg.stream.checkpoint_interval_s);
+  rcfg.rounds = args.get_uint("--recovery", 0);
+  rcfg.dir = args.get("--recovery-dir").value_or("recovery-campaign");
+  const auto scenario_id = args.get_uint("--scenario", 0);
+  if (!tools::check_config("gretel_campaign", rcfg.stream)) return 2;
 
   auto env = bench::BenchEnv::make(fraction, 0xC0DE2016ull);
 
-  if (const auto rec = args.get("--recovery")) {
-    campaign::RecoveryCampaignConfig rcfg;
-    rcfg.seed = seed;
-    rcfg.rounds = static_cast<std::size_t>(std::stoull(*rec));
-    rcfg.stream_tick_ms = args.get_double("--tick-ms", 200.0);
-    rcfg.checkpoint_interval_s =
-        args.get_double("--checkpoint-interval", 2.0);
-    rcfg.dir = args.get("--recovery-dir").value_or("recovery-campaign");
+  if (args.get("--recovery")) {
     campaign::RecoveryCampaign rc(&env.catalog, &env.training, rcfg);
     const auto report = rc.run();
     std::printf("%-6s %-24s %-8s %-10s %-7s %-9s %-9s %s\n", "round",
@@ -132,17 +128,12 @@ int main(int argc, char** argv) {
     return report.all_ok() ? 0 : 1;
   }
 
-  campaign::CampaignPlan plan;
-  plan.seed = seed;
-  plan.scenarios = static_cast<std::size_t>(args.get_int("--scenarios", 90));
-  plan.budget_events =
-      static_cast<std::size_t>(args.get_int("--budget", 200000));
   campaign::ScenarioGenerator generator(&env.catalog, plan);
   campaign::CampaignOrchestrator orchestrator(&env.catalog, &env.training,
                                               plan);
 
-  if (const auto id = args.get("--scenario")) {
-    const auto spec = generator.generate_one(std::stoull(*id));
+  if (args.get("--scenario")) {
+    const auto spec = generator.generate_one(scenario_id);
     print_scenario(spec, env.catalog);
     const auto result = orchestrator.run(spec);
     std::printf("\noutcome: %s  fingerprint: %s\n", to_string(result.outcome),

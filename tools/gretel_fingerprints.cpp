@@ -22,8 +22,7 @@ int main(int argc, char** argv) {
     return db_path ? 0 : 2;
   }
 
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("--seed", 0xC0DE2016L));
+  const auto seed = args.get_uint("--seed", 0xC0DE2016ull);
   const auto catalog =
       tempest::TempestCatalog::build(seed, args.get_double("--fraction", 1.0));
   const auto db = core::load_fingerprint_db(*db_path, catalog.apis());

@@ -53,8 +53,7 @@ int main(int argc, char** argv) {
   tools::Args args(argc, argv);
 
   const double fraction = args.get_double("--fraction", 0.12);
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("--seed", 0x57AEA11L));
+  const auto seed = args.get_uint("--seed", 0x57AEA11ull);
   const bool quiet = args.has_flag("--quiet");
 
   auto env = bench::BenchEnv::make(fraction, 0xC0DE2016ull);
@@ -81,14 +80,14 @@ int main(int argc, char** argv) {
       span_s > 0 ? static_cast<double>(records.size()) / span_s : 150.0;
 
   auto opt = env.analyzer_options(std::max(p_rate, 150.0));
-  opt.config.stream_tick_ms = args.get_double("--tick-ms", 250.0);
-  opt.config.stream_source_ring =
-      static_cast<std::size_t>(args.get_int("--ring", 8192));
+  stream::StreamOptions stream_opts;
+  stream_opts.tick_ms = args.get_double("--tick-ms", stream_opts.tick_ms);
+  stream_opts.source_ring = args.get_uint("--ring", stream_opts.source_ring);
   if (args.get("--shed").value_or("oldest") == "newest")
-    opt.config.stream_shed_policy = core::StreamShedPolicy::DropNewest;
-  opt.config.checkpoint_interval_s =
-      args.get_double("--checkpoint-interval", 5.0);
-  if (!tools::check_config(opt.config, "gretel_stream")) return 2;
+    stream_opts.shed_policy = stream::StreamShedPolicy::DropNewest;
+  stream_opts.checkpoint_interval_s = args.get_double(
+      "--checkpoint-interval", stream_opts.checkpoint_interval_s);
+  if (!tools::check_config("gretel_stream", opt.config, stream_opts)) return 2;
 
   const auto persist_dir = args.get("--persist");
   const bool resume = args.has_flag("--resume");
@@ -114,10 +113,9 @@ int main(int argc, char** argv) {
   std::unique_ptr<stream::StreamAnalyzer> owned;
   if (persist_dir && resume) {
     stream::RecoveryInfo ri;
-    owned = stream::StreamAnalyzer::restore(&env.training.db,
-                                            &env.catalog.apis(),
-                                            &env.deployment, opt,
-                                            *persist_dir, sink, &ri);
+    owned = stream::StreamAnalyzer::restore(
+        &env.training.db, &env.catalog.apis(), &env.deployment, opt,
+        *persist_dir, sink, &ri, stream_opts);
     if (!owned) {
       std::fprintf(stderr, "cannot open persistence dir %s\n",
                    persist_dir->c_str());
@@ -133,7 +131,8 @@ int main(int argc, char** argv) {
         ri.replayed.size(), ri.db_mismatch ? ", DB MISMATCH" : "");
   } else {
     owned = std::make_unique<stream::StreamAnalyzer>(
-        &env.training.db, &env.catalog.apis(), &env.deployment, opt, sink);
+        &env.training.db, &env.catalog.apis(), &env.deployment, opt, sink,
+        stream_opts);
     if (persist_dir && !owned->enable_durability(*persist_dir)) {
       std::fprintf(stderr, "cannot open persistence dir %s\n",
                    persist_dir->c_str());
@@ -172,7 +171,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\n%zu records over %.1fs (%.0f rec/s), %llu ticks @ %.0fms\n",
       records.size(), span_s, p_rate,
-      static_cast<unsigned long long>(c.ticks), opt.config.stream_tick_ms);
+      static_cast<unsigned long long>(c.ticks), stream_opts.tick_ms);
   std::printf(
       "flow: offered=%llu ingested=%llu shed=%llu (episodes=%llu)\n",
       static_cast<unsigned long long>(c.offered),
