@@ -1,6 +1,7 @@
 #include "gretel/analyzer.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/binio.h"
 
@@ -29,10 +30,10 @@ Analyzer::Analyzer(const FingerprintDb* db, const wire::ApiCatalog* catalog,
       rca_(db, catalog, deployment, &metrics_, &watcher_,
            RootCauseEngine::Options::from(options.config)),
       detector_(db, catalog, options.config,
-                [this](const FaultReport& fault) {
+                [this](FaultReport&& fault) {
                   Diagnosis d;
-                  d.fault = fault;
-                  if (run_root_cause_) d.root_cause = rca_.analyze(fault);
+                  d.fault = std::move(fault);
+                  if (run_root_cause_) d.root_cause = rca_.analyze(d.fault);
                   if (diagnosis_sink_) {
                     sink_stale_series_ += d.root_cause.stale_series;
                     diagnosis_sink_(d);

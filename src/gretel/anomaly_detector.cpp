@@ -149,6 +149,7 @@ void AnomalyDetector::run_snapshot(const PendingSnapshot& pending) {
   // Error events — the only events a report copies: skip from set flag to
   // set flag over the dense error column, then read each hit from the ring.
   const std::uint8_t* err_flags = window_cols_.err.data();
+  report.error_events.reserve(simd::count_set_u8(err_flags, n));
   for (std::size_t i = 0; i < n; ++i) {
     const auto hit = simd::find_first_set_u8(err_flags + i, n - i);
     if (hit == simd::npos) break;
@@ -162,7 +163,7 @@ void AnomalyDetector::run_snapshot(const PendingSnapshot& pending) {
     ++stats_.performance_reports;
   }
   if (report.degraded_confidence) ++stats_.degraded_reports;
-  if (callback_) callback_(report);
+  if (callback_) callback_(std::move(report));
 }
 
 void AnomalyDetector::refresh_guard_stats() {

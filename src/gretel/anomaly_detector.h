@@ -33,7 +33,9 @@ namespace gretel::core {
 
 class AnomalyDetector {
  public:
-  using FaultCallback = std::function<void(const FaultReport&)>;
+  // Receives each report by rvalue so the consumer can keep it without a
+  // copy; a callback taking `const FaultReport&` binds as well.
+  using FaultCallback = std::function<void(FaultReport&&)>;
 
   AnomalyDetector(const FingerprintDb* db, const wire::ApiCatalog* catalog,
                   GretelConfig config, FaultCallback callback);

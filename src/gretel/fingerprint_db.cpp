@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 
 namespace gretel::core {
 
@@ -29,71 +30,55 @@ const std::vector<FingerprintDb::Index>& FingerprintDb::containing(
 
 VariantCache::VariantCache(const FingerprintDb& db, const Matcher& matcher)
     : options_(matcher.options()) {
-  per_fp_.resize(db.size());
+  const auto add = [](VariantSet& set, std::vector<wire::ApiId> literals) {
+    set.masks.push_back(symbol_fingerprint(literals));
+    set.any_mask |= set.masks.back();
+    set.literals.push_back(std::move(literals));
+  };
+  // Fingerprints in ascending index order, so each api's list follows
+  // FingerprintDb::containing.
   for (FingerprintDb::Index idx = 0; idx < db.size(); ++idx) {
     const auto& fp = db.get(idx);
-    auto full_literals = matcher.required_literals(fp.sequence);
+    const auto full_literals = matcher.required_literals(fp.sequence);
 
     std::vector<wire::ApiId> seen;
     for (auto api : fp.sequence) {
       if (std::find(seen.begin(), seen.end(), api) != seen.end()) continue;
       seen.push_back(api);
 
-      Variants v;
+      Candidate c;
+      c.index = idx;
       // Truncated prefixes at each occurrence of `api`, last occurrence
       // first; lengths are non-increasing, so dropping consecutive
-      // duplicates keeps exactly the distinct lengths.
+      // duplicates keeps exactly the distinct lengths.  Empty prefixes are
+      // dropped.
       std::size_t prev_len = static_cast<std::size_t>(-1);
       for (std::size_t pos = fp.sequence.size(); pos-- > 0;) {
         if (fp.sequence[pos] != api) continue;
         auto literals = matcher.required_literals(
             std::span<const wire::ApiId>(fp.sequence.data(), pos + 1));
-        if (literals.size() != prev_len) {
-          prev_len = literals.size();
-          v.truncated.push_back(std::move(literals));
-        }
+        if (literals.size() == prev_len) continue;
+        prev_len = literals.size();
+        if (!literals.empty()) add(c.truncated, std::move(literals));
       }
-      std::erase_if(v.truncated, [](const std::vector<wire::ApiId>& lits) {
-        return lits.empty();
-      });
       // If nothing anchors (e.g. the offending API is the leading read-only
       // call), fall back to the offending API itself.
-      if (v.truncated.empty()) v.truncated.push_back({api});
+      if (c.truncated.literals.empty()) add(c.truncated, {api});
+      add(c.full, full_literals.empty() ? std::vector<wire::ApiId>{api}
+                                        : full_literals);
 
-      if (full_literals.empty()) {
-        v.full.push_back({api});
-      } else {
-        v.full.push_back(full_literals);
-      }
-      for (const auto& lits : v.truncated) {
-        v.truncated_masks.push_back(symbol_fingerprint(lits));
-      }
-      for (const auto& lits : v.full) {
-        v.full_masks.push_back(symbol_fingerprint(lits));
-      }
-      per_fp_[idx].emplace(api, std::move(v));
+      auto& list = by_api_[api];
+      if (list.empty()) list.reserve(db.containing(api).size());
+      list.push_back(std::move(c));
     }
   }
 }
 
-std::span<const std::vector<wire::ApiId>> VariantCache::truncated(
-    FingerprintDb::Index idx, wire::ApiId api) const {
-  return per_fp_[idx].at(api).truncated;
-}
-
-std::span<const std::vector<wire::ApiId>> VariantCache::full(
-    FingerprintDb::Index idx, wire::ApiId api) const {
-  return per_fp_[idx].at(api).full;
-}
-
-std::span<const std::uint64_t> VariantCache::truncated_masks(
-    FingerprintDb::Index idx, wire::ApiId api) const {
-  return per_fp_[idx].at(api).truncated_masks;
-}
-
-std::span<const std::uint64_t> VariantCache::full_masks(
-    FingerprintDb::Index idx, wire::ApiId api) const {
-  return per_fp_[idx].at(api).full_masks;
+std::span<const VariantCache::Candidate> VariantCache::candidates(
+    wire::ApiId api) const {
+  const auto it = by_api_.find(api);
+  if (it == by_api_.end()) return {};
+  return it->second;
 }
 
 }  // namespace gretel::core

@@ -52,8 +52,8 @@ class FingerprintDb {
 // lists of its prefixes truncated at each occurrence of the offending API.
 // Those lists depend only on (fingerprint, offending api, matcher options) —
 // never on the snapshot — yet the detector used to rebuild them on every
-// snapshot.  VariantCache materializes them at load time; detect() then
-// borrows spans and allocates nothing.
+// snapshot.  VariantCache materializes them at load time, listed per
+// offending api; detect() then reads them in place and allocates nothing.
 //
 // Variant order and contents replicate the detector's original on-the-fly
 // construction exactly (occurrences scanned last-to-first, consecutive
@@ -66,37 +66,35 @@ class VariantCache {
   // the cache is valid for.
   VariantCache(const FingerprintDb& db, const Matcher& matcher);
 
-  // Truncated-prefix variants for operational faults, deepest first.
-  // Never empty for an api contained in fingerprint `idx`.
-  std::span<const std::vector<wire::ApiId>> truncated(
-      FingerprintDb::Index idx, wire::ApiId api) const;
+  // Literal variants with their 64-bit symbol-presence masks: masks[vi]
+  // fingerprints literals[vi], so the detector can skip a variant whose
+  // literals cannot occur in the snapshot with one AND.
+  struct VariantSet {
+    std::vector<std::vector<wire::ApiId>> literals;
+    std::vector<std::uint64_t> masks;  // parallel to literals
+    std::uint64_t any_mask = 0;        // OR of masks
+  };
 
-  // The single full-fingerprint variant for performance faults (the `{api}`
-  // fallback applied when the fingerprint has no required literals at all).
-  std::span<const std::vector<wire::ApiId>> full(FingerprintDb::Index idx,
-                                                 wire::ApiId api) const;
+  // One candidate fingerprint's variants for one offending api.
+  struct Candidate {
+    FingerprintDb::Index index = 0;
+    // Truncated-prefix variants for operational faults, deepest first;
+    // never empty.
+    VariantSet truncated;
+    // The single full-fingerprint variant for performance faults (the
+    // `{api}` fallback applied when the fingerprint has no required
+    // literals at all).
+    VariantSet full;
+  };
 
-  // Symbol-presence masks parallel to truncated()/full(): masks()[vi] is
-  // the 64-bit presence fingerprint of variant vi's literal list, so the
-  // detector can skip a variant whose literals cannot occur in the snapshot
-  // with one AND.
-  std::span<const std::uint64_t> truncated_masks(FingerprintDb::Index idx,
-                                                 wire::ApiId api) const;
-  std::span<const std::uint64_t> full_masks(FingerprintDb::Index idx,
-                                            wire::ApiId api) const;
+  // The candidates for offending api `api`, in FingerprintDb::containing
+  // order: one lookup, then a contiguous scan.
+  std::span<const Candidate> candidates(wire::ApiId api) const;
 
   const Matcher::Options& options() const { return options_; }
 
  private:
-  struct Variants {
-    std::vector<std::vector<wire::ApiId>> truncated;
-    std::vector<std::vector<wire::ApiId>> full;  // exactly one entry
-    std::vector<std::uint64_t> truncated_masks;  // parallel to truncated
-    std::vector<std::uint64_t> full_masks;       // parallel to full
-  };
-
-  // per_fp_[idx][api] — flat vector outer layer keeps lookups cheap.
-  std::vector<std::unordered_map<wire::ApiId, Variants>> per_fp_;
+  std::unordered_map<wire::ApiId, std::vector<Candidate>> by_api_;
   Matcher::Options options_;
 };
 

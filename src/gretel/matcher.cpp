@@ -1,6 +1,5 @@
 #include "gretel/matcher.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace gretel::core {
@@ -47,32 +46,6 @@ bool Matcher::matches(std::span<const wire::ApiId> literals,
       return regex_match(literals, snapshot);
   }
   return false;
-}
-
-Matcher::Tier Matcher::match_tier(std::span<const wire::ApiId> literals,
-                                  std::span<const wire::ApiId> snapshot,
-                                  std::size_t fault_index,
-                                  std::size_t min_suffix) const {
-  if (literals.empty() || snapshot.empty()) return Tier::None;
-  if (matches(literals, snapshot)) return Tier::Strong;
-
-  // Greedy backward suffix consumption from the fault position: rightmost
-  // alignment maximizes the consumed suffix length.  Each step jumps
-  // straight to the current literal's last occurrence below the previous
-  // match — the same greedy walk as the scalar element-at-a-time loop.
-  const auto* symbols = symbol_data(snapshot);
-  std::size_t i = literals.size();
-  std::size_t end = std::min(fault_index, snapshot.size() - 1) + 1;
-  while (i > 0) {
-    const auto pos =
-        simd::find_last_eq_u16(symbols, end, literals[i - 1].value());
-    if (pos == simd::npos) break;
-    --i;
-    end = pos;
-  }
-  const std::size_t consumed = literals.size() - i;
-  return consumed >= std::min(min_suffix, literals.size()) ? Tier::Weak
-                                                           : Tier::None;
 }
 
 bool Matcher::subsequence_match(std::span<const wire::ApiId> literals,

@@ -96,29 +96,6 @@ class Matcher {
   bool matches(std::span<const wire::ApiId> literals,
                std::span<const wire::ApiId> snapshot) const;
 
-  // The §5.3.1 window-tolerant form used by operation detection.
-  //  Strong — the literals appear in order in the snapshot: complete
-  //           evidence of the (truncated) operation.
-  //  Weak   — scanning backward from the fault position, at least
-  //           min(min_suffix, |literals|) trailing literals appear in
-  //           reverse order; older literals are excused because the
-  //           snapshot's reach is finite (Fig. 4: "even though symbol A is
-  //           missing from the context buffer, the truncated regular
-  //           expression still matches").
-  enum class Tier { None, Weak, Strong };
-  Tier match_tier(std::span<const wire::ApiId> literals,
-                  std::span<const wire::ApiId> snapshot,
-                  std::size_t fault_index, std::size_t min_suffix) const;
-
-  // Convenience: Tier != None.
-  bool matches_near_fault(std::span<const wire::ApiId> literals,
-                          std::span<const wire::ApiId> snapshot,
-                          std::size_t fault_index,
-                          std::size_t min_suffix) const {
-    return match_tier(literals, snapshot, fault_index, min_suffix) !=
-           Tier::None;
-  }
-
   const Options& options() const { return options_; }
 
   // Compiled-pattern cache hits/misses of the regex backend (ablation

@@ -154,47 +154,6 @@ TEST_F(MatcherTest, RegexBackendCachesCompiledPatterns) {
   EXPECT_EQ(re.regex_cache_hits(), 1u);
 }
 
-TEST_F(MatcherTest, NearFaultStrongOnFullEvidence) {
-  const Matcher m(&catalog_, {true, MatchBackend::SymbolSubsequence});
-  const auto lits = ids({4, 5, 6});
-  const auto snap = ids({0, 4, 1, 5, 2, 6, 3});
-  EXPECT_EQ(m.match_tier(lits, snap, /*fault=*/6, /*min_suffix=*/2),
-            Matcher::Tier::Strong);
-  EXPECT_TRUE(m.matches_near_fault(lits, snap, 6, 2));
-}
-
-TEST_F(MatcherTest, NearFaultWeakWhenHeadOutsideWindow) {
-  const Matcher m(&catalog_, {true, MatchBackend::SymbolSubsequence});
-  // Window shows only the tail {5, 6}; literal 4 lies before the horizon.
-  const auto lits = ids({4, 5, 6});
-  const auto snap = ids({0, 5, 1, 6});
-  EXPECT_EQ(m.match_tier(lits, snap, 3, /*min_suffix=*/2),
-            Matcher::Tier::Weak);
-}
-
-TEST_F(MatcherTest, NearFaultNoneWhenSuffixTooShallow) {
-  const Matcher m(&catalog_, {true, MatchBackend::SymbolSubsequence});
-  const auto lits = ids({4, 5, 6, 7});
-  const auto snap = ids({0, 7, 1});  // only one trailing literal present
-  EXPECT_EQ(m.match_tier(lits, snap, 1, /*min_suffix=*/2),
-            Matcher::Tier::None);
-}
-
-TEST_F(MatcherTest, NearFaultIgnoresEvidenceAfterFaultInBackwardScan) {
-  const Matcher m(&catalog_, {true, MatchBackend::SymbolSubsequence});
-  const auto lits = ids({4, 5});
-  // Literals appear only *after* the fault position 0: the backward scan
-  // finds nothing, but the forward (strong) check still sees them.
-  const auto snap = ids({0, 4, 5});
-  EXPECT_EQ(m.match_tier(lits, snap, 0, 2), Matcher::Tier::Strong);
-}
-
-TEST_F(MatcherTest, NearFaultEmptyInputs) {
-  const Matcher m(&catalog_, {true, MatchBackend::SymbolSubsequence});
-  EXPECT_EQ(m.match_tier({}, ids({4}), 0, 2), Matcher::Tier::None);
-  EXPECT_EQ(m.match_tier(ids({4}), {}, 0, 2), Matcher::Tier::None);
-}
-
 // Property sweep: the two backends implement identical semantics on random
 // inputs (the §6 "offload matching to Perl" ablation hinges on this).
 class BackendEquivalence : public ::testing::TestWithParam<int> {};
