@@ -11,28 +11,33 @@ WindowVerdict analyze_window(const util::TimeSeries& series,
                              std::vector<double>& scratch, double k_sigma,
                              double min_abs) {
   const auto points = series.points();
-  const auto in_window = [&](const util::SeriesPoint& p) {
-    return p.t_seconds >= window_start_s && p.t_seconds < window_end_s;
-  };
-  // Inside values first, then outside values, each in series order.
-  std::size_t n_inside = 0;
-  for (const auto& p : points) n_inside += in_window(p) ? 1 : 0;
+  const double baseline_start_s = window_start_s - kBaselineSeconds;
+  // One pass: window values fill `scratch` from the front, baseline values
+  // from the back; points outside both spans are skipped.
   scratch.resize(points.size());
-  std::size_t in = 0;
-  std::size_t out = n_inside;
-  for (const auto& p : points) scratch[in_window(p) ? in++ : out++] = p.value;
+  std::size_t n_inside = 0;
+  std::size_t n_baseline = 0;
+  for (const auto& p : points) {
+    if (p.t_seconds >= window_start_s && p.t_seconds < window_end_s) {
+      scratch[n_inside++] = p.value;
+    } else if (p.t_seconds >= baseline_start_s &&
+               p.t_seconds < window_start_s) {
+      scratch[points.size() - ++n_baseline] = p.value;
+    }
+  }
   const std::span<double> inside(scratch.data(), n_inside);
-  const std::span<double> outside(scratch.data() + n_inside,
-                                  points.size() - n_inside);
+  const std::span<double> baseline(
+      scratch.data() + points.size() - n_baseline, n_baseline);
 
   WindowVerdict v;
+  v.window_samples = n_inside;
   if (inside.empty()) return v;
   // The window level is meaningful on its own (absolute health rules read
   // it); the relative anomaly judgment additionally needs enough baseline.
   v.window_level = util::median_inplace(inside);
-  if (outside.size() < 4) return v;
-  v.baseline_level = util::median_inplace(outside);
-  v.sigma = std::max(util::mad_sigma_inplace(outside), 1e-9);
+  if (baseline.size() < kMinBaselinePoints) return v;
+  v.baseline_level = util::median_inplace(baseline);
+  v.sigma = std::max(util::mad_sigma_inplace(baseline), 1e-9);
   const double dev = std::fabs(v.window_level - v.baseline_level);
   v.anomalous = dev > k_sigma * v.sigma && dev > min_abs;
   return v;

@@ -23,7 +23,6 @@
 
 #include "gretel/anomaly_detector.h"
 #include "gretel/root_cause.h"
-#include "monitor/resource_stream.h"
 #include "net/capture.h"
 
 namespace gretel::core {
@@ -95,22 +94,15 @@ class Analyzer {
   // exact values.
   monitor::PipelineHealthCounters health() const;
 
-  // Monitoring-side stores feeding the root-cause engine.
+  // Monitoring-side stores feeding the root-cause engine.  Metric samples
+  // go straight into metrics() (ResourceMonitor::sample_range, or
+  // StreamAnalyzer::on_metric in streaming mode).
   monitor::MetricsStore& metrics() { return metrics_; }
   const monitor::MetricsStore& metrics() const { return metrics_; }
 
   // The dependency watcher (probe stats and the monitor-chaos audit log
   // live here when probed_monitoring is on).
   const monitor::DependencyWatcher& watcher() const { return watcher_; }
-
-  // Streaming metric entry point (§6): records the sample for root-cause
-  // window analysis *and* runs the online level-shift detector over the
-  // resource stream; confirmed shifts accumulate in resource_alarms().
-  void on_metric(wire::NodeId node, net::ResourceKind kind,
-                 double t_seconds, double value);
-  const std::vector<monitor::ResourceAlarm>& resource_alarms() const {
-    return resource_stream_.alarms();
-  }
 
   const GretelConfig& config() const { return detector_.config(); }
 
@@ -122,20 +114,23 @@ class Analyzer {
   }
 
   // Checkpoint support (src/persist/): the learned analyzer state — the
-  // anomaly detector's latency baselines/guards and the resource
-  // stream's detectors and alarms.  The metrics store is deliberately not
-  // snapshotted: it is repopulated by the monitor re-attach on restart
+  // anomaly detector's latency baselines/guards and the stale-series
+  // total.  The metrics store is deliberately not snapshotted: it is
+  // repopulated by the monitor re-attach on restart
   // (ResourceMonitor::sample_range), the same way a fresh analyzer gets
   // its metrics.  Call only at quiescent points (after finish()/tick()).
-  // load_state expects a freshly constructed analyzer with the same
-  // options; returns false on torn input.
+  //
+  // Between the two sits the section of the retired per-resource
+  // level-shift stream: save_state writes it empty, and load_state skips
+  // a non-empty one from older checkpoints.  load_state expects a freshly
+  // constructed analyzer with the same options; on torn input it returns
+  // false with the analyzer reset to that state.
   void save_state(std::string& out) const;
   bool load_state(std::string_view& in);
 
  private:
   net::CaptureTap tap_;
   monitor::MetricsStore metrics_;
-  monitor::ResourceAnomalyStream resource_stream_;
   monitor::DependencyWatcher watcher_;
   RootCauseEngine rca_;
   AnomalyDetector detector_;

@@ -241,7 +241,7 @@ bool AnomalyDetector::load_state(std::string_view& in) {
   std::uint32_t trackers = 0;
   if (!util::get_u32(in, trackers) || trackers != kTrackerCount ||
       !latency_.load_state(in)) {
-    latency_.reset();
+    reset_state();
     return false;
   }
   std::uint64_t loss = 0;
@@ -265,12 +265,18 @@ bool AnomalyDetector::load_state(std::string_view& in) {
        util::get_u64(in, retired) &&
        util::get_u64(in, s.forced_reports);
   if (!ok) {
-    latency_.reset();
+    reset_state();
     return false;
   }
   loss_count_ = loss;
   stats_ = s;
   return true;
+}
+
+void AnomalyDetector::reset_state() {
+  latency_.reset();
+  loss_count_ = 0;
+  stats_ = Stats{};
 }
 
 }  // namespace gretel::core

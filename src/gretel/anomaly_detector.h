@@ -116,6 +116,10 @@ class AnomalyDetector {
   void save_state(std::string& out) const;
   bool load_state(std::string_view& in);
 
+  // Drops the state load_state replaces (tracker, loss count, stats),
+  // leaving the detector as constructed.
+  void reset_state();
+
  private:
   struct PendingSnapshot {
     std::uint64_t center = 0;   // seq of the triggering message

@@ -58,7 +58,7 @@ std::vector<Cause> RootCauseEngine::find_causes(
   std::vector<Cause> causes;
 
   for (auto node : nodes) {
-    // Resource anomalies: the fault window vs the node's own history.
+    // Resource anomalies: the fault window vs the node's own recent past.
     for (std::size_t k = 0; k < net::kResourceKinds; ++k) {
       const auto kind = static_cast<net::ResourceKind>(k);
       const auto* series = metrics_->series(node, kind);
@@ -88,10 +88,12 @@ std::vector<Cause> RootCauseEngine::find_causes(
           detect::analyze_window(*series, from.to_seconds(), to.to_seconds(),
                                  series_scratch_, options_.k_sigma);
 
+      // The absolute rules judge the window level alone, so they need only
+      // in-window samples (a full disk reads exactly 0 MB free).
       const char* absolute = nullptr;
       if (const auto rule =
               detect::absolute_rule_violation(kind, verdict.window_level);
-          rule && verdict.window_level != 0.0) {
+          rule && verdict.window_samples > 0) {
         absolute = *rule;
       }
       if (!verdict.anomalous && !absolute) continue;

@@ -42,13 +42,16 @@ void MetricsStore::record(wire::NodeId node, net::ResourceKind kind,
   series.add(t_seconds, value);
   ++total_samples_;
   if (retention_s_ > 0.0) {
-    // Trim from the front up to the horizon.  Each point is scanned once
-    // on its way out, so the cost is amortized O(1) per record.
+    // Trim the front up to the horizon, but only once the oldest point is
+    // half a horizon past it: drop_front moves every retained point, so
+    // batching keeps the cost amortized O(1) per record.
     const double cutoff = t_seconds - retention_s_;
     const auto pts = series.points();
-    std::size_t drop = 0;
-    while (drop < pts.size() && pts[drop].t_seconds < cutoff) ++drop;
-    series.drop_front(drop);
+    if (pts.front().t_seconds <= cutoff - 0.5 * retention_s_) {
+      std::size_t drop = 0;
+      while (drop < pts.size() && pts[drop].t_seconds < cutoff) ++drop;
+      series.drop_front(drop);
+    }
   }
 }
 

@@ -79,9 +79,12 @@ class MetricsStore {
                                     net::ResourceKind kind) const;
 
   // Streaming retention (0 = keep everything, the batch default): when
-  // set, each record() trims samples older than (newest − horizon) from
-  // that series' front, amortized O(1) per sample.  Must comfortably
-  // exceed the RCA window pad or Is_Anomalous loses baseline context.
+  // set, record() keeps at least the samples within `horizon_s` of the
+  // series' newest one.  It trims in batches, once the oldest point is half
+  // a horizon past the cutoff, so each point is moved O(1) times and a
+  // series holds at most 1.5 × horizon of samples.  The horizon must cover
+  // the RCA pad and Is_Anomalous's baseline span (StreamAnalyzer arms
+  // 2 × detect::kBaselineSeconds).
   void set_retention_seconds(double horizon_s) { retention_s_ = horizon_s; }
 
   std::size_t total_samples() const { return total_samples_; }
@@ -116,8 +119,8 @@ class ResourceMonitor {
   void sample_range(util::SimTime from, util::SimTime to,
                     MetricsStore& store);
 
-  // Streaming variant: each sample goes to `sink` instead (e.g. the
-  // analyzer's on_metric entry point, which also runs online LS).
+  // Streaming variant: each sample goes to `sink` instead (e.g.
+  // StreamAnalyzer::on_metric).
   using Sink = std::function<void(wire::NodeId, net::ResourceKind,
                                   double t_seconds, double value)>;
   void sample_range(util::SimTime from, util::SimTime to, const Sink& sink);

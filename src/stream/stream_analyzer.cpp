@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "detect/series_analysis.h"
 #include "gretel/db_io.h"
 #include "gretel/json_export.h"
 #include "util/crc32.h"
@@ -30,8 +31,6 @@ std::vector<std::string> StreamOptions::validate() const {
   if (report_cap == 0) bad("report_cap must be > 0");
   if (!std::isfinite(max_report_delay_s) || max_report_delay_s < 0.0)
     bad("max_report_delay_s must be >= 0 (0 = off)");
-  if (!std::isfinite(metrics_retention_s) || metrics_retention_s < 0.0)
-    bad("metrics_retention_s must be >= 0 (0 = unbounded)");
   if (!std::isfinite(checkpoint_interval_s) || checkpoint_interval_s <= 0.0)
     bad("checkpoint_interval_s must be > 0");
   else if (std::isfinite(tick_ms) && tick_ms > 0.0 &&
@@ -81,12 +80,14 @@ StreamAnalyzer::StreamAnalyzer(const core::FingerprintDb* db,
       analyzer_(db, catalog, deployment, prepare(std::move(options), this)) {
   // Arm the bounded-state caps on the analyzer this stream owns.  The
   // in-flight cap only engages under sustained response loss, and metric
-  // retention only trims history the RCA window can no longer reach.
+  // retention keeps twice the span Is_Anomalous's baseline reads before a
+  // window, so it trims no baseline of a window that starts (pad
+  // included) within 60 s of the newest sample.
   if (opts_.inflight_cap > 0) {
     analyzer_.latency().set_inflight_cap(
         std::max<std::size_t>(64, opts_.inflight_cap));
   }
-  analyzer_.metrics().set_retention_seconds(opts_.metrics_retention_s);
+  analyzer_.metrics().set_retention_seconds(2.0 * detect::kBaselineSeconds);
 }
 
 util::SimTime StreamAnalyzer::grid_floor(util::SimTime t) const {
@@ -147,7 +148,7 @@ std::size_t StreamAnalyzer::credits() const {
 void StreamAnalyzer::on_metric(wire::NodeId node, net::ResourceKind kind,
                                double t_seconds, double value) {
   ++counters_.metrics;
-  analyzer_.on_metric(node, kind, t_seconds, value);
+  analyzer_.metrics().record(node, kind, t_seconds, value);
 }
 
 void StreamAnalyzer::advance_to(util::SimTime watermark) {

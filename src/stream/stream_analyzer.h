@@ -10,8 +10,10 @@
 //
 //   1. Bounded memory.  Every stateful stage is capped: the source ring
 //      (StreamOptions::source_ring), the pending-request table
-//      (inflight_cap), metric retention (metrics_retention_s) and the
-//      retained report ring (report_cap); per-API latency state is the
+//      (inflight_cap), the metrics store (retention of 2 ×
+//      detect::kBaselineSeconds, which covers Is_Anomalous's past-only
+//      baseline plus the window and report delay) and the retained
+//      report ring (report_cap); per-API latency state is the
 //      level-shift detector's fixed baseline window.  footprint()
 //      itemizes the state and the soak test asserts the ceiling is flat
 //      under sustained overload.
@@ -97,11 +99,6 @@ struct StreamOptions {
   // 64; 0 = uncapped).  Past it the oldest pending request is evicted with
   // accounting (inflight_evicted) instead of growing the map.
   std::size_t inflight_cap = 4096;
-
-  // 0 = unbounded · metric retention horizon in seconds.  Must comfortably
-  // exceed rca_window_pad_seconds plus the report delay, or RCA loses its
-  // baseline context.
-  double metrics_retention_s = 0.0;
 
   // 256 · newest reports kept for recent_reports(); older ones are evicted
   // with accounting.  The sink sees every report regardless.
@@ -229,8 +226,9 @@ class StreamAnalyzer {
   // this; a non-cooperating one just gets the shed policy.
   std::size_t credits() const;
 
-  // Metric samples bypass the ring (they are scalar and already bounded
-  // by metrics_retention_s) and go straight to the analyzer.
+  // Metric samples bypass the ring (they are scalar, and the metrics
+  // store's retention bounds them) and go straight into the analyzer's
+  // metrics().
   void on_metric(wire::NodeId node, net::ResourceKind kind,
                  double t_seconds, double value);
 

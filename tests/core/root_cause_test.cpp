@@ -240,6 +240,26 @@ TEST_F(RootCauseTest, DiskFloorViaAbsoluteRule) {
   EXPECT_TRUE(disk);
 }
 
+TEST_F(RootCauseTest, FullDiskAtZeroFreeIsReported) {
+  // A full disk reads exactly 0 MB free (the node model clamps there) over
+  // the whole history.  The flat series gives no relative verdict, so the
+  // absolute floor rule must fire on the window level 0.
+  const auto neutron = deployment_.primary_node_for(ServiceKind::Neutron);
+  for (int t = 0; t < 60; ++t)
+    metrics_.record(neutron, net::ResourceKind::DiskFreeMb, t, 0.0);
+  const auto nova = deployment_.primary_node_for(ServiceKind::Nova);
+  const auto report = engine_->analyze(fault_with_error_nodes(nova, neutron));
+  bool full_disk = false;
+  for (const auto& c : report.causes) {
+    full_disk = full_disk ||
+                (c.kind == CauseKind::ResourceAnomaly && c.node == neutron &&
+                 c.detail.find("free disk space below 1 GB") !=
+                     std::string::npos);
+  }
+  EXPECT_TRUE(full_disk);
+  EXPECT_FALSE(report.expanded_search);
+}
+
 TEST_F(RootCauseTest, StaleMetricsAreUnknownNotClean) {
   // Every series froze at t = 10 s, well before the 20–30 s fault window.
   // With staleness checking on, that is *not* "no anomaly": the engine

@@ -88,27 +88,75 @@ TEST(AnalyzeWindow, DropDetectedAsAnomalous) {
   EXPECT_LT(v.window_level, v.baseline_level);
 }
 
-// The copy-and-sort formulation analyze_window replaced: fresh inside /
-// outside vectors and the sort-based estimators.  Its verdicts are the
-// contract.
+// The window holds 60..69 at level 80; the baseline span before it is
+// [0, 60).  `baseline` points at level 10 sit at 59, 58, ... going back.
+util::TimeSeries surge_after_baseline(int baseline) {
+  util::TimeSeries ts;
+  for (int i = 0; i < baseline; ++i) ts.add(59 - i, 10.0 + 0.1 * (i % 3));
+  for (int i = 60; i < 70; ++i) ts.add(i, 80.0);
+  return ts;
+}
+
+TEST(AnalyzeWindow, NineteenBaselinePointsGiveNoRelativeVerdict) {
+  const auto v = analyze(surge_after_baseline(19), 60.0, 70.0);
+  EXPECT_FALSE(v.anomalous);
+  EXPECT_EQ(v.window_samples, 10u);
+  EXPECT_EQ(v.window_level, 80.0);
+  EXPECT_EQ(v.baseline_level, 0.0);
+}
+
+TEST(AnalyzeWindow, TwentyBaselinePointsGiveRelativeVerdict) {
+  const auto v = analyze(surge_after_baseline(20), 60.0, 70.0);
+  EXPECT_TRUE(v.anomalous);
+  EXPECT_NEAR(v.baseline_level, 10.0, 0.2);
+}
+
+TEST(AnalyzeWindow, BaselineSpanIncludesItsStartExcludesOlderPoints) {
+  // 19 points inside the span, plus one exactly at window_start − 60: that
+  // one is in, so the verdict is relative.
+  auto at_start = surge_after_baseline(19);
+  at_start.add(60.0 - kBaselineSeconds, 10.0);
+  EXPECT_TRUE(analyze(at_start, 60.0, 70.0).anomalous);
+  // Just before the span start it is out, and 19 points are too few.
+  auto before_start = surge_after_baseline(19);
+  before_start.add(std::nextafter(60.0 - kBaselineSeconds, -1.0), 10.0);
+  for (int t = -200; t < -100; ++t) before_start.add(t, 10.0);
+  EXPECT_FALSE(analyze(before_start, 60.0, 70.0).anomalous);
+}
+
+TEST(AnalyzeWindow, PointsAfterWindowIgnored) {
+  // The surge level persists after the window.  A baseline that read the
+  // future would see mostly 80s and call the window normal.
+  auto ts = surge_after_baseline(20);
+  for (int t = 70; t < 300; ++t) ts.add(t, 80.0);
+  const auto v = analyze(ts, 60.0, 70.0);
+  EXPECT_TRUE(v.anomalous);
+  EXPECT_EQ(v.window_samples, 10u);
+  EXPECT_NEAR(v.baseline_level, 10.0, 0.2);
+}
+
+// The copy-and-sort formulation: fresh window / baseline vectors and the
+// sort-based estimators.  Its verdicts are the contract.
 WindowVerdict reference_analyze(const util::TimeSeries& series,
                                 double window_start_s, double window_end_s,
                                 double k_sigma, double min_abs) {
   std::vector<double> inside;
-  std::vector<double> outside;
+  std::vector<double> baseline;
   for (const auto& p : series.points()) {
     if (p.t_seconds >= window_start_s && p.t_seconds < window_end_s) {
       inside.push_back(p.value);
-    } else {
-      outside.push_back(p.value);
+    } else if (p.t_seconds >= window_start_s - kBaselineSeconds &&
+               p.t_seconds < window_start_s) {
+      baseline.push_back(p.value);
     }
   }
   WindowVerdict v;
+  v.window_samples = inside.size();
   if (inside.empty()) return v;
   v.window_level = util::median(inside);
-  if (outside.size() < 4) return v;
-  v.baseline_level = util::median(outside);
-  v.sigma = std::max(util::mad_sigma(outside), 1e-9);
+  if (baseline.size() < kMinBaselinePoints) return v;
+  v.baseline_level = util::median(baseline);
+  v.sigma = std::max(util::mad_sigma(baseline), 1e-9);
   const double dev = std::fabs(v.window_level - v.baseline_level);
   v.anomalous = dev > k_sigma * v.sigma && dev > min_abs;
   return v;
@@ -117,6 +165,8 @@ WindowVerdict reference_analyze(const util::TimeSeries& series,
 void expect_bit_identical(const WindowVerdict& got, const WindowVerdict& want,
                           const char* what, std::uint64_t trial) {
   EXPECT_EQ(got.anomalous, want.anomalous) << what << " trial " << trial;
+  EXPECT_EQ(got.window_samples, want.window_samples)
+      << what << " trial " << trial;
   EXPECT_EQ(std::bit_cast<std::uint64_t>(got.window_level),
             std::bit_cast<std::uint64_t>(want.window_level))
       << what << " trial " << trial;
@@ -178,13 +228,16 @@ TEST(AnalyzeWindow, SelectionBitIdenticalToSortingReference) {
         const auto series = random_series(rng, n, values, shuffled);
         const double len = static_cast<double>(n);
         // Windows: a random span, an empty one (past the end), one covering
-        // every point, and one leaving fewer than 4 points outside.
+        // every point, one with too few baseline points, and the last ten
+        // points (in long series their baseline span starts after the
+        // first point).
         const double a = std::floor(rng.next_double() * len);
         const double b = a + std::ceil(rng.next_double() * len * 0.5);
         const double windows[][2] = {{a, b},
                                      {len + 10.0, len + 20.0},
                                      {-kInf, kInf},
-                                     {2.0, len - 1.0}};
+                                     {2.0, len - 1.0},
+                                     {len - 10.0, len}};
         for (const auto& w : windows) {
           for (const double k_sigma : {5.0, 0.5}) {
             ++trial;
@@ -202,17 +255,19 @@ TEST(AnalyzeWindow, SelectionBitIdenticalToSortingReference) {
 
 TEST(AnalyzeWindow, SignedZeroLevelsBitIdentical) {
   // Uniform-sign zero blocks: every order statistic is the same zero, so
-  // both formulations must reproduce its sign exactly.
+  // both formulations must reproduce its sign exactly.  The window is the
+  // second half, so from n = 40 the first half is a full baseline.
   std::vector<double> scratch;
   for (const double zero : {0.0, -0.0}) {
-    for (std::size_t n = 1; n <= 12; ++n) {
+    for (std::size_t n = 1; n <= 48; ++n) {
       util::TimeSeries series;
       for (std::size_t i = 0; i < n; ++i) {
         series.add(static_cast<double>(i), i % 3 == 2 ? 7.0 : zero);
       }
       const double mid = static_cast<double>(n / 2);
-      expect_bit_identical(analyze_window(series, 0.0, mid, scratch),
-                           reference_analyze(series, 0.0, mid, 5.0, 1e-9),
+      const double end = static_cast<double>(n);
+      expect_bit_identical(analyze_window(series, mid, end, scratch),
+                           reference_analyze(series, mid, end, 5.0, 1e-9),
                            "zero block", n);
     }
   }

@@ -4,15 +4,19 @@
 // the tracker blob, two retired stats words written as 0), and a blob with
 // any other tracker count or a torn tail is rejected with the detector left
 // at its constructed state.  The latency tracker blob inside it still loads
-// in the layout that carried a P² sketch and the raw latency series.
+// in the layout that carried a P² sketch and the raw latency series, and
+// the analyzer blob around it in the layout that carried the per-resource
+// level-shift stream.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "gretel/analyzer.h"
 #include "gretel/anomaly_detector.h"
 #include "gretel/training.h"
 #include "net/capture.h"
@@ -289,6 +293,116 @@ TEST(DetectorCheckpoint, TornOlderTrackerBlobLeavesTrackerReset) {
     EXPECT_EQ(save_tracker(tracker), fresh);
     EXPECT_EQ(tracker.samples(), 0u);
     EXPECT_EQ(tracker.pending(), 0u);
+  }
+}
+
+// --- Analyzer blob: the retired resource-stream section ---
+
+std::unique_ptr<Analyzer> make_analyzer() {
+  auto& e = env();
+  Analyzer::Options options;
+  options.config.fp_max = e.training.fp_max;
+  options.config.p_rate = 150.0;
+  return std::make_unique<Analyzer>(&e.training.db, &e.catalog.apis(),
+                                    &e.deployment, options);
+}
+
+std::string save_analyzer(const Analyzer& analyzer) {
+  std::string out;
+  analyzer.save_state(out);
+  return out;
+}
+
+// The analyzer blob after the detector part: the resource-stream section
+// (written empty) and the stale-series total.
+std::string current_tail(std::uint64_t stale) {
+  std::string out;
+  util::put_u32(out, 0);  // resource-stream detectors
+  util::put_u32(out, 0);  // resource alarms
+  util::put_u64(out, 0);  // resource samples
+  util::put_u64(out, stale);
+  return out;
+}
+
+// The tail in the layout that still ran a level-shift detector per (node,
+// resource): two detectors with learned baselines and two alarms.
+std::string parent_tail(std::uint64_t stale) {
+  detect::LevelShiftDetector cpu;
+  detect::LevelShiftDetector disk;
+  for (int t = 0; t < 40; ++t) {
+    cpu.observe(t, 20.0 + 0.1 * (t % 3));
+    disk.observe(t, 5000.0 - t);
+  }
+  std::string out;
+  util::put_u32(out, 2);
+  for (const auto& [key, det] : {std::pair{0x0100u, &cpu},
+                                 std::pair{0x0103u, &disk}}) {
+    std::string blob;
+    det->save_state(blob);
+    util::put_u32(out, key);
+    util::put_bytes(out, "level-shift");
+    util::put_bytes(out, blob);
+  }
+  util::put_u32(out, 2);
+  for (int i = 0; i < 2; ++i) {
+    util::put_u8(out, 1);  // node
+    util::put_u8(out, 0);  // CPU
+    util::put_f64(out, 50.0 + i);
+    util::put_f64(out, 92.0);
+    util::put_f64(out, 20.0);
+    util::put_f64(out, 72.0);
+    util::put_u8(out, 0);  // up
+  }
+  util::put_u64(out, 80);  // samples
+  util::put_u64(out, stale);
+  return out;
+}
+
+// The detector part of a warmed-up analyzer's blob.
+std::string warm_detector_part() {
+  auto analyzer = make_analyzer();
+  warm_up(analyzer->latency());
+  const std::string saved = save_analyzer(*analyzer);
+  const std::string tail = current_tail(0);
+  EXPECT_EQ(saved.substr(saved.size() - tail.size()), tail);
+  return saved.substr(0, saved.size() - tail.size());
+}
+
+TEST(AnalyzerCheckpoint, ParentLayoutRestoresLatencyState) {
+  detect::LatencyTracker warmed;
+  warm_up(warmed);
+  detect::LatencyTracker uninterrupted;
+  warm_up(uninterrupted);
+  const auto expected = continuation_alarms(uninterrupted);
+  ASSERT_EQ(expected.size(), 2u);
+
+  const std::string detector_part = warm_detector_part();
+  const std::string parent = detector_part + parent_tail(7);
+  auto restored = make_analyzer();
+  std::string_view in(parent);
+  ASSERT_TRUE(restored->load_state(in));
+  EXPECT_TRUE(in.empty());
+  // The resource section is dropped: the restored analyzer saves the
+  // current layout of the same learned state and stale-series total.
+  EXPECT_EQ(save_analyzer(*restored), detector_part + current_tail(7));
+  EXPECT_EQ(restored->health().stale_series, 7u);
+  EXPECT_EQ(save_tracker(restored->latency()), save_tracker(warmed));
+  EXPECT_EQ(continuation_alarms(restored->latency()), expected);
+}
+
+TEST(AnalyzerCheckpoint, TornParentLayoutLeavesAnalyzerReset) {
+  const std::string fresh = save_analyzer(*make_analyzer());
+  const std::string parent = warm_detector_part() + parent_tail(7);
+  auto analyzer = make_analyzer();
+  // Every cut, which covers each byte of the detector blobs and alarm
+  // records the loader skips.
+  for (std::size_t keep = 0; keep < parent.size(); ++keep) {
+    SCOPED_TRACE("kept " + std::to_string(keep) + " bytes");
+    warm_up(analyzer->latency());
+    std::string_view in(parent.data(), keep);
+    ASSERT_FALSE(analyzer->load_state(in));
+    EXPECT_EQ(save_analyzer(*analyzer), fresh);
+    EXPECT_EQ(analyzer->latency().samples(), 0u);
   }
 }
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace gretel::monitor {
 namespace {
 
@@ -37,6 +39,34 @@ TEST(MetricsStore, KeysSeparateNodesAndKinds) {
                        ->points()[0]
                        .value,
                    30.0);
+}
+
+TEST(MetricsStore, RetentionTrimsInBatchesWithinBound) {
+  // Three series at 1 Hz for ten horizons.  Each keeps at least the
+  // horizon behind its newest sample, trims only once its oldest point is
+  // half a horizon past that, and so never holds more than 1.5 horizons.
+  constexpr double kHorizon = 20.0;
+  constexpr std::size_t kSeries = 3;
+  MetricsStore store;
+  store.set_retention_seconds(kHorizon);
+  std::size_t most = 0;
+  for (int t = 0; t < 10 * static_cast<int>(kHorizon); ++t) {
+    for (std::size_t k = 0; k < kSeries; ++k) {
+      store.record(NodeId(1), static_cast<net::ResourceKind>(k), t, 1.0);
+      const auto pts =
+          store.series(NodeId(1), static_cast<net::ResourceKind>(k))
+              ->points();
+      EXPECT_LE(pts.front().t_seconds, std::max(0.0, t - kHorizon)) << t;
+    }
+    EXPECT_LE(store.retained_points(),
+              static_cast<std::size_t>(1.5 * kHorizon) * kSeries)
+        << t;
+    most = std::max(most, store.retained_points());
+  }
+  EXPECT_EQ(store.total_samples(), 10 * kHorizon * kSeries);
+  // Batched, not per sample: the store grows past the horizon between
+  // trims.
+  EXPECT_GT(most, static_cast<std::size_t>(kHorizon + 1) * kSeries);
 }
 
 TEST(ResourceMonitor, SamplesEveryNodeEveryPeriod) {

@@ -226,5 +226,26 @@ TEST(StreamAnalyzer, IdleStreamStillReapsOrphans) {
   EXPECT_GT(streamer.health().orphans_reaped, reaped_before);
 }
 
+// Metric samples go straight into the wrapped analyzer's metrics store,
+// where root-cause analysis reads them.
+TEST(StreamAnalyzer, OnMetricRecordsIntoMetricsStore) {
+  auto& e = env();
+  StreamAnalyzer streamer(&e.training.db, &e.catalog.apis(), &e.deployment,
+                          base_options());
+  monitor::ResourceMonitor monitor(&e.deployment, SimDuration::seconds(1), 5);
+  monitor.sample_range(
+      SimTime::epoch(), SimTime::epoch() + SimDuration::seconds(120),
+      [&streamer](wire::NodeId node, net::ResourceKind kind, double t,
+                  double v) { streamer.on_metric(node, kind, t, v); });
+
+  const auto neutron =
+      e.deployment.primary_node_for(wire::ServiceKind::Neutron);
+  const auto& metrics = streamer.analyzer().metrics();
+  ASSERT_NE(metrics.series(neutron, net::ResourceKind::CpuPct), nullptr);
+  EXPECT_EQ(metrics.watermark_s(neutron, net::ResourceKind::CpuPct), 119.0);
+  EXPECT_EQ(metrics.total_samples(), streamer.counters().metrics);
+  EXPECT_GT(streamer.counters().metrics, 0u);
+}
+
 }  // namespace
 }  // namespace gretel::stream

@@ -36,8 +36,6 @@ TEST(StreamOptionsValidate, EachBadKnobIsItemized) {
   EXPECT_TRUE(flags([](auto& o) { o.report_cap = 0; }, "report_cap"));
   EXPECT_TRUE(flags([](auto& o) { o.max_report_delay_s = -0.5; },
                     "max_report_delay_s"));
-  EXPECT_TRUE(flags([](auto& o) { o.metrics_retention_s = kNaN; },
-                    "metrics_retention_s"));
   EXPECT_TRUE(flags([](auto& o) { o.checkpoint_interval_s = 0.0; },
                     "checkpoint_interval_s"));
   EXPECT_TRUE(flags([](auto& o) { o.checkpoint_interval_s = kNaN; },

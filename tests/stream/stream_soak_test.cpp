@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "detect/series_analysis.h"
 #include "gretel/training.h"
 #include "net/chaos.h"
 #include "stream/stream_analyzer.h"
@@ -70,7 +71,6 @@ TEST(StreamSoak, BoundedStateUnderSustainedOverloadAndChaos) {
   StreamOptions stream;
   stream.source_ring = 96;
   stream.inflight_cap = 256;
-  stream.metrics_retention_s = 30.0;
   stream.report_cap = 32;
   // Slow ticks relative to the offered rate: per-tick arrivals exceed the
   // ring, so the stream sheds continuously — sustained overload, not a
@@ -80,8 +80,9 @@ TEST(StreamSoak, BoundedStateUnderSustainedOverloadAndChaos) {
   StreamAnalyzer streamer(&e.training.db, &e.catalog.apis(), &e.deployment,
                           opt, {}, stream);
 
-  constexpr int kRounds = 8;
+  constexpr int kRounds = 16;
   std::vector<std::size_t> bytes_after_round;
+  std::vector<std::size_t> metric_points_after_round;
   std::uint64_t prev_losses = 0, prev_orphans = 0, prev_evicted = 0,
                 prev_degraded = 0;
   for (int round = 0; round < kRounds; ++round) {
@@ -108,10 +109,10 @@ TEST(StreamSoak, BoundedStateUnderSustainedOverloadAndChaos) {
     double metric_t = (SimTime::epoch() + offset).to_seconds();
     for (const auto& r : degraded) {
       streamer.advance_to(r.ts);
-      // A metric sample per simulated second keeps the retention window
-      // exercised for the whole soak.
-      if (r.ts.to_seconds() >= metric_t + 1.0) {
-        metric_t = r.ts.to_seconds();
+      // A metric sample per simulated second keeps the derived retention
+      // window exercised for the whole soak.
+      while (r.ts.to_seconds() >= metric_t + 1.0) {
+        metric_t += 1.0;
         streamer.on_metric(wire::NodeId(1), net::ResourceKind::CpuPct,
                            metric_t, 10.0 + (round % 3));
       }
@@ -150,6 +151,7 @@ TEST(StreamSoak, BoundedStateUnderSustainedOverloadAndChaos) {
         << "round " << round;
     EXPECT_LE(fp.reports_retained, 32u);
     bytes_after_round.push_back(fp.approx_bytes());
+    metric_points_after_round.push_back(fp.metric_points);
   }
   streamer.finish();
   const auto& c = streamer.counters();
@@ -169,6 +171,20 @@ TEST(StreamSoak, BoundedStateUnderSustainedOverloadAndChaos) {
   EXPECT_LE(streamer.peak_state_bytes(), 4 * warmup);
   // Absolute sanity ceiling, far below anything an unbounded run reaches.
   EXPECT_LE(streamer.peak_state_bytes(), 32u * 1024 * 1024);
+
+  // Metric retention is derived, not a knob: the store keeps 2 ×
+  // kBaselineSeconds behind the newest sample and trims in batches, so
+  // the one 1 Hz series never holds more than 1.5 horizons of points.
+  // The session spans several horizons, so without retention the count
+  // would keep growing with every round.
+  const double horizon_s = 2.0 * detect::kBaselineSeconds;
+  const auto max_points = static_cast<std::size_t>(1.5 * horizon_s);
+  ASSERT_GT(c.metrics, 2 * max_points) << "session too short to test";
+  for (std::size_t i = 0; i < metric_points_after_round.size(); ++i) {
+    EXPECT_LE(metric_points_after_round[i], max_points)
+        << "metric store grew with stream length (round " << i << ")";
+  }
+  EXPECT_LE(streamer.footprint().metric_points, max_points);
 
   // Chaos plus shedding must have produced degraded-confidence reports,
   // and the monitoring plane must have seen its own chaos.
