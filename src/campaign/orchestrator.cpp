@@ -273,21 +273,23 @@ ScenarioResult CampaignOrchestrator::run_guarded(
   }
 
   // Decode-side reconciliation: every quarantined frame must trace back to
-  // an injected truncation/corruption, and the health counters must agree
-  // with the tap's decode ledger.  (No lower bound: a cut or byte flip
-  // that only touches bytes the codec never reads decodes cleanly.  The
-  // upper bound admits duplicates — a duplicated damaged frame fails
-  // decode once per delivered copy.)
-  const auto health = analyzer.health();
+  // an injected truncation/corruption, and the detector's loss count must
+  // be exactly the quarantined frames plus the records the stream shed (0
+  // in batch runs).  (No lower bound: a cut or byte flip that only touches
+  // bytes the codec never reads decodes cleanly.  The upper bound admits
+  // duplicates — a duplicated damaged frame fails decode once per
+  // delivered copy.)
   const auto decode_failures = analyzer.tap_stats().decode_failures;
+  const auto losses = analyzer.detector_stats().losses_recorded;
   if (decode_failures > cs.truncated + cs.corrupted + cs.duplicated ||
-      health.frames_quarantined != decode_failures) {
+      losses != decode_failures + result.stream_shed) {
     result.outcome = Outcome::Crashed;
     result.note = "decode/quarantine reconciliation failed: " +
                   std::to_string(decode_failures) + " failures vs " +
                   std::to_string(cs.truncated) + " truncated + " +
                   std::to_string(cs.corrupted) + " corrupted, " +
-                  std::to_string(health.frames_quarantined) + " quarantined";
+                  std::to_string(losses) + " losses vs " +
+                  std::to_string(result.stream_shed) + " shed";
     return result;
   }
 

@@ -60,8 +60,8 @@ Analyzer::Analyzer(const FingerprintDb* db, const wire::ApiCatalog* catalog,
                   Diagnosis d;
                   d.fault = std::move(fault);
                   if (run_root_cause_) d.root_cause = rca_.analyze(d.fault);
+                  stale_series_ += d.root_cause.stale_series;
                   if (diagnosis_sink_) {
-                    sink_stale_series_ += d.root_cause.stale_series;
                     diagnosis_sink_(d);
                   } else {
                     diagnoses_.push_back(std::move(d));
@@ -119,44 +119,12 @@ void Analyzer::on_events(std::span<const wire::Event> events) {
 
 void Analyzer::finish() { detector_.flush(); }
 
-monitor::PipelineHealthCounters Analyzer::health() const {
-  const auto& tap = tap_.stats();
-  const auto& det = detector_.stats();
-  monitor::PipelineHealthCounters h;
-  h.frames_decoded = tap.decoded;
-  h.frames_quarantined = tap.decode_failures;
-  h.frames_unknown_api = tap.unknown_api;
-  h.frames_non_monotonic = tap.non_monotonic;
-  h.losses_recorded = det.losses_recorded;
-  h.orphans_reaped = det.orphans_reaped;
-  h.latency_clamped = det.latency_clamped;
-  h.latency_rejected = det.latency_rejected;
-  h.stale_freezes = det.stale_freezes;
-  h.degraded_reports = det.degraded_reports;
-  // Monitoring-plane health: the watcher's probe counters plus the
-  // per-diagnosis staleness annotations the root-cause engine produced.
-  const auto probe = watcher_.probe_stats();
-  h.probe_attempts = probe.attempts;
-  h.probe_retries = probe.retries;
-  h.probe_timeouts = probe.timeouts;
-  h.probe_drops = probe.drops;
-  h.breaker_trips = probe.breaker_trips;
-  h.breaker_skips = probe.breaker_skips;
-  h.flap_suppressed = probe.flap_suppressed;
-  h.probe_budget_exhausted = probe.budget_exhausted;
-  h.stale_series = sink_stale_series_;
-  for (const auto& d : diagnoses_) h.stale_series += d.root_cause.stale_series;
-  // Streaming bounds.
-  h.inflight_evicted = det.inflight_evicted;
-  return h;
-}
-
 void Analyzer::save_state(std::string& out) const {
   detector_.save_state(out);
   util::put_u32(out, 0);  // retired: resource-stream detectors
   util::put_u32(out, 0);  // retired: resource alarms
   util::put_u64(out, 0);  // retired: resource samples
-  util::put_u64(out, sink_stale_series_);
+  util::put_u64(out, stale_series_);
 }
 
 bool Analyzer::load_state(std::string_view& in) {
@@ -166,7 +134,7 @@ bool Analyzer::load_state(std::string_view& in) {
     detector_.reset_state();
     return false;
   }
-  sink_stale_series_ = stale;
+  stale_series_ = stale;
   return true;
 }
 

@@ -88,11 +88,9 @@ class Analyzer {
   }
   const net::TapStats& tap_stats() const { return tap_.stats(); }
 
-  // Flat degraded-telemetry counter snapshot for operator export (see
-  // monitor::PipelineHealthCounters).  The detector-side totals are
-  // snapshotted at finish() and tick(), so call after one of those for
-  // exact values.
-  monitor::PipelineHealthCounters health() const;
+  // Stale or missing metric series hit by root-cause analysis, summed over
+  // every diagnosis emitted (retained or delivered to the sink).
+  std::uint64_t stale_series() const { return stale_series_; }
 
   // Monitoring-side stores feeding the root-cause engine.  Metric samples
   // go straight into metrics() (ResourceMonitor::sample_range, or
@@ -118,7 +116,7 @@ class Analyzer {
   // total.  The metrics store is deliberately not snapshotted: it is
   // repopulated by the monitor re-attach on restart
   // (ResourceMonitor::sample_range), the same way a fresh analyzer gets
-  // its metrics.  Call only at quiescent points (after finish()/tick()).
+  // its metrics.
   //
   // Between the two sits the section of the retired per-resource
   // level-shift stream: save_state writes it empty, and load_state skips
@@ -137,9 +135,7 @@ class Analyzer {
   bool run_root_cause_;
   std::function<void(const Diagnosis&)> diagnosis_sink_;
   std::vector<Diagnosis> diagnoses_;
-  // Stale-series total accumulated as diagnoses flow through the sink
-  // (health() can no longer sum over a retained vector in sink mode).
-  std::uint64_t sink_stale_series_ = 0;
+  std::uint64_t stale_series_ = 0;
   // Decoded-event buffer for on_wire_batch (capacity retained across
   // batches; bounded by config.ingest_batch).
   std::vector<wire::Event> event_scratch_;

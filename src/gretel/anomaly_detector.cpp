@@ -36,7 +36,7 @@ void AnomalyDetector::on_event(const wire::Event& source) {
   // Push first, stamping the assigned seq in-ring — the detection scan only
   // reads header fields, so the hot path never copies the full event.
   ++stats_.events;
-  const auto seq = buffer_.push_stamped(source, loss_count_);
+  const auto seq = buffer_.push_stamped(source, stats_.losses_recorded);
   const wire::EventHeader event(source, seq);
 
   if (event.is_error()) {
@@ -95,7 +95,6 @@ void AnomalyDetector::run_ready(bool force) {
 
 void AnomalyDetector::run_snapshot(const PendingSnapshot& pending) {
   const auto freeze = buffer_.freeze(pending.center, window_cols_);
-  stats_.stale_freezes = buffer_.stale_freezes();
   const std::size_t n = window_cols_.size();
   if (n == 0) return;
   const auto center_index = std::min(freeze.center_index, n - 1);
@@ -166,20 +165,7 @@ void AnomalyDetector::run_snapshot(const PendingSnapshot& pending) {
   if (callback_) callback_(std::move(report));
 }
 
-void AnomalyDetector::refresh_guard_stats() {
-  stats_.losses_recorded = loss_count_;
-  stats_.stale_freezes = buffer_.stale_freezes();
-  const auto& guards = latency_.guard_stats();
-  stats_.orphans_reaped = guards.orphans_reaped;
-  stats_.latency_clamped = guards.clamped_negative;
-  stats_.latency_rejected = guards.rejected_nonfinite;
-  stats_.inflight_evicted = guards.inflight_evicted;
-}
-
-void AnomalyDetector::flush() {
-  run_ready(/*force=*/true);
-  refresh_guard_stats();
-}
+void AnomalyDetector::flush() { run_ready(/*force=*/true); }
 
 void AnomalyDetector::tick(util::SimTime now, double max_report_delay_s) {
   run_ready(/*force=*/false);
@@ -203,22 +189,24 @@ void AnomalyDetector::tick(util::SimTime now, double max_report_delay_s) {
   // Time-based orphan sweep (the observe-cadence sweep only fires while
   // events flow).
   latency_.sweep_now(now);
-  refresh_guard_stats();
 }
 
 // Blob layout (unchanged from the sharded detector at one shard, so older
 // checkpoints still load): u32 tracker count = 1, the tracker blob, the loss
 // count, then the stats words.  Two of those words belonged to the retired
 // shard pipeline (overflow drops, watchdog trips) and one to the retired
-// latency-series cap (samples trimmed); they are written as 0 and skipped
-// on load.
+// latency-series cap (samples trimmed); they are written as 0.  Six more
+// repeat counts owned elsewhere: the loss count again, the tracker's guard
+// counts (its blob carries them too) and the buffer's stale freezes.  They
+// are written from their owners.  Load skips all nine.
 constexpr std::uint32_t kTrackerCount = 1;
 constexpr int kRetiredStatWords = 2;
 
 void AnomalyDetector::save_state(std::string& out) const {
+  const auto& guards = latency_.guard_stats();
   util::put_u32(out, kTrackerCount);
   latency_.save_state(out);
-  util::put_u64(out, loss_count_);
+  util::put_u64(out, stats_.losses_recorded);
   util::put_u64(out, stats_.events);
   util::put_u64(out, stats_.rest_errors);
   util::put_u64(out, stats_.rpc_errors);
@@ -227,12 +215,12 @@ void AnomalyDetector::save_state(std::string& out) const {
   util::put_u64(out, stats_.suppressed_triggers);
   util::put_u64(out, stats_.losses_recorded);
   for (int i = 0; i < kRetiredStatWords; ++i) util::put_u64(out, 0);
-  util::put_u64(out, stats_.orphans_reaped);
-  util::put_u64(out, stats_.latency_clamped);
-  util::put_u64(out, stats_.latency_rejected);
-  util::put_u64(out, stats_.stale_freezes);
+  util::put_u64(out, guards.orphans_reaped);
+  util::put_u64(out, guards.clamped_negative);
+  util::put_u64(out, guards.rejected_nonfinite);
+  util::put_u64(out, buffer_.stale_freezes());
   util::put_u64(out, stats_.degraded_reports);
-  util::put_u64(out, stats_.inflight_evicted);
+  util::put_u64(out, guards.inflight_evicted);
   util::put_u64(out, 0);  // retired: series-trim counter
   util::put_u64(out, stats_.forced_reports);
 }
@@ -244,38 +232,36 @@ bool AnomalyDetector::load_state(std::string_view& in) {
     reset_state();
     return false;
   }
-  std::uint64_t loss = 0;
-  std::uint64_t retired = 0;
+  // Past the suppressed-trigger count: the repeated loss count, the
+  // retired shard words, the four guard counts and the stale freezes;
+  // then the in-flight evictions and the retired series-trim word.
+  const auto skip = [&in](int words) {
+    std::uint64_t word = 0;
+    bool ok = true;
+    for (int i = 0; ok && i < words; ++i) ok = util::get_u64(in, word);
+    return ok;
+  };
   Stats s;
-  bool ok = util::get_u64(in, loss) && util::get_u64(in, s.events) &&
-            util::get_u64(in, s.rest_errors) &&
-            util::get_u64(in, s.rpc_errors) &&
-            util::get_u64(in, s.operational_reports) &&
-            util::get_u64(in, s.performance_reports) &&
-            util::get_u64(in, s.suppressed_triggers) &&
-            util::get_u64(in, s.losses_recorded);
-  for (int i = 0; ok && i < kRetiredStatWords; ++i)
-    ok = util::get_u64(in, retired);
-  ok = ok && util::get_u64(in, s.orphans_reaped) &&
-       util::get_u64(in, s.latency_clamped) &&
-       util::get_u64(in, s.latency_rejected) &&
-       util::get_u64(in, s.stale_freezes) &&
-       util::get_u64(in, s.degraded_reports) &&
-       util::get_u64(in, s.inflight_evicted) &&
-       util::get_u64(in, retired) &&
-       util::get_u64(in, s.forced_reports);
+  const bool ok = util::get_u64(in, s.losses_recorded) &&
+                  util::get_u64(in, s.events) &&
+                  util::get_u64(in, s.rest_errors) &&
+                  util::get_u64(in, s.rpc_errors) &&
+                  util::get_u64(in, s.operational_reports) &&
+                  util::get_u64(in, s.performance_reports) &&
+                  util::get_u64(in, s.suppressed_triggers) &&
+                  skip(1 + kRetiredStatWords + 4) &&
+                  util::get_u64(in, s.degraded_reports) && skip(2) &&
+                  util::get_u64(in, s.forced_reports);
   if (!ok) {
     reset_state();
     return false;
   }
-  loss_count_ = loss;
   stats_ = s;
   return true;
 }
 
 void AnomalyDetector::reset_state() {
   latency_.reset();
-  loss_count_ = 0;
   stats_ = Stats{};
 }
 

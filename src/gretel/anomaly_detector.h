@@ -55,10 +55,9 @@ class AnomalyDetector {
   // emits every report whose future context is ready — without ending the
   // stream — then force-emits pending triggers older than
   // `max_report_delay_s` (a fault followed by silence still reports within
-  // a bounded delay; 0 = never force), time-sweeps the orphan reaper (an
-  // idle stream never reaches the observe-cadence sweep), and refreshes the
-  // guard statistics.  `now` is the stream watermark in sim time.  Batch
-  // callers never need this.
+  // a bounded delay; 0 = never force) and time-sweeps the orphan reaper (an
+  // idle stream never reaches the observe-cadence sweep).  `now` is the
+  // stream watermark in sim time.  Batch callers never need this.
   void tick(util::SimTime now, double max_report_delay_s);
 
   // Telemetry-loss notification from the ingestion layer: `count` frames
@@ -66,8 +65,11 @@ class AnomalyDetector {
   // (quarantined as malformed, dropped by a lossy tap, ...).  Folded into
   // the running loss count that annotates frozen windows, so reports whose
   // snapshot spans the gap carry degraded_confidence.
-  void record_loss(std::uint64_t count) { loss_count_ += count; }
+  void record_loss(std::uint64_t count) { stats_.losses_recorded += count; }
 
+  // The counts this detector increments itself.  The latency guards
+  // (orphans, clamped/rejected samples, in-flight evictions) live in
+  // latency().guard_stats(); stale freezes in the dual buffer.
   struct Stats {
     std::uint64_t events = 0;
     std::uint64_t rest_errors = 0;
@@ -75,17 +77,9 @@ class AnomalyDetector {
     std::uint64_t operational_reports = 0;
     std::uint64_t performance_reports = 0;
     std::uint64_t suppressed_triggers = 0;
-    // Degraded-telemetry accounting.  losses_recorded and the latency
-    // guard totals are snapshotted at flush() and tick().
     std::uint64_t losses_recorded = 0;      // record_loss totals
-    std::uint64_t orphans_reaped = 0;
-    std::uint64_t latency_clamped = 0;      // negative gaps clamped to 0
-    std::uint64_t latency_rejected = 0;     // non-finite samples rejected
-    std::uint64_t stale_freezes = 0;
     std::uint64_t degraded_reports = 0;     // reports with window losses
-    // Streaming only.
-    std::uint64_t inflight_evicted = 0;     // pending requests evicted by cap
-    std::uint64_t forced_reports = 0;       // emitted past the delay deadline
+    std::uint64_t forced_reports = 0;       // streaming: past the deadline
   };
   const Stats& stats() const { return stats_; }
 
@@ -97,27 +91,27 @@ class AnomalyDetector {
 
   // Checkpoint support (src/persist/): serializes the *learned* state — the
   // latency tracker (level-shift baselines, pending pairings, orphan
-  // clocks),
-  // the cumulative loss count, and the stats counters.  The dual buffer,
+  // clocks, guard counts) and the stats counters.  The dual buffer,
   // pending snapshots and per-API suppression maps are window-local
   // transients spanning at most α messages; they are deliberately not
   // checkpointed (the recovery invariant already allows one checkpoint
   // interval of context to regress, and seq numbers restart with the new
-  // window).  Call after flush()/tick().
+  // window).
   //
   // The blob keeps the layout written by the earlier sharded detector at
   // one shard: a u32 tracker count (always 1) before the tracker blob, and
-  // three retired u64 counters (written as 0, skipped on load).  load_state
-  // expects a freshly constructed detector with the same config; it
-  // rejects any other tracker count, and on torn input returns false with
-  // the detector left at its constructed state.  After a load,
-  // stale_freezes restarts at zero with the new window; the tracker-backed
-  // guard stats resume exactly.
+  // three retired u64 counters (written as 0, skipped on load).  It also
+  // keeps words that repeat counts owned elsewhere — a second loss count,
+  // the tracker's four guard counts and the buffer's stale-freeze count —
+  // written from their owners and skipped on load.  load_state expects a
+  // freshly constructed detector with the same config; it rejects any
+  // other tracker count, and on torn input returns false with the
+  // detector left at its constructed state.
   void save_state(std::string& out) const;
   bool load_state(std::string_view& in);
 
-  // Drops the state load_state replaces (tracker, loss count, stats),
-  // leaving the detector as constructed.
+  // Drops the state load_state replaces (tracker and stats), leaving the
+  // detector as constructed.
   void reset_state();
 
  private:
@@ -133,8 +127,6 @@ class AnomalyDetector {
                                  util::SimTime ts);
   void run_ready(bool force);
   void run_snapshot(const PendingSnapshot& pending);
-  // Guard-stat snapshot shared by flush() and tick().
-  void refresh_guard_stats();
 
   const wire::ApiCatalog* catalog_;
   GretelConfig config_;
@@ -147,8 +139,6 @@ class AnomalyDetector {
   // columns through the util/simd.h kernels.
   WindowColumns window_cols_;
   detect::LatencyTracker latency_;
-  // Cumulative telemetry losses (record_loss).
-  std::uint64_t loss_count_ = 0;
   std::vector<PendingSnapshot> pending_;
   // Last trigger sequence per API, for duplicate-relay suppression.
   std::unordered_map<wire::ApiId, std::uint64_t> last_trigger_;

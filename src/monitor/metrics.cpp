@@ -2,40 +2,6 @@
 
 namespace gretel::monitor {
 
-std::string PipelineHealthCounters::to_json() const {
-  std::string out = "{";
-  const auto field = [&out](const char* name, std::uint64_t v) {
-    if (out.size() > 1) out += ", ";
-    out += '"';
-    out += name;
-    out += "\": ";
-    out += std::to_string(v);
-  };
-  field("frames_decoded", frames_decoded);
-  field("frames_quarantined", frames_quarantined);
-  field("frames_unknown_api", frames_unknown_api);
-  field("frames_non_monotonic", frames_non_monotonic);
-  field("losses_recorded", losses_recorded);
-  field("orphans_reaped", orphans_reaped);
-  field("latency_clamped", latency_clamped);
-  field("latency_rejected", latency_rejected);
-  field("stale_freezes", stale_freezes);
-  field("degraded_reports", degraded_reports);
-  field("probe_attempts", probe_attempts);
-  field("probe_retries", probe_retries);
-  field("probe_timeouts", probe_timeouts);
-  field("probe_drops", probe_drops);
-  field("breaker_trips", breaker_trips);
-  field("breaker_skips", breaker_skips);
-  field("flap_suppressed", flap_suppressed);
-  field("probe_budget_exhausted", probe_budget_exhausted);
-  field("stale_series", stale_series);
-  field("frozen_samples", frozen_samples);
-  field("inflight_evicted", inflight_evicted);
-  out += "}";
-  return out;
-}
-
 void MetricsStore::record(wire::NodeId node, net::ResourceKind kind,
                           double t_seconds, double value) {
   auto& series = series_[key(node, kind)];

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -26,41 +25,6 @@
 #include "wire/endpoint.h"
 
 namespace gretel::monitor {
-
-// One flat snapshot of the analyzer's degraded-telemetry counters, suitable
-// for export to an operator dashboard.  Assembled by Analyzer::health();
-// exact detector totals need a finish() or tick() first.
-struct PipelineHealthCounters {
-  // Capture tap.
-  std::uint64_t frames_decoded = 0;
-  std::uint64_t frames_quarantined = 0;     // malformed (decode failures)
-  std::uint64_t frames_unknown_api = 0;
-  std::uint64_t frames_non_monotonic = 0;
-  // Detection pipeline.
-  std::uint64_t losses_recorded = 0;        // quarantines + shed records
-  std::uint64_t orphans_reaped = 0;
-  std::uint64_t latency_clamped = 0;        // negative gaps clamped to 0
-  std::uint64_t latency_rejected = 0;       // non-finite samples rejected
-  std::uint64_t stale_freezes = 0;
-  std::uint64_t degraded_reports = 0;
-  // Streaming bound (zero in batch mode, where the cap stays unset).
-  std::uint64_t inflight_evicted = 0;       // pending requests evicted by cap
-  // Monitoring plane (probed watchers; all zero under the oracle substrate).
-  std::uint64_t probe_attempts = 0;
-  std::uint64_t probe_retries = 0;
-  std::uint64_t probe_timeouts = 0;
-  std::uint64_t probe_drops = 0;
-  std::uint64_t breaker_trips = 0;
-  std::uint64_t breaker_skips = 0;
-  std::uint64_t flap_suppressed = 0;
-  std::uint64_t probe_budget_exhausted = 0;
-  std::uint64_t stale_series = 0;           // stale/missing metric series hit
-  // Resource sampling (filled by the ResourceMonitor owner; the analyzer
-  // does not own the sampling loop).
-  std::uint64_t frozen_samples = 0;
-
-  std::string to_json() const;
-};
 
 class MetricsStore {
  public:

@@ -184,7 +184,7 @@ class MonitorChaos {
   std::set<std::pair<std::uint8_t, std::int64_t>> crash_onsets_seen_;
 };
 
-// Flat probe-plane counters; aggregated into PipelineHealthCounters.
+// Flat probe-plane counters, read through DependencyWatcher::probe_stats().
 struct ProbeStats {
   std::uint64_t probes = 0;        // logical probes (target × poll)
   std::uint64_t attempts = 0;      // wire attempts, including retries

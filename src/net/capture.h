@@ -103,7 +103,6 @@ class CaptureTap {
   std::optional<wire::Event> decode(const WireRecord& record);
 
   const TapStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = TapStats{}; }
 
   // Most recent malformed frames (up to kQuarantineRingCapacity), oldest
   // first.  stats().decode_failures counts every quarantined frame; the

@@ -257,11 +257,9 @@ class StreamAnalyzer {
   StateFootprint footprint();
   std::size_t peak_state_bytes() const { return peak_state_bytes_; }
 
-  // Degraded-telemetry counters of the wrapped pipeline (exact after a
-  // tick or after finish()).
-  monitor::PipelineHealthCounters health() const {
-    return analyzer_.health();
-  }
+  // The wrapped pipeline; its counters stay with their owners
+  // (tap_stats(), detector_stats(), latency().guard_stats(),
+  // watcher().probe_stats()).
   core::Analyzer& analyzer() { return analyzer_; }
   const core::Analyzer& analyzer() const { return analyzer_; }
 

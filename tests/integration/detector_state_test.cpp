@@ -3,7 +3,8 @@
 // checkpoints were written in still loads (a u32 tracker count of 1 before
 // the tracker blob, two retired stats words written as 0), and a blob with
 // any other tracker count or a torn tail is rejected with the detector left
-// at its constructed state.  The latency tracker blob inside it still loads
+// at its constructed state.  Words that repeat another object's count are
+// written from that object, not from the loaded blob.  The latency tracker blob inside it still loads
 // in the layout that carried a P² sketch and the raw latency series, and
 // the analyzer blob around it in the layout that carried the per-resource
 // level-shift stream.
@@ -127,6 +128,28 @@ TEST(DetectorCheckpoint, TornBlobLeavesConstructedState) {
     EXPECT_EQ(save(detector), constructed);
     EXPECT_EQ(detector->stats().events, 0u);
   }
+}
+
+// The stale-freeze word repeats the dual buffer's count, which restarts
+// with the new window: a restored detector writes the buffer's 0 there,
+// whatever the loaded blob held.
+TEST(DetectorCheckpoint, StaleFreezeWordIsWrittenFromTheBuffer) {
+  const auto& saved = trained_blob();
+  // Word 13 of the 18-word tail.
+  const std::size_t at = saved.size() - 18 * 8 + 13 * 8;
+  std::string blob = saved;
+  std::string word;
+  util::put_u64(word, 3);
+  blob.replace(at, 8, word);
+  auto restored = make_detector();
+  std::string_view in(blob);
+  ASSERT_TRUE(restored->load_state(in));
+  EXPECT_TRUE(in.empty());
+  const auto resaved = save(restored);
+  ASSERT_EQ(resaved.size(), blob.size());
+  EXPECT_EQ(resaved.substr(at, 8), std::string(8, '\0'));
+  EXPECT_EQ(resaved.substr(0, at), blob.substr(0, at));
+  EXPECT_EQ(resaved.substr(at + 8), blob.substr(at + 8));
 }
 
 // --- LatencyTracker blob: the retired sketch and series sections ---
@@ -385,7 +408,7 @@ TEST(AnalyzerCheckpoint, ParentLayoutRestoresLatencyState) {
   // The resource section is dropped: the restored analyzer saves the
   // current layout of the same learned state and stale-series total.
   EXPECT_EQ(save_analyzer(*restored), detector_part + current_tail(7));
-  EXPECT_EQ(restored->health().stale_series, 7u);
+  EXPECT_EQ(restored->stale_series(), 7u);
   EXPECT_EQ(save_tracker(restored->latency()), save_tracker(warmed));
   EXPECT_EQ(continuation_alarms(restored->latency()), expected);
 }

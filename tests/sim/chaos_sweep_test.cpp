@@ -102,10 +102,9 @@ TEST(ChaosSweep, ZeroChaosIsByteIdenticalBaseline) {
     EXPECT_EQ(d.fault.window_losses, 0u);
     EXPECT_FALSE(d.root_cause.degraded);
   }
-  const auto health = tapped->health();
-  EXPECT_EQ(health.frames_quarantined, 0u);
-  EXPECT_EQ(health.losses_recorded, 0u);
-  EXPECT_EQ(health.degraded_reports, 0u);
+  EXPECT_EQ(tapped->tap_stats().decode_failures, 0u);
+  EXPECT_EQ(tapped->detector_stats().losses_recorded, 0u);
+  EXPECT_EQ(tapped->detector_stats().degraded_reports, 0u);
 }
 
 TEST(ChaosSweep, LossSweepExactAccountingAndDegradedFlags) {
@@ -141,13 +140,12 @@ TEST(ChaosSweep, LossSweepExactAccountingAndDegradedFlags) {
     // truncated frame — and nothing else — lands in quarantine.
     const auto& tap = analyzer->tap_stats();
     EXPECT_EQ(tap.decode_failures, stats.truncated);
-    const auto health = analyzer->health();
-    EXPECT_EQ(health.frames_quarantined, stats.truncated);
-    EXPECT_EQ(health.losses_recorded, stats.truncated);
+    const auto& det = analyzer->detector_stats();
+    EXPECT_EQ(det.losses_recorded, stats.truncated);
 
     // Detection volume is monotone non-increasing in the loss rate (the
     // affected sets nest for a fixed seed).
-    const auto reports = analyzer->detector_stats().operational_reports;
+    const auto reports = det.operational_reports;
     EXPECT_LE(reports, previous_reports);
     previous_reports = reports;
 
@@ -159,7 +157,7 @@ TEST(ChaosSweep, LossSweepExactAccountingAndDegradedFlags) {
       EXPECT_EQ(d.root_cause.degraded, d.fault.degraded_confidence);
       any_degraded |= d.fault.degraded_confidence;
     }
-    EXPECT_EQ(health.degraded_reports > 0, any_degraded);
+    EXPECT_EQ(det.degraded_reports > 0, any_degraded);
     saw_degraded_report |= any_degraded;
   }
   // At these loss rates some surviving report's window overlapped a loss.
@@ -193,9 +191,7 @@ TEST(ChaosSweep, HeavyMixedChaosNeverCrashes) {
   // every truncated frame, at most truncated + corrupted.
   EXPECT_GE(tap.decode_failures, stats.truncated);
   EXPECT_LE(tap.decode_failures, stats.truncated + stats.corrupted);
-  const auto health = analyzer->health();
-  EXPECT_EQ(health.frames_quarantined, tap.decode_failures);
-  EXPECT_EQ(health.losses_recorded, tap.decode_failures);
+  EXPECT_EQ(analyzer->detector_stats().losses_recorded, tap.decode_failures);
   // Clock skew produced regressions; the tap counted them.
   EXPECT_GT(tap.non_monotonic, 0u);
   for (const auto& d : analyzer->diagnoses()) {

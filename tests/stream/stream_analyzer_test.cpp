@@ -129,7 +129,7 @@ TEST(StreamAnalyzer, DropOldestShedsWithExactAccounting) {
   EXPECT_EQ(c.offered, c.ingested + c.shed);
   EXPECT_EQ(streamer.queued(), 0u);
   // Every shed record reappears as a window-loss annotation.
-  EXPECT_EQ(streamer.health().losses_recorded, c.shed);
+  EXPECT_EQ(streamer.analyzer().detector_stats().losses_recorded, c.shed);
 }
 
 TEST(StreamAnalyzer, DropNewestRefusesTheFreshRecord) {
@@ -149,7 +149,8 @@ TEST(StreamAnalyzer, DropNewestRefusesTheFreshRecord) {
   streamer.finish();
   EXPECT_EQ(streamer.counters().offered,
             streamer.counters().ingested + streamer.counters().shed);
-  EXPECT_EQ(streamer.health().losses_recorded, streamer.counters().shed);
+  EXPECT_EQ(streamer.analyzer().detector_stats().losses_recorded,
+            streamer.counters().shed);
 }
 
 TEST(StreamAnalyzer, CreditGateReopensAfterDrain) {
@@ -220,10 +221,11 @@ TEST(StreamAnalyzer, IdleStreamStillReapsOrphans) {
   // no events flowing, so only the tick-driven sweep can reclaim them.
   const auto pending_before = streamer.footprint().pending_requests;
   ASSERT_GT(pending_before, 0u);
-  const auto reaped_before = streamer.health().orphans_reaped;
+  const auto& guards = streamer.analyzer().latency().guard_stats();
+  const auto reaped_before = guards.orphans_reaped;
   streamer.advance_to(degraded.back().ts + SimDuration::seconds(30));
   EXPECT_EQ(streamer.footprint().pending_requests, 0u);
-  EXPECT_GT(streamer.health().orphans_reaped, reaped_before);
+  EXPECT_GT(guards.orphans_reaped, reaped_before);
 }
 
 // Metric samples go straight into the wrapped analyzer's metrics store,

@@ -5,6 +5,7 @@
 //   - every emitted report is journaled before the sink sees it;
 //   - restore() resumes counters, watermark, and report numbering from a
 //     clean shutdown;
+//   - a checkpoint taken between ticks restores the live loss count;
 //   - the journal tail is replayed when the crash landed after the last
 //     checkpoint (including with no checkpoint at all);
 //   - corrupt checkpoints fall back to the next-newest valid one;
@@ -227,6 +228,50 @@ TEST(Recovery, CleanShutdownRestoreResumesExactState) {
   // Ledger reconciles inside the restored snapshot.
   EXPECT_EQ(after.offered, after.ingested + after.shed);
   EXPECT_EQ(restored->queued(), 0u);
+}
+
+// A checkpoint taken between ticks (signal handler, manual snapshot)
+// drains the ring into the analyzer first, so it must save the loss count
+// as it stands then, not as it stood at the last tick.
+TEST(Recovery, ManualCheckpointBetweenTicksRestoresLiveLossCount) {
+  auto& e = env();
+  const auto recs = record_workload(10, 3, 0x5EED41);
+  ASSERT_GT(recs.size(), 200u);
+  TempDir dir;
+  StreamOptions stream = base_stream();
+  stream.source_ring = 64;
+  std::uint64_t saved_losses = 0;
+  std::uint64_t expected_losses = 0;
+  {
+    StreamAnalyzer streamer(&e.training.db, &e.catalog.apis(), &e.deployment,
+                            base_options(), {}, stream);
+    ASSERT_TRUE(streamer.enable_durability(dir.path));
+    // Half the capture on the tick grid, then the rest offered without
+    // advancing the watermark: everything past the ring's 64 is shed.
+    const std::size_t half = recs.size() / 2;
+    for (std::size_t i = 0; i < half; ++i) {
+      streamer.advance_to(recs[i].ts);
+      streamer.offer(recs[i]);
+    }
+    const auto shed_on_grid = streamer.counters().shed;
+    const auto ticks = streamer.counters().ticks;
+    ASSERT_GT(ticks, 0u);
+    for (std::size_t i = half; i < recs.size(); ++i) streamer.offer(recs[i]);
+    ASSERT_GT(streamer.counters().shed, shed_on_grid);
+    ASSERT_TRUE(streamer.checkpoint_now());
+    EXPECT_EQ(streamer.counters().ticks, ticks);
+    saved_losses = streamer.analyzer().detector_stats().losses_recorded;
+    expected_losses = streamer.counters().shed +
+                      streamer.analyzer().tap_stats().decode_failures;
+  }
+  RecoveryInfo ri;
+  auto restored = restore(dir.path, &ri);
+  ASSERT_NE(restored, nullptr);
+  ASSERT_TRUE(ri.recovered);
+  const auto restored_losses =
+      restored->analyzer().detector_stats().losses_recorded;
+  EXPECT_EQ(restored_losses, saved_losses);
+  EXPECT_EQ(restored_losses, expected_losses);
 }
 
 TEST(Recovery, JournalTailReplaysAfterUncleanStop) {

@@ -126,22 +126,23 @@ TEST(StreamSoak, BoundedStateUnderSustainedOverloadAndChaos) {
     ASSERT_EQ(c.offered, c.ingested + c.shed + streamer.queued())
         << "flow ledger broke in round " << round;
 
-    const auto health = streamer.health();
+    const auto& analyzer = streamer.analyzer();
+    const auto& det = analyzer.detector_stats();
+    const auto& guards = analyzer.latency().guard_stats();
     // Loss ledger: every admission shed and every quarantined frame is in
     // the detector's loss count — nothing else is.
-    EXPECT_EQ(health.losses_recorded, c.shed + health.frames_quarantined)
+    EXPECT_EQ(det.losses_recorded,
+              c.shed + analyzer.tap_stats().decode_failures)
         << "round " << round;
     // Degraded accounting only ever grows.
-    EXPECT_GE(health.losses_recorded, prev_losses);
-    EXPECT_GE(health.orphans_reaped, prev_orphans);
-    EXPECT_GE(health.inflight_evicted, prev_evicted);
-    const auto degraded_reports =
-        streamer.analyzer().detector_stats().degraded_reports;
-    EXPECT_GE(degraded_reports, prev_degraded);
-    prev_losses = health.losses_recorded;
-    prev_orphans = health.orphans_reaped;
-    prev_evicted = health.inflight_evicted;
-    prev_degraded = degraded_reports;
+    EXPECT_GE(det.losses_recorded, prev_losses);
+    EXPECT_GE(guards.orphans_reaped, prev_orphans);
+    EXPECT_GE(guards.inflight_evicted, prev_evicted);
+    EXPECT_GE(det.degraded_reports, prev_degraded);
+    prev_losses = det.losses_recorded;
+    prev_orphans = guards.orphans_reaped;
+    prev_evicted = guards.inflight_evicted;
+    prev_degraded = det.degraded_reports;
 
     // Per-component caps hold.
     auto fp = streamer.footprint();

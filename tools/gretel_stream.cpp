@@ -192,11 +192,12 @@ int main(int argc, char** argv) {
       fp.source_ring_records, fp.source_ring_bytes, fp.window_capacity,
       fp.pending_requests, fp.reports_retained,
       fp.approx_bytes(), streamer.peak_state_bytes());
-  const auto health = streamer.health();
+  const auto& guards = streamer.analyzer().latency().guard_stats();
   std::printf(
       "health: losses=%llu orphans=%llu evicted=%llu\n",
-      static_cast<unsigned long long>(health.losses_recorded),
-      static_cast<unsigned long long>(health.orphans_reaped),
-      static_cast<unsigned long long>(health.inflight_evicted));
+      static_cast<unsigned long long>(
+          streamer.analyzer().detector_stats().losses_recorded),
+      static_cast<unsigned long long>(guards.orphans_reaped),
+      static_cast<unsigned long long>(guards.inflight_evicted));
   return 0;
 }
