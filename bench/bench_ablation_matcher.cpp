@@ -1,7 +1,8 @@
-// Ablation: symbol-subsequence matching vs the std::regex backend (the
-// paper offloads regex matching to a Perl process, §6 — this bench shows
-// why matching directly on symbols wins), and the cost of keeping RPC
-// literals.  google-benchmark microbenchmarks.
+// Ablation: the cost of symbol-subsequence matching (the paper offloads
+// regex matching to a Perl process, §6; matching directly on symbols
+// replaces it — docs/PERFORMANCE.md records the retired std::regex
+// comparison), truncation, and required-literal extraction.
+// google-benchmark microbenchmarks.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -40,38 +41,8 @@ struct Workload {
 void BM_SubsequenceMatch(benchmark::State& state) {
   const Workload w(static_cast<std::size_t>(state.range(0)),
                    static_cast<std::size_t>(state.range(1)));
-  const core::Matcher matcher(&w.catalog,
-                              {true, core::MatchBackend::SymbolSubsequence});
+  const core::Matcher matcher(&w.catalog, true);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(matcher.matches(w.literals, w.snapshot));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(w.snapshot.size()));
-}
-
-// Steady state: the compiled pattern comes from the matcher's cache after
-// the first iteration (the production shape — candidate literal lists are
-// fixed at load time, so repeats dominate).
-void BM_RegexMatch(benchmark::State& state) {
-  const Workload w(static_cast<std::size_t>(state.range(0)),
-                   static_cast<std::size_t>(state.range(1)));
-  const core::Matcher matcher(&w.catalog,
-                              {true, core::MatchBackend::StdRegex});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matcher.matches(w.literals, w.snapshot));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(w.snapshot.size()));
-}
-
-// Cold: a fresh matcher per call, so every match recompiles its pattern —
-// the pre-cache behaviour this backend used to pay on every call.
-void BM_RegexMatchCold(benchmark::State& state) {
-  const Workload w(static_cast<std::size_t>(state.range(0)),
-                   static_cast<std::size_t>(state.range(1)));
-  for (auto _ : state) {
-    const core::Matcher matcher(&w.catalog,
-                                {true, core::MatchBackend::StdRegex});
     benchmark::DoNotOptimize(matcher.matches(w.literals, w.snapshot));
   }
   state.SetItemsProcessed(state.iterations() *
@@ -89,8 +60,7 @@ void BM_TruncateAtFirst(benchmark::State& state) {
 
 void BM_RequiredLiterals(benchmark::State& state) {
   const Workload w(8, static_cast<std::size_t>(state.range(0)));
-  const core::Matcher matcher(&w.catalog,
-                              {false, core::MatchBackend::SymbolSubsequence});
+  const core::Matcher matcher(&w.catalog, false);
   for (auto _ : state) {
     benchmark::DoNotOptimize(matcher.required_literals(w.snapshot));
   }
@@ -106,13 +76,6 @@ BENCHMARK(BM_SubsequenceMatch)
     ->Args({4, 768})
     ->Args({16, 768})
     ->Args({64, 768});
-BENCHMARK(BM_RegexMatch)
-    ->Args({4, 80})
-    ->Args({16, 80})
-    ->Args({4, 768})
-    ->Args({16, 768})
-    ->Args({64, 768});
-BENCHMARK(BM_RegexMatchCold)->Args({4, 80})->Args({16, 768});
 BENCHMARK(BM_TruncateAtFirst)->Arg(100)->Arg(384);
 BENCHMARK(BM_RequiredLiterals)->Arg(100)->Arg(384);
 

@@ -1,6 +1,6 @@
 // Ablation: sensitivity of operation detection to the context-buffer
-// parameters (c1, c2) and to the detection backend — the design choices
-// §5.3.1 and §6 fix empirically (c1 = 0.1, c2 = 0.04, symbol matching).
+// parameters (c1, c2) — the design choices §5.3.1 fixes empirically
+// (c1 = 0.1, c2 = 0.04).
 //
 // One fixed workload (200 tests, 8 faults) is analyzed under each variant;
 // we report precision, identification rate, analysis wall time, and the
@@ -17,13 +17,12 @@ struct Variant {
   const char* name;
   double c1;
   double c2;
-  core::MatchBackend backend;
 };
 
 }  // namespace
 
 int main() {
-  bench::print_header("Ablation: context buffer parameters and backend");
+  bench::print_header("Ablation: context buffer parameters");
   auto env = bench::BenchEnv::make();
 
   tempest::WorkloadSpec spec;
@@ -34,17 +33,11 @@ int main() {
   const auto workload = make_parallel_workload(env.catalog, spec);
 
   const Variant variants[] = {
-      {"paper (c1=0.1, c2=0.04)", 0.1, 0.04,
-       core::MatchBackend::SymbolSubsequence},
-      {"small start (c1=0.01)", 0.01, 0.04,
-       core::MatchBackend::SymbolSubsequence},
-      {"large start (c1=0.5)", 0.5, 0.04,
-       core::MatchBackend::SymbolSubsequence},
-      {"fine growth (c2=0.01)", 0.1, 0.01,
-       core::MatchBackend::SymbolSubsequence},
-      {"coarse growth (c2=0.2)", 0.1, 0.2,
-       core::MatchBackend::SymbolSubsequence},
-      {"std::regex backend", 0.1, 0.04, core::MatchBackend::StdRegex},
+      {"paper (c1=0.1, c2=0.04)", 0.1, 0.04},
+      {"small start (c1=0.01)", 0.01, 0.04},
+      {"large start (c1=0.5)", 0.5, 0.04},
+      {"fine growth (c2=0.01)", 0.1, 0.01},
+      {"coarse growth (c2=0.2)", 0.1, 0.2},
   };
 
   std::printf("%-26s %-10s %-12s %-10s %-12s %-12s\n", "variant", "theta",
@@ -62,7 +55,6 @@ int main() {
         static_cast<double>(records.size()) / span);
     options.config.c1 = v.c1;
     options.config.c2 = v.c2;
-    options.config.backend = v.backend;
     core::Analyzer analyzer(&env.training.db, &env.catalog.apis(),
                             &env.deployment, options);
     const auto t0 = std::chrono::steady_clock::now();
@@ -105,8 +97,6 @@ int main() {
                 theta, identified, matched, beta, secs);
   }
   std::printf("\nthe paper's (c1, c2) balance precision against analysis "
-              "cost; the regex backend (forward-only matching, as offloaded "
-              "to Perl in §6) pays a large overhead and loses the "
-              "window-tolerant relaxation\n");
+              "cost\n");
   return 0;
 }

@@ -9,9 +9,7 @@
 //  2. error-scan — collecting error positions from a 2α window's flag
 //     column via find_first_set_u8 vs the per-element scalar walk.
 //  3. find-last / truncation — one truncate_at_last over an α snapshot.
-//  4. regex backend compile cache — cached (steady-state) vs cold
-//     (compile-per-call) pattern matching.
-//  5. level-shift refresh — nth_element in-place median/MAD vs the
+//  4. level-shift refresh — nth_element in-place median/MAD vs the
 //     sort-based copies, on a baseline window of 64 samples.
 // Each section also cross-checks that the two kernel families return
 // identical results on the bench inputs (a cheap determinism anchor; the
@@ -128,8 +126,7 @@ int main(int argc, char** argv) {
 
   // --- 1. subsequence match (Alg. 2 inner loop), α = 768, 16 literals ---
   const MatchWorkload w(16, 768, 0x5EED);
-  const core::Matcher matcher(&w.catalog,
-                              {true, core::MatchBackend::SymbolSubsequence});
+  const core::Matcher matcher(&w.catalog, true);
   {
     simd::set_force_scalar(false);
     const bool a = matcher.matches(w.literals, w.snapshot);
@@ -184,25 +181,7 @@ int main(int argc, char** argv) {
     g_sink = g_sink + (core::Matcher::truncate_at_last(w.snapshot, needle).size());
   });
 
-  // --- 4. regex backend: compile cache (cached vs compile-per-call) ---
-  const MatchWorkload wre(8, 256, 0x4E6E);
-  const core::Matcher re_cached(&wre.catalog,
-                                {true, core::MatchBackend::StdRegex});
-  const std::size_t re_iters = std::max<std::size_t>(1, iters / 50);
-  const double regex_cached_ns = measure_ns(re_iters, [&] {
-    g_sink = g_sink + (re_cached.matches(wre.literals, wre.snapshot) ? 1 : 0);
-  });
-  const double regex_cold_ns = measure_ns(re_iters, [&] {
-    // A fresh Matcher per call: empty cache, so the pattern recompiles —
-    // the pre-cache behaviour.
-    const core::Matcher cold(&wre.catalog,
-                             {true, core::MatchBackend::StdRegex});
-    g_sink = g_sink + (cold.matches(wre.literals, wre.snapshot) ? 1 : 0);
-  });
-  const double regex_speedup =
-      regex_cached_ns > 0.0 ? regex_cold_ns / regex_cached_ns : 0.0;
-
-  // --- 5. level-shift refresh: in-place vs sort-based estimators ---
+  // --- 4. level-shift refresh: in-place vs sort-based estimators ---
   std::vector<double> baseline(64);
   {
     util::Rng rng(0x1EE7);
@@ -245,9 +224,6 @@ int main(int argc, char** argv) {
               error_scan.simd_ns, error_scan.scalar_ns, error_scan.speedup());
   std::printf("%-28s %12.1f %12.1f %8.2fx\n", "truncate_at_last(768)",
               truncate.simd_ns, truncate.scalar_ns, truncate.speedup());
-  std::printf("%-28s %12.1f %12.1f %8.2fx  (cached vs cold)\n",
-              "regex_compile_cache(8,256)", regex_cached_ns, regex_cold_ns,
-              regex_speedup);
   std::printf("%-28s %12.1f %12.1f %8.2fx  (inplace vs sorted)\n",
               "levelshift_refresh(64)", refresh_inplace_ns, refresh_sorted_ns,
               refresh_speedup);
@@ -285,8 +261,6 @@ int main(int argc, char** argv) {
        error_scan.speedup(), "scalar"},
       {"truncate_at_last", truncate.simd_ns, truncate.scalar_ns,
        truncate.speedup(), "scalar"},
-      {"regex_compile_cache", regex_cached_ns, regex_cold_ns, regex_speedup,
-       "cold_compile"},
       {"levelshift_refresh", refresh_inplace_ns, refresh_sorted_ns,
        refresh_speedup, "sort_copy"},
   };

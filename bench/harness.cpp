@@ -95,7 +95,6 @@ PrecisionRun run_precision(BenchEnv& env,
 
   auto options = env.analyzer_options(std::max(result.p_rate, 150.0));
   options.config.match_rpc = config.match_rpc;
-  options.config.backend = config.backend;
   core::Analyzer analyzer(&env.training.db, &env.catalog.apis(),
                           &env.deployment, options);
 
@@ -195,14 +194,13 @@ void write_bench_meta(std::FILE* f, const BenchRunMeta& meta) {
                "    \"schema_version\": %d,\n"
                "    \"events_measured\": %zu,\n"
                "    \"pool_records\": %zu,\n"
-               "    \"ingest_batch\": %zu,\n"
                "    \"host_cpus\": %u,\n"
                "    \"compiler\": \"%s\",\n"
                "    \"optimized\": %s,\n"
                "    \"ndebug\": %s\n"
                "  }",
                meta.benchmark.c_str(), meta.schema_version,
-               meta.events_measured, meta.pool_records, meta.ingest_batch,
+               meta.events_measured, meta.pool_records,
                host_cpus(), compiler_string(),
                build_optimized() ? "true" : "false",
                build_ndebug() ? "true" : "false");

@@ -54,11 +54,10 @@ struct PrecisionRun {
 };
 
 // Executes the workload against a fresh analyzer (root cause off) and
-// evaluates every injected fault.  `match_rpc`/`backend` override the
-// analyzer configuration for the Fig. 7c and ablation variants.
+// evaluates every injected fault.  `match_rpc` overrides the analyzer
+// configuration for the Fig. 7c variant.
 struct RunConfig {
   bool match_rpc = false;
-  core::MatchBackend backend = core::MatchBackend::SymbolSubsequence;
   std::uint64_t executor_seed = 0xE1ull;
   // Deployment emits OpenStack correlation ids (the §5.3.1 enhancement).
   bool correlation_ids = false;
@@ -84,7 +83,6 @@ struct BenchRunMeta {
   int schema_version = 1;
   std::size_t events_measured = 0;  // events per timed measurement
   std::size_t pool_records = 0;     // synthetic record pool size
-  std::size_t ingest_batch = 0;     // events per on_events batch (0 = n/a)
 };
 
 // Writes `  "meta": { ... }` (two-space indent, no trailing comma) with the

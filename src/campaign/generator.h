@@ -10,9 +10,11 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "campaign/scenario.h"
+#include "stream/stream_analyzer.h"
 #include "tempest/catalog.h"
 
 namespace gretel::campaign {
@@ -28,15 +30,13 @@ struct CampaignPlan {
   int concurrent_tests = 12;
   double window_s = 45.0;
 
-  // Streaming execution: feed each scenario through the StreamAnalyzer
-  // front end (bounded source ring, periodic detection ticks) instead of
-  // the batch on_wire/finish path, and record the fault-injection-to-
-  // first-report latency per scenario.  Scoring is unchanged; reports are
-  // tick-quantized, so fingerprints may differ from batch mode.
-  bool streaming = false;
-  // Tick cadence for streaming execution (<= 0 keeps the
-  // stream::StreamOptions default).
-  double stream_tick_ms = 0.0;
+  // Streaming execution when set: feed each scenario through a
+  // StreamAnalyzer with these options (source ring, tick cadence, shed
+  // policy) instead of the batch on_wire/finish path, and record the
+  // fault-injection-to-first-report latency per scenario.  Scoring is
+  // unchanged; reports are tick-quantized, so fingerprints may differ from
+  // batch mode.
+  std::optional<stream::StreamOptions> stream;
 };
 
 class ScenarioGenerator {

@@ -217,9 +217,7 @@ ScenarioResult CampaignOrchestrator::run_guarded(
   std::vector<core::Diagnosis> streamed;
   util::SimTime first_report_at;
   bool saw_report = false;
-  if (plan_.streaming) {
-    stream::StreamOptions stream_opts;
-    if (plan_.stream_tick_ms > 0.0) stream_opts.tick_ms = plan_.stream_tick_ms;
+  if (plan_.stream) {
     streamer.emplace(&training_->db, &catalog.apis(), &deployment, opt,
                      [&](const stream::StreamReport& r) {
                        if (!saw_report) {
@@ -228,11 +226,11 @@ ScenarioResult CampaignOrchestrator::run_guarded(
                        }
                        streamed.push_back(r.diagnosis);
                      },
-                     stream_opts);
+                     *plan_.stream);
   } else {
     batch.emplace(&training_->db, &catalog.apis(), &deployment, opt);
   }
-  core::Analyzer& analyzer = plan_.streaming ? streamer->analyzer() : *batch;
+  core::Analyzer& analyzer = plan_.stream ? streamer->analyzer() : *batch;
 
   monitor::ResourceMonitor mon(&deployment, SimDuration::seconds(1),
                                derive_seed(spec.seed, SeedStream::Metrics));
@@ -240,7 +238,7 @@ ScenarioResult CampaignOrchestrator::run_guarded(
                    records.back().ts + SimDuration::seconds(3),
                    analyzer.metrics());
 
-  if (plan_.streaming) {
+  if (plan_.stream) {
     for (const auto& r : degraded) {
       streamer->advance_to(r.ts);
       streamer->offer(r);
@@ -313,7 +311,7 @@ ScenarioResult CampaignOrchestrator::run_guarded(
     result.audit_shed += w.chaos_audit_dropped();
   }
 
-  const auto& diagnoses = plan_.streaming ? streamed : analyzer.diagnoses();
+  const auto& diagnoses = plan_.stream ? streamed : analyzer.diagnoses();
   result.diagnoses = diagnoses.size();
   result.fingerprint =
       report_fingerprint(diagnoses, catalog.apis(), training_->db);

@@ -54,7 +54,7 @@ struct ScenarioResult {
   // Audit entries shed past the retention caps (0 unless a scenario's
   // injection volume exceeded them; aggregate stats stay exact regardless).
   std::uint64_t audit_shed = 0;
-  // Streaming execution only (CampaignPlan::streaming): detection ticks
+  // Streaming execution only (CampaignPlan::stream): detection ticks
   // run, records shed at admission, and the latency from the earliest
   // fault injection to the first emitted report (-1 when the scenario has
   // no faults or nothing was reported).

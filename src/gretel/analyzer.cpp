@@ -1,6 +1,5 @@
 #include "gretel/analyzer.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/binio.h"
@@ -83,38 +82,6 @@ void Analyzer::on_wire(const net::WireRecord& record) {
 
 void Analyzer::on_event(const wire::Event& event) {
   detector_.on_event(event);
-}
-
-void Analyzer::on_wire_batch(std::span<const net::WireRecord> records) {
-  const std::size_t chunk =
-      std::max<std::size_t>(1, detector_.config().ingest_batch);
-  std::size_t i = 0;
-  while (i < records.size()) {
-    const auto take = std::min(chunk, records.size() - i);
-    event_scratch_.clear();
-    for (std::size_t k = 0; k < take; ++k) {
-      // decode() resets the tap arena per record, but the Event copies out
-      // everything it keeps, so accumulating across resets is safe.
-      const auto failures_before = tap_.stats().decode_failures;
-      auto event = tap_.decode(records[i + k]);
-      if (const auto delta =
-              tap_.stats().decode_failures - failures_before) {
-        // Keep loss attribution at the exact stream position: hand the
-        // events decoded so far to the detector before recording the loss,
-        // so the per-record and batched paths annotate windows identically.
-        detector_.on_events(event_scratch_);
-        event_scratch_.clear();
-        detector_.record_loss(delta);
-      }
-      if (event) event_scratch_.push_back(std::move(*event));
-    }
-    detector_.on_events(event_scratch_);
-    i += take;
-  }
-}
-
-void Analyzer::on_events(std::span<const wire::Event> events) {
-  detector_.on_events(events);
 }
 
 void Analyzer::finish() { detector_.flush(); }

@@ -57,13 +57,11 @@ class Analyzer {
   // Pre-decoded entry point (replay of event captures).
   void on_event(const wire::Event& event);
 
-  // Batched wire-level entry point: decodes config.ingest_batch records at
-  // a time into a reusable event buffer and feeds the detector's batched
-  // path.  Byte-identical reports to calling on_wire() per record.
-  void on_wire_batch(std::span<const net::WireRecord> records);
-
-  // Pre-decoded batched entry point.
-  void on_events(std::span<const wire::Event> events);
+  // on_wire() over a span of records, in order.  Kept for callers that
+  // hold captures in chunks (perfbench's batch driver).
+  void on_wire_batch(std::span<const net::WireRecord> records) {
+    for (const auto& record : records) on_wire(record);
+  }
 
   // Flushes pending snapshots at end of stream.
   void finish();
@@ -136,9 +134,6 @@ class Analyzer {
   std::function<void(const Diagnosis&)> diagnosis_sink_;
   std::vector<Diagnosis> diagnoses_;
   std::uint64_t stale_series_ = 0;
-  // Decoded-event buffer for on_wire_batch (capacity retained across
-  // batches; bounded by config.ingest_batch).
-  std::vector<wire::Event> event_scratch_;
 };
 
 }  // namespace gretel::core

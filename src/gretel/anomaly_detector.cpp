@@ -28,10 +28,6 @@ AnomalyDetector::AnomalyDetector(const FingerprintDb* db,
   latency_.set_orphan_timeout_seconds(config_.orphan_timeout_seconds);
 }
 
-void AnomalyDetector::on_events(std::span<const wire::Event> events) {
-  for (const auto& event : events) on_event(event);
-}
-
 void AnomalyDetector::on_event(const wire::Event& source) {
   // Push first, stamping the assigned seq in-ring — the detection scan only
   // reads header fields, so the hot path never copies the full event.

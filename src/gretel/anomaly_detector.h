@@ -17,7 +17,6 @@
 
 #include <functional>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -43,10 +42,6 @@ class AnomalyDetector {
   // Feeds one decoded event; may synchronously emit fault reports for
   // earlier triggers whose future context just completed.
   void on_event(const wire::Event& event);
-
-  // Feeds a batch of decoded events; byte-identical reports to calling
-  // on_event() per element.
-  void on_events(std::span<const wire::Event> events);
 
   // Runs any triggers still waiting for future context (end of stream).
   void flush();

@@ -23,8 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "gretel/matcher.h"
-
 namespace gretel::core {
 
 // t · 1.0 s · the paper's window time horizon: α must cover at least t
@@ -64,10 +62,6 @@ struct GretelConfig {
   // matched.  No effect on captures without correlation ids.
   bool use_correlation_ids = true;
 
-  // (implementation) · SymbolSubsequence · fingerprint matching backend;
-  // StdRegex is the ablation analog of the paper's Perl offload.
-  MatchBackend backend = MatchBackend::SymbolSubsequence;
-
   // (threading) · fixed · the analyzer is serial: one thread runs detection,
   // Algorithm 2 and RCA.  Not knobs; kept only because perfbench's
   // serial-config guard (perfbench/src/e2e_main.cpp) still reads them.
@@ -82,10 +76,10 @@ struct GretelConfig {
   // record.  A constant, not a knob; perfbench sizes its own tap from it.
   static constexpr std::size_t decode_arena_kb = 64;
 
-  // (hot path) · 128 · records decoded per chunk by the batched wire
-  // entry point (Analyzer::on_wire_batch) into a reusable event buffer.
-  // Reports are byte-identical for any value.  Purely a throughput knob.
-  std::size_t ingest_batch = 128;
+  // (hot path) · fixed 128 · records per Analyzer::on_wire_batch call in
+  // perfbench's batch driver (perfbench/src/e2e_main.cpp).  The analyzer
+  // never reads it; a constant kept only because perfbench does.
+  static constexpr std::size_t ingest_batch = 128;
 
   // (resilience) · 0.0 = off · seconds after which a request whose response
   // was never captured is reaped from the latency tracker.  Lossy taps
@@ -139,7 +133,6 @@ struct GretelConfig {
       bad("c1 (initial context fraction) must be > 0");
     if (!std::isfinite(c2) || c2 <= 0.0)
       bad("c2 (context growth fraction) must be > 0");
-    if (ingest_batch == 0) bad("ingest_batch must be > 0");
     if (!std::isfinite(orphan_timeout_seconds) ||
         orphan_timeout_seconds < 0.0)
       bad("orphan_timeout_seconds must be >= 0 (0 = off)");

@@ -28,8 +28,7 @@ const std::vector<FingerprintDb::Index>& FingerprintDb::containing(
   return it == by_api_.end() ? empty_ : it->second;
 }
 
-VariantCache::VariantCache(const FingerprintDb& db, const Matcher& matcher)
-    : options_(matcher.options()) {
+VariantCache::VariantCache(const FingerprintDb& db, const Matcher& matcher) {
   const auto add = [](VariantSet& set, std::vector<wire::ApiId> literals) {
     set.masks.push_back(symbol_fingerprint(literals));
     set.any_mask |= set.masks.back();

@@ -62,8 +62,7 @@ class FingerprintDb {
 class VariantCache {
  public:
   // Builds the full cache: one entry per (fingerprint, distinct api in its
-  // sequence).  `matcher` supplies required_literals and pins the options
-  // the cache is valid for.
+  // sequence).  `matcher` supplies required_literals.
   VariantCache(const FingerprintDb& db, const Matcher& matcher);
 
   // Literal variants with their 64-bit symbol-presence masks: masks[vi]
@@ -91,11 +90,8 @@ class VariantCache {
   // order: one lookup, then a contiguous scan.
   std::span<const Candidate> candidates(wire::ApiId api) const;
 
-  const Matcher::Options& options() const { return options_; }
-
  private:
   std::unordered_map<wire::ApiId, std::vector<Candidate>> by_api_;
-  Matcher::Options options_;
 };
 
 }  // namespace gretel::core

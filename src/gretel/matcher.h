@@ -4,9 +4,10 @@
 // offending API, and a truncated fingerprint matches a snapshot when its
 // *state-change* literals appear in order inside the snapshot (read-only
 // APIs are optional, interleaved foreign symbols are skipped) — a
-// subsequence check over symbols.  An equivalent std::regex backend (each
-// literal joined by ".*", the paper offloaded this to Perl) is kept behind
-// the same interface for the matcher ablation bench.
+// subsequence check over symbols.  It is the paper's regex (each literal
+// joined by ".*", which the paper offloaded to Perl) evaluated over ApiIds
+// instead of text; tests pin the equivalence against a std::regex
+// reference.
 //
 // The symbol loops dispatch to the util/simd.h kernels: truncation is one
 // find_last_eq/find_first_eq, and the subsequence scan skips ahead to each
@@ -14,23 +15,14 @@
 // symbol per iteration.  SIMD and scalar builds produce bit-identical
 // results (the kernels are property-tested against their scalar twins).
 //
-// Thread safety: a constructed Matcher is immutable on the production
-// symbol-subsequence path — every query method is const and keeps its
-// scratch state on the stack — so one instance may serve concurrent match
-// calls without locking.  The std::regex ablation backend memoizes
-// compiled patterns behind a mutex (compiling dominated every call before;
-// see regex_cache_), which keeps its const query methods safe to share
-// too; lookups take the lock briefly, the regex search itself runs outside
-// it.
+// Thread safety: a constructed Matcher is immutable — every query method
+// is const and keeps its scratch state on the stack — so one instance may
+// serve concurrent match calls without locking.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
-#include <regex>
 #include <span>
-#include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "util/simd.h"
@@ -55,21 +47,12 @@ inline std::uint64_t symbol_fingerprint(std::span<const wire::ApiId> seq) {
   return simd::presence_mask_u16(symbol_data(seq), seq.size());
 }
 
-enum class MatchBackend {
-  SymbolSubsequence,  // production: SIMD skip-ahead subsequence over ApiIds
-  StdRegex,           // ablation: textual regex over an encoded alphabet
-};
-
 class Matcher {
  public:
-  struct Options {
-    // When false (the paper's §6 optimization), RPC symbols are pruned from
-    // the required literals, leaving REST state changes as anchors.
-    bool include_rpc = false;
-    MatchBackend backend = MatchBackend::SymbolSubsequence;
-  };
-
-  Matcher(const wire::ApiCatalog* catalog, Options options);
+  // When `include_rpc` is false (the paper's §6 optimization), RPC symbols
+  // are pruned from the required literals, leaving REST state changes as
+  // anchors.
+  Matcher(const wire::ApiCatalog* catalog, bool include_rpc);
 
   // TRUNCATE_OPERATION_FINGERPRINTS: prefix of `seq` through the last
   // occurrence of `api` (the whole sequence if absent — performance faults
@@ -92,36 +75,14 @@ class Matcher {
   std::vector<wire::ApiId> required_literals(
       std::span<const wire::ApiId> seq) const;
 
-  // True when `literals` appear in order within `snapshot`.
-  bool matches(std::span<const wire::ApiId> literals,
-               std::span<const wire::ApiId> snapshot) const;
-
-  const Options& options() const { return options_; }
-
-  // Compiled-pattern cache hits/misses of the regex backend (ablation
-  // telemetry; always 0 on the production backend).
-  std::uint64_t regex_cache_hits() const { return regex_cache_hits_; }
-  std::uint64_t regex_cache_misses() const { return regex_cache_misses_; }
+  // True when `literals` appear in order within `snapshot`; an empty
+  // literal list anchors nothing and never matches.
+  static bool matches(std::span<const wire::ApiId> literals,
+                      std::span<const wire::ApiId> snapshot);
 
  private:
-  static bool subsequence_match(std::span<const wire::ApiId> literals,
-                                std::span<const wire::ApiId> snapshot);
-  bool regex_match(std::span<const wire::ApiId> literals,
-                   std::span<const wire::ApiId> snapshot) const;
-  // Two-character encoding of an ApiId over a regex-safe alphabet.
-  static void encode_api(wire::ApiId api, std::string& out);
-
   const wire::ApiCatalog* catalog_;
-  Options options_;
-  // Compiled std::regex patterns, keyed by the encoded literal sequence
-  // (the pattern string is a bijection of it).  Compilation used to happen
-  // on every regex_match call and dominated the backend's cost.  unordered_
-  // map references are stable across rehash, so a cached entry can be
-  // searched after the lock is released.
-  mutable std::mutex regex_mutex_;
-  mutable std::unordered_map<std::string, std::regex> regex_cache_;
-  mutable std::uint64_t regex_cache_hits_ = 0;
-  mutable std::uint64_t regex_cache_misses_ = 0;
+  bool include_rpc_;
 };
 
 }  // namespace gretel::core

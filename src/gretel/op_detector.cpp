@@ -15,7 +15,7 @@ OperationDetector::OperationDetector(const FingerprintDb* db,
     : db_(db),
       catalog_(catalog),
       config_(config),
-      matcher_(catalog, {config.match_rpc, config.backend}),
+      matcher_(catalog, config.match_rpc),
       variants_(*db, matcher_) {
   assert(db_ && catalog_);
 }
@@ -152,9 +152,7 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
   // Operational faults look backward only — the aborted operation produced
   // nothing after the error — so their slices end at the fault's request
   // (the last request at or before the faulty message); performance faults
-  // use both sides of the buffer.  The regex ablation backend matches
-  // forward in either case.
-  const bool backward = truncate && config_.backend != MatchBackend::StdRegex;
+  // use both sides of the buffer.
   const std::size_t fault_hi = request_row(fault_row + 1);
 
   // The offending API may occur several times inside a fingerprint and the
@@ -170,21 +168,18 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
   // symbol with the window's request-side symbols can never produce
   // evidence in any β slice — one AND of 64-bit masks discards it before
   // any scan.  The filter is conservative (collisions only admit extras),
-  // so the matched set is unchanged.  The regex ablation backend skips the
-  // mask gates entirely so its measured cost stays the backend's own.
-  const bool mask_gate = config_.backend != MatchBackend::StdRegex;
+  // so the matched set is unchanged.
   const std::uint64_t window_mask =
       simd::presence_mask_u16(symbols, apis_.size());
   candidates_.clear();
   cursors_.clear();
   for (const auto& cv : candidate_variants) {
-    if (mask_gate && (db_->sequence_mask(cv.index) & window_mask) == 0)
-      continue;
+    if ((db_->sequence_mask(cv.index) & window_mask) == 0) continue;
     Candidate c;
     c.index = cv.index;
     c.variants = truncate ? &cv.truncated : &cv.full;
     c.first_cursor = cursors_.size();
-    if (backward) {
+    if (truncate) {
       for (const auto& literals : c.variants->literals)
         cursors_.push_back({literals.size(), false});
     }
@@ -202,8 +197,8 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
   // and, matching forward, [hi, new_hi) on the right.
   std::size_t lo = fault_hi;
   std::size_t hi = fault_hi;
-  // Presence mask of [lo, hi); all ones leaves every variant to the regex.
-  std::uint64_t snap_mask = mask_gate ? 0 : ~0ull;
+  // Presence mask of [lo, hi).
+  std::uint64_t snap_mask = 0;
   const double fault_ts = cols.ts_s[fault_row];
 
   prev_matched_.clear();
@@ -219,8 +214,7 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
     const std::size_t new_lo = request_row(lo_ev);
     const std::size_t new_hi = request_row(hi_ev);
     const std::uint64_t left_mask =
-        mask_gate ? simd::presence_mask_u16(symbols + new_lo, lo - new_lo)
-                  : 0;
+        simd::presence_mask_u16(symbols + new_lo, lo - new_lo);
 
     // Evidence per candidate; the matched set keeps those whose evidence is
     // within kEvidenceRatio of the deepest candidate's, plus every
@@ -228,7 +222,7 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
     // the window is conclusive no matter how short it is (an early-step
     // fault has little history by definition).  Evidence only grows with
     // the slice, so `best` is a running maximum.
-    if (backward) {
+    if (truncate) {
       for (auto& c : candidates_) {
         // No symbol of any variant among the new rows ⟹ no walk advances;
         // skip the candidate with one AND.
@@ -249,12 +243,9 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
         }
       }
     } else {
-      // Performance faults and the regex ablation backend: forward match
-      // over the slice.
-      if (mask_gate) {
-        snap_mask |=
-            left_mask | simd::presence_mask_u16(symbols + hi, new_hi - hi);
-      }
+      // Performance faults: forward match over the slice.
+      snap_mask |=
+          left_mask | simd::presence_mask_u16(symbols + hi, new_hi - hi);
       const std::span<const wire::ApiId> snapshot(apis_.data() + new_lo,
                                                   new_hi - new_lo);
       for (auto& c : candidates_) {
@@ -279,7 +270,7 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
       if (c.complete || (c.evidence > 0 && c.evidence >= cutoff))
         matched_.push_back(c.index);
     }
-    if (!backward) best = matched_.size();
+    if (!truncate) best = matched_.size();
 
     // Stop growing once the context stops adding information: the matched
     // set and the deepest evidence unchanged across kStableGrowthsStop

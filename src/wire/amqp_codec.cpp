@@ -123,20 +123,6 @@ std::optional<AmqpFrameView> parse_amqp_frame_view(std::string_view bytes) {
   return frame;
 }
 
-std::optional<AmqpFrame> parse_amqp_frame(std::string_view bytes) {
-  const auto view = parse_amqp_frame_view(bytes);
-  if (!view) return std::nullopt;
-  AmqpFrame frame;
-  frame.type = view->type;
-  frame.channel = view->channel;
-  frame.routing_key = std::string(view->routing_key);
-  frame.method_name = std::string(view->method_name);
-  frame.msg_id = view->msg_id;
-  frame.correlation_id = view->correlation_id;
-  frame.payload = std::string(view->payload);
-  return frame;
-}
-
 std::string make_rpc_error_payload(std::string_view exception_class,
                                    std::string_view message) {
   std::string out;

@@ -48,13 +48,9 @@ struct AmqpFrame {
 //   end     u8      0xCE (AMQP frame-end octet)
 std::string serialize(const AmqpFrame& frame);
 
-// Strict parser: nullopt on bad magic, truncated fields, missing frame-end
-// or trailing garbage.
-std::optional<AmqpFrame> parse_amqp_frame(std::string_view bytes);
-
-// Zero-copy variant for the capture hot path: the string fields are views
-// into `bytes`, valid only while the input buffer lives.  Accepts and
-// rejects exactly the same inputs as parse_amqp_frame (which wraps it).
+// Zero-copy parse for the capture hot path: the string fields are views
+// into `bytes`, valid only while the input buffer lives.  Strict: nullopt
+// on bad magic, truncated fields, missing frame-end or trailing garbage.
 struct AmqpFrameView {
   AmqpFrameType type = AmqpFrameType::Publish;
   std::uint16_t channel = 1;

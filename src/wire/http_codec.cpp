@@ -1,7 +1,5 @@
 #include "wire/http_codec.h"
 
-#include <algorithm>
-#include <cctype>
 #include <charconv>
 
 namespace gretel::wire {
@@ -127,13 +125,6 @@ void append_headers(std::string& out, const HttpHeaders& headers,
 }
 
 }  // namespace
-
-std::optional<std::string_view> HttpHeaders::get(std::string_view name) const {
-  for (const auto& [n, v] : fields) {
-    if (iequals(n, name)) return std::string_view(v);
-  }
-  return std::nullopt;
-}
 
 std::optional<std::string_view> HttpHeadersView::get(
     std::string_view name) const {
@@ -261,34 +252,6 @@ std::optional<HttpResponseView> parse_http_response(std::string_view bytes,
   auto body = read_body(rest, resp.headers);
   if (!body) return std::nullopt;
   resp.body = *body;
-  return resp;
-}
-
-std::optional<HttpRequest> parse_http_request(std::string_view bytes) {
-  thread_local util::Arena arena(4096);
-  arena.reset();
-  const auto view = parse_http_request(bytes, arena);
-  if (!view) return std::nullopt;
-  HttpRequest req;
-  req.method = view->method;
-  req.target = std::string(view->target);
-  for (const auto& [name, value] : view->headers.fields)
-    req.headers.set(std::string(name), std::string(value));
-  req.body = std::string(view->body);
-  return req;
-}
-
-std::optional<HttpResponse> parse_http_response(std::string_view bytes) {
-  thread_local util::Arena arena(4096);
-  arena.reset();
-  const auto view = parse_http_response(bytes, arena);
-  if (!view) return std::nullopt;
-  HttpResponse resp;
-  resp.status = view->status;
-  resp.reason = std::string(view->reason);
-  for (const auto& [name, value] : view->headers.fields)
-    resp.headers.set(std::string(name), std::string(value));
-  resp.body = std::string(view->body);
   return resp;
 }
 

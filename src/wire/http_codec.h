@@ -26,8 +26,6 @@ struct HttpHeaders {
   void set(std::string name, std::string value) {
     fields.emplace_back(std::move(name), std::move(value));
   }
-  // Case-insensitive lookup of the first matching header.
-  std::optional<std::string_view> get(std::string_view name) const;
 };
 
 struct HttpRequest {
@@ -50,17 +48,11 @@ std::string_view reason_phrase(std::uint16_t status);
 std::string serialize(const HttpRequest& req);
 std::string serialize(const HttpResponse& resp);
 
-// Both parsers are strict about framing (CRLF line endings, Content-Length
-// consistent with the body) and return nullopt on truncated or malformed
-// input rather than guessing.
-std::optional<HttpRequest> parse_http_request(std::string_view bytes);
-std::optional<HttpResponse> parse_http_response(std::string_view bytes);
-
-// --- Zero-copy view parsers (the capture hot path) ---
+// --- Zero-copy parsers (the capture hot path) ---
 //
-// The view variants parse into string_views over the caller's byte buffer:
-// no header copies, no body copy, no per-field strings.  The only storage
-// they need — the header field array — comes from the caller's arena, so a
+// The parsers decode into string_views over the caller's byte buffer: no
+// header copies, no body copy, no per-field strings.  The only storage they
+// need — the header field array — comes from the caller's arena, so a
 // warmed-up decode loop performs zero heap allocations per message.
 //
 // Lifetime: every view is valid only while BOTH the input buffer and the
@@ -94,8 +86,9 @@ struct HttpResponseView {
   std::string_view body;
 };
 
-// Accept the same inputs (and reject the same malformed ones) as the owning
-// parsers above; the owning parsers are thin copies of these.
+// Both parsers are strict about framing (CRLF line endings, Content-Length
+// consistent with the body) and return nullopt on truncated or malformed
+// input rather than guessing.
 std::optional<HttpRequestView> parse_http_request(std::string_view bytes,
                                                   util::Arena& arena);
 std::optional<HttpResponseView> parse_http_response(std::string_view bytes,

@@ -145,8 +145,7 @@ TEST(CampaignEngine, SweepIsDeterministicAndReconciles) {
 TEST(CampaignEngine, StreamingSweepReconcilesAndStampsReportLatency) {
   auto& e = env();
   auto plan = small_plan(kFaultClasses);
-  plan.streaming = true;
-  plan.stream_tick_ms = 250.0;
+  plan.stream = stream::StreamOptions{.tick_ms = 250.0};
   ScenarioGenerator gen(&e.catalog, plan);
   CampaignOrchestrator orch(&e.catalog, &e.training, plan);
   const auto specs = gen.generate();
@@ -172,7 +171,7 @@ TEST(CampaignEngine, StreamingSweepReconcilesAndStampsReportLatency) {
   // report matches on less future context than batch; that quantization
   // caveat is documented in docs/ARCHITECTURE.md, "Streaming mode".)
   auto batch_plan = plan;
-  batch_plan.streaming = false;
+  batch_plan.stream.reset();
   CampaignOrchestrator batch(&e.catalog, &e.training, batch_plan);
   const auto batch_results = batch.run_all(specs);
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -180,6 +179,33 @@ TEST(CampaignEngine, StreamingSweepReconcilesAndStampsReportLatency) {
     EXPECT_EQ(results[i].stream_ticks > 0, batch_results[i].stream_ticks == 0)
         << i;  // only the streaming run ticks
   }
+}
+
+// A source ring far smaller than one tick's arrivals makes every scenario
+// shed at admission, so the campaign's loss gate (losses_recorded ==
+// decode_failures + stream_shed) and its flow ledger run with both terms
+// non-zero, wire chaos included.
+TEST(CampaignEngine, SqueezedStreamingSweepShedsAndReconciles) {
+  auto& e = env();
+  auto plan = small_plan(kFaultClasses);
+  plan.stream = stream::StreamOptions{.tick_ms = 250.0, .source_ring = 16};
+  ScenarioGenerator gen(&e.catalog, plan);
+  CampaignOrchestrator orch(&e.catalog, &e.training, plan);
+  const auto specs = gen.generate();
+  const auto results = orch.run_all(specs);
+  ASSERT_EQ(results.size(), specs.size());
+  std::size_t shedding = 0;
+  bool wire_chaos_shed = false;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_NE(results[i].outcome, Outcome::Crashed)
+        << "scenario " << i << ": " << results[i].note;
+    EXPECT_GT(results[i].stream_ticks, 0u) << i;
+    if (results[i].stream_shed == 0) continue;
+    ++shedding;
+    if (specs[i].fault_class == FaultClass::WireChaos) wire_chaos_shed = true;
+  }
+  EXPECT_GT(shedding, 0u);
+  EXPECT_TRUE(wire_chaos_shed);
 }
 
 TEST(CampaignEngine, EventBudgetTruncatesDeterministically) {

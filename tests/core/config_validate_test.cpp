@@ -48,11 +48,6 @@ TEST(ConfigValidate, EachBadKnobIsItemized) {
   }
   {
     GretelConfig c;
-    c.ingest_batch = 0;
-    EXPECT_TRUE(has_error(c, "ingest_batch"));
-  }
-  {
-    GretelConfig c;
     c.rca_k_sigma = kNaN;
     EXPECT_TRUE(has_error(c, "rca_k_sigma"));
   }
@@ -67,7 +62,7 @@ TEST(ConfigValidate, ErrorsAccumulateAcrossKnobs) {
   GretelConfig c;
   c.fp_max = 0;
   c.p_rate = -1.0;
-  c.ingest_batch = 0;
+  c.rca_window_pad_seconds = -1.0;
   c.orphan_timeout_seconds = -1.0;
   EXPECT_GE(c.validate().size(), 4u);
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <regex>
+#include <string>
+
 #include "util/rng.h"
 
 namespace gretel::core {
@@ -74,7 +77,7 @@ TEST_F(MatcherTest, TruncateAtFirstOccurrence) {
 TEST_F(MatcherTest, FirstTruncationLiteralsPrefixLastTruncationLiterals) {
   // The property the detector relies on: matching the first-occurrence
   // prefix is implied by matching any later occurrence's prefix.
-  const Matcher m(&catalog_, {true, MatchBackend::SymbolSubsequence});
+  const Matcher m(&catalog_, true);
   const auto seq = ids({4, 8, 5, 8, 6});
   const auto first = m.required_literals(
       Matcher::truncate_at_first(seq, ApiId(8)));
@@ -87,75 +90,73 @@ TEST_F(MatcherTest, FirstTruncationLiteralsPrefixLastTruncationLiterals) {
 }
 
 TEST_F(MatcherTest, RequiredLiteralsStateChangeOnly) {
-  const Matcher m(&catalog_, {/*include_rpc=*/true,
-                              MatchBackend::SymbolSubsequence});
+  const Matcher m(&catalog_, /*include_rpc=*/true);
   // GET(0) POST(4) RPC(8) GET(1) POST(5) -> POST RPC POST.
   EXPECT_EQ(m.required_literals(ids({0, 4, 8, 1, 5})), ids({4, 8, 5}));
 }
 
 TEST_F(MatcherTest, RequiredLiteralsRpcPruned) {
-  const Matcher m(&catalog_, {/*include_rpc=*/false,
-                              MatchBackend::SymbolSubsequence});
+  const Matcher m(&catalog_, /*include_rpc=*/false);
   EXPECT_EQ(m.required_literals(ids({0, 4, 8, 1, 5})), ids({4, 5}));
 }
 
 TEST_F(MatcherTest, MatchesInOrderWithInterleaving) {
-  const Matcher m(&catalog_, {true, MatchBackend::SymbolSubsequence});
+  const Matcher m(&catalog_, true);
   // Fig. 4's property: foreign symbols interleave but order is preserved.
   EXPECT_TRUE(m.matches(ids({4, 5}), ids({0, 4, 1, 2, 5, 3})));
   EXPECT_FALSE(m.matches(ids({5, 4}), ids({0, 4, 1, 2, 5, 3})));
 }
 
 TEST_F(MatcherTest, MissingLiteralFailsMatch) {
-  const Matcher m(&catalog_, {true, MatchBackend::SymbolSubsequence});
+  const Matcher m(&catalog_, true);
   EXPECT_FALSE(m.matches(ids({4, 6}), ids({4, 5})));
 }
 
 TEST_F(MatcherTest, EmptyLiteralsNeverMatch) {
-  const Matcher m(&catalog_, {true, MatchBackend::SymbolSubsequence});
+  const Matcher m(&catalog_, true);
   EXPECT_FALSE(m.matches({}, ids({4, 5})));
 }
 
 TEST_F(MatcherTest, EmptySnapshotNeverMatches) {
-  const Matcher m(&catalog_, {true, MatchBackend::SymbolSubsequence});
+  const Matcher m(&catalog_, true);
   EXPECT_FALSE(m.matches(ids({4}), {}));
 }
 
 TEST_F(MatcherTest, RepeatedLiteralsNeedRepeatedOccurrences) {
-  const Matcher m(&catalog_, {true, MatchBackend::SymbolSubsequence});
+  const Matcher m(&catalog_, true);
   EXPECT_FALSE(m.matches(ids({4, 4}), ids({0, 4, 1})));
   EXPECT_TRUE(m.matches(ids({4, 4}), ids({4, 0, 4})));
 }
 
-TEST_F(MatcherTest, RegexBackendAgreesOnExamples) {
-  const Matcher sub(&catalog_, {true, MatchBackend::SymbolSubsequence});
-  const Matcher re(&catalog_, {true, MatchBackend::StdRegex});
-  const auto snapshot = ids({0, 4, 1, 8, 2, 5, 9, 3});
-  for (const auto& lits :
-       {ids({4, 5}), ids({4, 8, 5}), ids({8, 9}), ids({5, 4}),
-        ids({4, 4}), ids({9, 8})}) {
-    EXPECT_EQ(sub.matches(lits, snapshot), re.matches(lits, snapshot));
+// The paper's matcher is a regex over the capture (each literal joined by
+// ".*", offloaded to Perl); Matcher::matches is the same language over
+// ApiIds.  This reference evaluates that regex with std::regex over a
+// two-character encoding of each symbol, so the symbol kernel's semantics
+// stay pinned to the paper's.
+void encode_api(ApiId api, std::string& out) {
+  static constexpr char kAlphabet[] =
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789@#";
+  out += kAlphabet[(api.value() >> 6) & 63];
+  out += kAlphabet[api.value() & 63];
+}
+
+bool regex_reference(const std::vector<ApiId>& literals,
+                     const std::vector<ApiId>& snapshot) {
+  std::string text;
+  for (auto api : snapshot) encode_api(api, text);
+  // Literals joined by (..)*? so skipped symbols stay pair-aligned;
+  // anchoring at the start keeps the alignment absolute (a match beginning
+  // at an odd text offset would straddle two encoded symbols).
+  std::string pattern = "^(..)*?";
+  for (std::size_t i = 0; i < literals.size(); ++i) {
+    if (i) pattern += "(..)*?";
+    encode_api(literals[i], pattern);
   }
+  return std::regex_search(text, std::regex(pattern));
 }
 
-TEST_F(MatcherTest, RegexBackendCachesCompiledPatterns) {
-  const Matcher re(&catalog_, {true, MatchBackend::StdRegex});
-  const auto lits = ids({4, 5});
-  EXPECT_TRUE(re.matches(lits, ids({0, 4, 1, 5})));
-  EXPECT_EQ(re.regex_cache_misses(), 1u);
-  EXPECT_EQ(re.regex_cache_hits(), 0u);
-  // Same literal sequence, different snapshot: compiled pattern is reused.
-  EXPECT_TRUE(re.matches(lits, ids({4, 2, 2, 5})));
-  EXPECT_EQ(re.regex_cache_misses(), 1u);
-  EXPECT_EQ(re.regex_cache_hits(), 1u);
-  // New literal sequence compiles once more.
-  EXPECT_FALSE(re.matches(ids({5, 4}), ids({0, 4, 1, 5})));
-  EXPECT_EQ(re.regex_cache_misses(), 2u);
-  EXPECT_EQ(re.regex_cache_hits(), 1u);
-}
-
-// Property sweep: the two backends implement identical semantics on random
-// inputs (the §6 "offload matching to Perl" ablation hinges on this).
+// Property sweep: the symbol matcher accepts exactly what the paper's regex
+// accepts, on fixed examples and on random inputs.
 class BackendEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(BackendEquivalence, SubsequenceEqualsRegex) {
@@ -164,8 +165,14 @@ TEST_P(BackendEquivalence, SubsequenceEqualsRegex) {
     catalog.add_rest(ServiceKind::Nova, HttpMethod::Post,
                      "/p" + std::to_string(i));
   }
-  const Matcher sub(&catalog, {true, MatchBackend::SymbolSubsequence});
-  const Matcher re(&catalog, {true, MatchBackend::StdRegex});
+  const Matcher m(&catalog, true);
+
+  const auto example = ids({0, 4, 1, 8, 2, 5, 9, 3});
+  for (const auto& lits :
+       {ids({4, 5}), ids({4, 8, 5}), ids({8, 9}), ids({5, 4}),
+        ids({4, 4}), ids({9, 8})}) {
+    EXPECT_EQ(m.matches(lits, example), regex_reference(lits, example));
+  }
 
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919);
   for (int trial = 0; trial < 40; ++trial) {
@@ -177,7 +184,8 @@ TEST_P(BackendEquivalence, SubsequenceEqualsRegex) {
       literals.emplace_back(static_cast<std::uint16_t>(rng.next_below(12)));
     for (std::size_t i = 0; i < ns; ++i)
       snapshot.emplace_back(static_cast<std::uint16_t>(rng.next_below(12)));
-    EXPECT_EQ(sub.matches(literals, snapshot), re.matches(literals, snapshot))
+    EXPECT_EQ(m.matches(literals, snapshot),
+              regex_reference(literals, snapshot))
         << "trial " << trial;
   }
 }

@@ -307,7 +307,6 @@ struct RefCoverage {
   std::size_t empty_slices = 0;        // a β step with lo == hi
   std::size_t multi_variant = 0;       // candidates with several variants
   std::size_t corr_filtered = 0;       // windows reduced by correlation id
-  std::size_t regex_backend = 0;
   std::size_t nonempty_matches = 0;
 };
 
@@ -376,9 +375,6 @@ DetectionResult reference_detect(const OperationDetector& det,
   }
   if (apis.empty()) return result;
   const double fault_ts = window[fault_row].ts.to_seconds();
-  const bool backward =
-      truncate && config.backend != MatchBackend::StdRegex;
-  if (config.backend == MatchBackend::StdRegex) ++cov.regex_backend;
 
   const std::size_t alpha = config.alpha();
   std::size_t beta = config.beta0();
@@ -402,7 +398,7 @@ DetectionResult reference_detect(const OperationDetector& det,
 
     std::vector<FingerprintDb::Index> matched;
     std::size_t best = 0;
-    if (backward) {
+    if (truncate) {
       std::vector<std::size_t> evidence(candidates.size(), 0);
       std::vector<bool> complete(candidates.size(), false);
       for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
@@ -498,8 +494,6 @@ TEST_P(OpDetectorTestResume, MatchesFromScratchReferenceAtEveryBeta) {
     if (rng.chance(0.3)) config.c2 = 0.15;    // coarser growth steps
     config.match_rpc = rng.chance(0.5);
     config.use_correlation_ids = rng.chance(0.5);
-    config.backend = rng.chance(0.25) ? MatchBackend::StdRegex
-                                      : MatchBackend::SymbolSubsequence;
     OperationDetector det(&db, &catalog_, config);
 
     // Window: planted fingerprint executions interleaved with noise,
@@ -587,7 +581,6 @@ TEST_P(OpDetectorTestResume, MatchesFromScratchReferenceAtEveryBeta) {
   EXPECT_GT(cov.empty_slices, 0u);
   EXPECT_GT(cov.multi_variant, 0u);
   EXPECT_GT(cov.corr_filtered, 0u);
-  EXPECT_GT(cov.regex_backend, 0u);
   EXPECT_GT(cov.nonempty_matches, 0u);
 }
 

@@ -1,8 +1,8 @@
 // Determinism contracts of the ingest path (see docs/ARCHITECTURE.md,
 // "Determinism"): for a fixed capture, the set *and order* of diagnoses,
 // every report field, and the detector stats are identical whether records
-// arrive one at a time or in batches of any size, and whether the analysis
-// kernels run SIMD or scalar.  The per-record run is the reference.
+// arrive one at a time or as one span, and whether the analysis kernels run
+// SIMD or scalar.  The per-record run is the reference.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -41,20 +41,20 @@ std::vector<net::WireRecord> record_workload(
   return executor.execute(w.launches);
 }
 
-// ingest_batch == 0 feeds records one at a time through on_wire().
+// Feeds records one at a time through on_wire(), or the whole capture in
+// one on_wire_batch() call.
 std::unique_ptr<Analyzer> replay(const std::vector<net::WireRecord>& recs,
-                                 std::size_t ingest_batch = 0) {
+                                 bool batched = false) {
   auto& e = env();
   Analyzer::Options opt;
   opt.config.fp_max = e.training.fp_max;
   opt.config.p_rate = 150.0;
-  if (ingest_batch != 0) opt.config.ingest_batch = ingest_batch;
   auto analyzer = std::make_unique<Analyzer>(
       &e.training.db, &e.catalog.apis(), &e.deployment, opt);
-  if (ingest_batch == 0) {
-    for (const auto& r : recs) analyzer->on_wire(r);
-  } else {
+  if (batched) {
     analyzer->on_wire_batch(recs);
+  } else {
+    for (const auto& r : recs) analyzer->on_wire(r);
   }
   analyzer->finish();
   return analyzer;
@@ -128,15 +128,10 @@ TEST(IngestDeterminism, BatchedIngestIdenticalToPerEvent) {
   const auto reference = replay(records);
   ASSERT_FALSE(reference->diagnoses().empty());
 
-  // Batched ingest must be byte-identical to per-event ingest whatever the
-  // batch size: prime-sized, the default, and one batch holding the whole
-  // capture.
-  for (const std::size_t batch :
-       {std::size_t{7}, std::size_t{128}, records.size()}) {
-    const auto run = replay(records, batch);
-    expect_identical(*reference, *run,
-                     "ingest_batch=" + std::to_string(batch));
-  }
+  // One batch holding the whole capture must be byte-identical to
+  // per-event ingest.
+  const auto run = replay(records, /*batched=*/true);
+  expect_identical(*reference, *run, "whole-capture batch");
 }
 
 TEST(IngestDeterminism, ScalarKernelsIdenticalToSimd) {
@@ -170,7 +165,7 @@ TEST(IngestDeterminism, CleanWorkloadStaysClean) {
 
   const auto reference = replay(records);
   EXPECT_TRUE(reference->diagnoses().empty());
-  const auto run = replay(records, records.size());
+  const auto run = replay(records, /*batched=*/true);
   expect_identical(*reference, *run, "clean capture, one batch");
   EXPECT_TRUE(run->diagnoses().empty());
   EXPECT_EQ(run->detector_stats().events, run->tap_stats().decoded);

@@ -27,12 +27,14 @@ class CodecFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CodecFuzz, ParsersNeverCrashOnGarbage) {
   util::Rng rng(GetParam());
+  util::Arena arena;
   for (int trial = 0; trial < 200; ++trial) {
     const auto bytes = random_bytes(rng, 512);
     // Any result is acceptable; the property is "no crash, no UB".
-    (void)wire::parse_http_request(bytes);
-    (void)wire::parse_http_response(bytes);
-    (void)wire::parse_amqp_frame(bytes);
+    arena.reset();
+    (void)wire::parse_http_request(bytes, arena);
+    (void)wire::parse_http_response(bytes, arena);
+    (void)wire::parse_amqp_frame_view(bytes);
     (void)net::decode_capture(bytes);
   }
   SUCCEED();
@@ -50,7 +52,7 @@ TEST_P(CodecFuzz, MutatedValidFramesNeverCrash) {
     auto mutated = valid;
     const auto pos = rng.next_below(mutated.size());
     mutated[pos] = static_cast<char>(rng.next_below(256));
-    (void)wire::parse_amqp_frame(mutated);
+    (void)wire::parse_amqp_frame_view(mutated);
   }
   SUCCEED();
 }
@@ -67,7 +69,8 @@ TEST_P(CodecFuzz, AmqpRoundTripArbitraryPayload) {
     frame.routing_key = random_bytes(rng, 40);
     frame.method_name = random_bytes(rng, 40);
     frame.payload = random_bytes(rng, 300);
-    const auto parsed = wire::parse_amqp_frame(wire::serialize(frame));
+    const auto bytes = wire::serialize(frame);
+    const auto parsed = wire::parse_amqp_frame_view(bytes);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->type, frame.type);
     EXPECT_EQ(parsed->channel, frame.channel);

@@ -46,7 +46,7 @@ TEST_P(MatchingProperty, MatchSurvivesInsertions) {
   // the paper's claim that interleaved foreign messages don't break
   // matching.
   const auto catalog = mixed_catalog();
-  const Matcher m(&catalog, {true, MatchBackend::SymbolSubsequence});
+  const Matcher m(&catalog, true);
   util::Rng rng(GetParam());
   for (int trial = 0; trial < 60; ++trial) {
     auto snapshot = random_seq(rng, 60, 14);
@@ -123,8 +123,8 @@ TEST_P(MatchingProperty, ThetaWithinUnitInterval) {
 
 TEST_P(MatchingProperty, RequiredLiteralsAreStateChangeSubsequence) {
   const auto catalog = mixed_catalog();
-  const Matcher with_rpc(&catalog, {true, MatchBackend::SymbolSubsequence});
-  const Matcher no_rpc(&catalog, {false, MatchBackend::SymbolSubsequence});
+  const Matcher with_rpc(&catalog, true);
+  const Matcher no_rpc(&catalog, false);
   util::Rng rng(GetParam() * 13);
   for (int trial = 0; trial < 60; ++trial) {
     const auto seq = random_seq(rng, 40, 14);
