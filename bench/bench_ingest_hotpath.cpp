@@ -18,7 +18,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 #include <string>
 #include <unordered_map>
@@ -26,6 +25,7 @@
 
 #include "bench/harness.h"
 #include "net/capture.h"
+#include "tools/cli_common.h"
 #include "wire/amqp_codec.h"
 #include "wire/http_codec.h"
 
@@ -261,15 +261,9 @@ double measure_ingest(const bench::BenchEnv& env,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t target_events = 400'000;
-  std::string out_path = "BENCH_ingest.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--events") == 0 && i + 1 < argc) {
-      target_events = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
+  const tools::Args args(argc, argv);
+  const std::size_t target_events = args.get_uint("--events", 400'000);
+  const std::string out_path = args.get("--out").value_or("BENCH_ingest.json");
 
   bench::print_header("Ingestion hot path: decode+resolve and ingest");
   auto env = bench::BenchEnv::make();

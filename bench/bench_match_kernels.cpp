@@ -22,13 +22,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/harness.h"
 #include "gretel/matcher.h"
+#include "tools/cli_common.h"
 #include "util/rng.h"
 #include "util/simd.h"
 #include "util/stats.h"
@@ -105,18 +105,11 @@ Pair ab_measure(std::size_t iters, Fn&& fn) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_match_kernels.json";
-  std::size_t iters = 20'000;
-  bool tripwire = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-      iters = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--tripwire") == 0) {
-      tripwire = true;
-    }
-  }
+  const tools::Args args(argc, argv);
+  const std::string out_path =
+      args.get("--out").value_or("BENCH_match_kernels.json");
+  const std::size_t iters = args.get_uint("--iters", 20'000);
+  const bool tripwire = args.has_flag("--tripwire");
 
   bench::print_header("Match/scan kernels: SIMD vs scalar reference");
   std::printf("kernel family compiled into this binary: %s\n\n",

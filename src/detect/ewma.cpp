@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "util/binio.h"
-
 namespace gretel::detect {
 
 std::optional<Alarm> EwmaDetector::observe(double t_seconds, double value) {
@@ -58,31 +56,6 @@ void EwmaDetector::reset() {
   seen_ = 0;
   run_ = 0;
   run_sign_ = 0;
-}
-
-void EwmaDetector::save_state(std::string& out) const {
-  util::put_f64(out, mean_);
-  util::put_f64(out, var_);
-  util::put_u64(out, seen_);
-  util::put_u64(out, run_);
-  util::put_i64(out, run_sign_);
-}
-
-bool EwmaDetector::load_state(std::string_view& in) {
-  reset();
-  std::uint64_t seen = 0;
-  std::uint64_t run = 0;
-  std::int64_t sign = 0;
-  if (!util::get_f64(in, mean_) || !util::get_f64(in, var_) ||
-      !util::get_u64(in, seen) || !util::get_u64(in, run) ||
-      !util::get_i64(in, sign)) {
-    reset();
-    return false;
-  }
-  seen_ = static_cast<std::size_t>(seen);
-  run_ = static_cast<std::size_t>(run);
-  run_sign_ = static_cast<int>(sign);
-  return true;
 }
 
 std::unique_ptr<OutlierDetector> make_ewma() {

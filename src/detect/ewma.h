@@ -28,8 +28,6 @@ class EwmaDetector final : public OutlierDetector {
   std::optional<Alarm> observe(double t_seconds, double value) override;
   std::string_view name() const override { return "ewma"; }
   void reset() override;
-  void save_state(std::string& out) const override;
-  bool load_state(std::string_view& in) override;
 
   double mean() const { return mean_; }
 

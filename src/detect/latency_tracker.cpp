@@ -181,12 +181,7 @@ void LatencyTracker::save_state(std::string& out) const {
     util::put_u32(out, static_cast<std::uint32_t>(apis.size()));
     for (wire::ApiId api : apis) {
       util::put_u16(out, api.value());
-      util::put_bytes(out, LevelShiftDetector::kName);
-      std::string det;
-      detectors_.at(api).save_state(det);
-      util::put_bytes(out, det);
-      util::put_bytes(out, {});  // retired: P² sketch
-      util::put_u32(out, 0);     // retired: latency series point count
+      detectors_.at(api).save_state(out);
     }
   }
   // The live slice of the in-flight FIFO, verbatim: eviction order after a
@@ -213,7 +208,6 @@ void LatencyTracker::save_state(std::string& out) const {
   util::put_u64(out, guards_.rejected_nonfinite);
   util::put_u64(out, guards_.orphans_reaped);
   util::put_u64(out, guards_.inflight_evicted);
-  util::put_u64(out, 0);  // retired: series-trim counter
 }
 
 void LatencyTracker::reset() {
@@ -264,22 +258,8 @@ bool LatencyTracker::load_state(std::string_view& in) {
   }
   for (std::uint32_t i = 0; i < n_apis; ++i) {
     std::uint16_t api_raw = 0;
-    std::string_view det_name;
-    std::string_view det_blob;
-    std::string_view retired_sketch;
-    std::uint32_t retired_points = 0;
-    if (!util::get_u16(in, api_raw) || !util::get_bytes(in, det_name) ||
-        !util::get_bytes(in, det_blob) ||
-        !util::get_bytes(in, retired_sketch) ||
-        !util::get_u32(in, retired_points) || retired_points > kMaxElems ||
-        in.size() / 16 < retired_points) {
-      reset();
-      return false;
-    }
-    in.remove_prefix(std::size_t{retired_points} * 16);  // (t, value) pairs
     LevelShiftDetector detector(params_);
-    if (det_name != LevelShiftDetector::kName ||
-        !detector.load_state(det_blob) || !det_blob.empty()) {
+    if (!util::get_u16(in, api_raw) || !detector.load_state(in)) {
       reset();
       return false;
     }
@@ -303,14 +283,12 @@ bool LatencyTracker::load_state(std::string_view& in) {
     inflight_fifo_.push_back({key, util::SimTime(ts), rpc != 0});
   }
 
-  std::uint64_t retired_trimmed = 0;
   if (!util::get_u64(in, samples_) ||
       !util::get_u32(in, observes_since_sweep_) ||
       !util::get_u64(in, guards_.clamped_negative) ||
       !util::get_u64(in, guards_.rejected_nonfinite) ||
       !util::get_u64(in, guards_.orphans_reaped) ||
-      !util::get_u64(in, guards_.inflight_evicted) ||
-      !util::get_u64(in, retired_trimmed)) {
+      !util::get_u64(in, guards_.inflight_evicted)) {
     reset();
     return false;
   }

@@ -103,20 +103,18 @@ class LatencyTracker {
     return inflight_fifo_.size() - inflight_head_;
   }
 
-  // Checkpoint support (src/persist/): serializes the dynamic state —
-  // pending request maps, per-API detectors, in-flight FIFO, guard
-  // counters — in deterministic (sorted-key) order.  The knobs (detector
+  // Checkpoint support (src/persist/): serializes the dynamic state in
+  // deterministic (sorted-key) order, each section a u32 count and its
+  // entries:
+  //   pending REST (u32 conn, i64 ts) · pending RPC (u64 msg, i64 ts) ·
+  //   per-API (u16 api, LevelShiftDetector blob) ·
+  //   in-flight FIFO (u64 key, i64 ts, u8 rpc)
+  // then samples (u64), observes since sweep (u32) and the four guard
+  // counters (u64, in LatencyGuardStats order).  The knobs (detector
   // params, orphan timeout, in-flight cap) are config, not state: restore
   // re-arms them from GretelConfig before calling load_state.  save_state
   // never mutates the tracker; load_state replaces all dynamic state, or
-  // resets the tracker and returns false on torn/malformed input or a
-  // detector name other than "level-shift".
-  //
-  // The per-API record keeps the layout of checkpoints that also carried a
-  // P² sketch and the raw latency series: the sketch bytes are written
-  // empty, the series point count as 0, and the trailing series-trim
-  // counter as 0.  load_state skips whatever those retired sections hold,
-  // so older checkpoints still restore their learned detector state.
+  // resets the tracker and returns false on torn/malformed input.
   void save_state(std::string& out) const;
   bool load_state(std::string_view& in);
 

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "detect/outlier.h"
@@ -34,13 +36,20 @@ class LevelShiftDetector final : public OutlierDetector {
   explicit LevelShiftDetector(LevelShiftParams params) : params_(params) {}
 
   std::optional<Alarm> observe(double t_seconds, double value) override;
-  // Stamped before each detector blob in checkpoints.
-  static constexpr std::string_view kName = "level-shift";
-
-  std::string_view name() const override { return kName; }
+  std::string_view name() const override { return "level-shift"; }
   void reset() override;
-  void save_state(std::string& out) const override;
-  bool load_state(std::string_view& in) override;
+
+  // Checkpoint support (src/persist/): appends the *dynamic* state —
+  // learned baseline, pending run, cooldown clock — to `out` in the
+  // util/binio.h big-endian vocabulary.  Parameters are not serialized:
+  // restore constructs the detector from config, then load_state()
+  // rehydrates what it learned.  save_state never mutates the detector (a
+  // save mid-stream must not perturb later alarms), and
+  // load_state(save_state(d)) reproduces d's behavior bit-for-bit.
+  // load_state consumes its bytes from the front of `in` and returns
+  // false, leaving the detector reset, on torn or malformed input.
+  void save_state(std::string& out) const;
+  bool load_state(std::string_view& in);
 
   // Current robust level estimate (for plots / tests).
   double level();

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "util/binio.h"
 #include "util/stats.h"
 
 namespace gretel::detect {
@@ -30,27 +29,6 @@ std::optional<Alarm> ZScoreDetector::observe(double t_seconds, double value) {
 }
 
 void ZScoreDetector::reset() { window_.clear(); }
-
-void ZScoreDetector::save_state(std::string& out) const {
-  util::put_u32(out, static_cast<std::uint32_t>(window_.size()));
-  for (double v : window_) util::put_f64(out, v);
-}
-
-bool ZScoreDetector::load_state(std::string_view& in) {
-  reset();
-  constexpr std::uint32_t kMaxElems = 1u << 20;
-  std::uint32_t n = 0;
-  if (!util::get_u32(in, n) || n > kMaxElems) return false;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    double v = 0.0;
-    if (!util::get_f64(in, v)) {
-      reset();
-      return false;
-    }
-    window_.push_back(v);
-  }
-  return true;
-}
 
 std::unique_ptr<OutlierDetector> make_zscore() {
   return std::make_unique<ZScoreDetector>();

@@ -27,8 +27,6 @@ class ZScoreDetector final : public OutlierDetector {
   std::optional<Alarm> observe(double t_seconds, double value) override;
   std::string_view name() const override { return "z-score"; }
   void reset() override;
-  void save_state(std::string& out) const override;
-  bool load_state(std::string_view& in) override;
 
  private:
   ZScoreParams params_;

@@ -19,32 +19,6 @@ monitor::DependencyWatcher make_watcher(const stack::Deployment* deployment,
   return monitor::DependencyWatcher(deployment, probe, options.monitor_chaos);
 }
 
-// The checkpoint section of the retired per-(node, resource) level-shift
-// stream: a u32 count of (u32 key, detector name, detector blob) entries,
-// a u32 count of alarm records (u8 node, u8 kind, four f64, u8 direction),
-// and a u64 sample count.  Skipped unread, with bounds checks.
-constexpr std::uint32_t kMaxRetiredElems = 1u << 24;
-constexpr std::size_t kRetiredAlarmBytes = 2 + 4 * 8 + 1;
-
-bool skip_retired_resource_stream(std::string_view& in) {
-  std::uint32_t n = 0;
-  if (!util::get_u32(in, n) || n > kMaxRetiredElems) return false;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::uint32_t key = 0;
-    std::string_view name;
-    std::string_view blob;
-    if (!util::get_u32(in, key) || !util::get_bytes(in, name) ||
-        !util::get_bytes(in, blob))
-      return false;
-  }
-  if (!util::get_u32(in, n) || n > kMaxRetiredElems ||
-      in.size() / kRetiredAlarmBytes < n)
-    return false;
-  in.remove_prefix(std::size_t{n} * kRetiredAlarmBytes);
-  std::uint64_t samples = 0;
-  return util::get_u64(in, samples);
-}
-
 }  // namespace
 
 Analyzer::Analyzer(const FingerprintDb* db, const wire::ApiCatalog* catalog,
@@ -88,16 +62,12 @@ void Analyzer::finish() { detector_.flush(); }
 
 void Analyzer::save_state(std::string& out) const {
   detector_.save_state(out);
-  util::put_u32(out, 0);  // retired: resource-stream detectors
-  util::put_u32(out, 0);  // retired: resource alarms
-  util::put_u64(out, 0);  // retired: resource samples
   util::put_u64(out, stale_series_);
 }
 
 bool Analyzer::load_state(std::string_view& in) {
   std::uint64_t stale = 0;
-  if (!detector_.load_state(in) || !skip_retired_resource_stream(in) ||
-      !util::get_u64(in, stale)) {
+  if (!detector_.load_state(in) || !util::get_u64(in, stale)) {
     detector_.reset_state();
     return false;
   }

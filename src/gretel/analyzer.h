@@ -110,15 +110,11 @@ class Analyzer {
   }
 
   // Checkpoint support (src/persist/): the learned analyzer state — the
-  // anomaly detector's latency baselines/guards and the stale-series
-  // total.  The metrics store is deliberately not snapshotted: it is
-  // repopulated by the monitor re-attach on restart
-  // (ResourceMonitor::sample_range), the same way a fresh analyzer gets
-  // its metrics.
-  //
-  // Between the two sits the section of the retired per-resource
-  // level-shift stream: save_state writes it empty, and load_state skips
-  // a non-empty one from older checkpoints.  load_state expects a freshly
+  // anomaly detector's blob (latency baselines/guards and its counters),
+  // then the stale-series total as one u64.  The metrics store is
+  // deliberately not snapshotted: it is repopulated by the monitor
+  // re-attach on restart (ResourceMonitor::sample_range), the same way a
+  // fresh analyzer gets its metrics.  load_state expects a freshly
   // constructed analyzer with the same options; on torn input it returns
   // false with the analyzer reset to that state.
   void save_state(std::string& out) const;

@@ -187,22 +187,8 @@ void AnomalyDetector::tick(util::SimTime now, double max_report_delay_s) {
   latency_.sweep_now(now);
 }
 
-// Blob layout (unchanged from the sharded detector at one shard, so older
-// checkpoints still load): u32 tracker count = 1, the tracker blob, the loss
-// count, then the stats words.  Two of those words belonged to the retired
-// shard pipeline (overflow drops, watchdog trips) and one to the retired
-// latency-series cap (samples trimmed); they are written as 0.  Six more
-// repeat counts owned elsewhere: the loss count again, the tracker's guard
-// counts (its blob carries them too) and the buffer's stale freezes.  They
-// are written from their owners.  Load skips all nine.
-constexpr std::uint32_t kTrackerCount = 1;
-constexpr int kRetiredStatWords = 2;
-
 void AnomalyDetector::save_state(std::string& out) const {
-  const auto& guards = latency_.guard_stats();
-  util::put_u32(out, kTrackerCount);
   latency_.save_state(out);
-  util::put_u64(out, stats_.losses_recorded);
   util::put_u64(out, stats_.events);
   util::put_u64(out, stats_.rest_errors);
   util::put_u64(out, stats_.rpc_errors);
@@ -210,43 +196,20 @@ void AnomalyDetector::save_state(std::string& out) const {
   util::put_u64(out, stats_.performance_reports);
   util::put_u64(out, stats_.suppressed_triggers);
   util::put_u64(out, stats_.losses_recorded);
-  for (int i = 0; i < kRetiredStatWords; ++i) util::put_u64(out, 0);
-  util::put_u64(out, guards.orphans_reaped);
-  util::put_u64(out, guards.clamped_negative);
-  util::put_u64(out, guards.rejected_nonfinite);
-  util::put_u64(out, buffer_.stale_freezes());
   util::put_u64(out, stats_.degraded_reports);
-  util::put_u64(out, guards.inflight_evicted);
-  util::put_u64(out, 0);  // retired: series-trim counter
   util::put_u64(out, stats_.forced_reports);
 }
 
 bool AnomalyDetector::load_state(std::string_view& in) {
-  std::uint32_t trackers = 0;
-  if (!util::get_u32(in, trackers) || trackers != kTrackerCount ||
-      !latency_.load_state(in)) {
-    reset_state();
-    return false;
-  }
-  // Past the suppressed-trigger count: the repeated loss count, the
-  // retired shard words, the four guard counts and the stale freezes;
-  // then the in-flight evictions and the retired series-trim word.
-  const auto skip = [&in](int words) {
-    std::uint64_t word = 0;
-    bool ok = true;
-    for (int i = 0; ok && i < words; ++i) ok = util::get_u64(in, word);
-    return ok;
-  };
   Stats s;
-  const bool ok = util::get_u64(in, s.losses_recorded) &&
-                  util::get_u64(in, s.events) &&
+  const bool ok = latency_.load_state(in) && util::get_u64(in, s.events) &&
                   util::get_u64(in, s.rest_errors) &&
                   util::get_u64(in, s.rpc_errors) &&
                   util::get_u64(in, s.operational_reports) &&
                   util::get_u64(in, s.performance_reports) &&
                   util::get_u64(in, s.suppressed_triggers) &&
-                  skip(1 + kRetiredStatWords + 4) &&
-                  util::get_u64(in, s.degraded_reports) && skip(2) &&
+                  util::get_u64(in, s.losses_recorded) &&
+                  util::get_u64(in, s.degraded_reports) &&
                   util::get_u64(in, s.forced_reports);
   if (!ok) {
     reset_state();

@@ -64,7 +64,7 @@ class AnomalyDetector {
 
   // The counts this detector increments itself.  The latency guards
   // (orphans, clamped/rejected samples, in-flight evictions) live in
-  // latency().guard_stats(); stale freezes in the dual buffer.
+  // latency().guard_stats().
   struct Stats {
     std::uint64_t events = 0;
     std::uint64_t rest_errors = 0;
@@ -84,24 +84,17 @@ class AnomalyDetector {
   detect::LatencyTracker& latency() { return latency_; }
   const detect::LatencyTracker& latency() const { return latency_; }
 
-  // Checkpoint support (src/persist/): serializes the *learned* state — the
-  // latency tracker (level-shift baselines, pending pairings, orphan
-  // clocks, guard counts) and the stats counters.  The dual buffer,
-  // pending snapshots and per-API suppression maps are window-local
-  // transients spanning at most α messages; they are deliberately not
-  // checkpointed (the recovery invariant already allows one checkpoint
-  // interval of context to regress, and seq numbers restart with the new
-  // window).
-  //
-  // The blob keeps the layout written by the earlier sharded detector at
-  // one shard: a u32 tracker count (always 1) before the tracker blob, and
-  // three retired u64 counters (written as 0, skipped on load).  It also
-  // keeps words that repeat counts owned elsewhere — a second loss count,
-  // the tracker's four guard counts and the buffer's stale-freeze count —
-  // written from their owners and skipped on load.  load_state expects a
-  // freshly constructed detector with the same config; it rejects any
-  // other tracker count, and on torn input returns false with the
-  // detector left at its constructed state.
+  // Checkpoint support (src/persist/): serializes the *learned* state —
+  // the latency tracker blob (level-shift baselines, pending pairings,
+  // orphan clocks, guard counts), then the nine Stats counters as u64 in
+  // declaration order.  The dual buffer, pending snapshots and per-API
+  // suppression maps are window-local transients spanning at most α
+  // messages; they are deliberately not checkpointed (the recovery
+  // invariant already allows one checkpoint interval of context to
+  // regress, and seq numbers restart with the new window).  load_state
+  // expects a freshly constructed detector with the same config; on torn
+  // input it returns false with the detector left at its constructed
+  // state.
   void save_state(std::string& out) const;
   bool load_state(std::string_view& in);
 

@@ -129,12 +129,12 @@ class DualBuffer {
   //
   // If ingestion has run so far ahead that the ring already evicted
   // `center` itself, there is no meaningful window left: `cols` comes back
-  // empty (counted in stale_freezes()) instead of letting `center - first`
-  // wrap to a huge index.
+  // empty instead of letting `center - first` wrap to a huge index.
   FreezeInfo freeze(std::uint64_t center, WindowColumns& cols) const {
     FreezeInfo info;
+    // The serial detector freezes α/2 events past a center the ring holds
+    // for 2α, so this only guards callers that fall further behind.
     if (ring_.first_seq() > center) {
-      ++stale_freezes_;
       cols.resize(0);
       return info;
     }
@@ -163,10 +163,6 @@ class DualBuffer {
   // freeze: FreezeInfo::first_seq + row).
   const wire::Event& at(std::uint64_t seq) const { return ring_.at(seq); }
 
-  // Freezes requested after their center was evicted (each yielded an
-  // empty snapshot and no report).
-  std::uint64_t stale_freezes() const { return stale_freezes_; }
-
  private:
   std::size_t alpha_;
   util::RingBuffer<wire::Event> ring_;
@@ -174,7 +170,6 @@ class DualBuffer {
   // numbering as ring_.
   util::RingBuffer<std::uint64_t> loss_ring_;
   std::uint64_t last_loss_ = 0;
-  mutable std::uint64_t stale_freezes_ = 0;
 };
 
 }  // namespace gretel::core

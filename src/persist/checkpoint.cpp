@@ -18,26 +18,21 @@ namespace gretel::persist {
 
 namespace {
 
-constexpr std::string_view kMagic = "GRTCKP01";
+constexpr std::string_view kMagic = "GRTCKP02";
 constexpr std::string_view kPrefix = "checkpoint-";
 constexpr std::string_view kSuffix = ".grtckp";
 
-void put_section(std::string& out, std::string_view name,
-                 std::string_view body) {
-  util::put_bytes(out, name);
+void put_body(std::string& out, std::string_view body) {
   util::put_u32(out, static_cast<std::uint32_t>(body.size()));
   util::put_u32(out, util::crc32(body));
   out += body;
 }
 
-bool pop_section(std::string_view& in, std::string_view& name,
-                 std::string_view& body) {
+bool pop_body(std::string_view& in, std::string_view& body) {
   std::uint32_t len = 0;
   std::uint32_t crc = 0;
-  if (!util::get_bytes(in, name) || !util::get_u32(in, len) ||
-      !util::get_u32(in, crc) || in.size() < len) {
+  if (!util::get_u32(in, len) || !util::get_u32(in, crc) || in.size() < len)
     return false;
-  }
   body = in.substr(0, len);
   in.remove_prefix(len);
   return util::crc32(body) == crc;
@@ -46,7 +41,6 @@ bool pop_section(std::string_view& in, std::string_view& name,
 std::string encode_meta(const CheckpointMeta& m) {
   std::string out;
   util::put_u64(out, m.checkpoint_seq);
-  util::put_u64(out, m.tick);
   util::put_i64(out, m.watermark_ns);
   util::put_u64(out, m.journal_next_seq);
   util::put_u64(out, m.offered);
@@ -63,7 +57,7 @@ std::string encode_meta(const CheckpointMeta& m) {
 }
 
 bool decode_meta(std::string_view in, CheckpointMeta& m) {
-  return util::get_u64(in, m.checkpoint_seq) && util::get_u64(in, m.tick) &&
+  return util::get_u64(in, m.checkpoint_seq) &&
          util::get_i64(in, m.watermark_ns) &&
          util::get_u64(in, m.journal_next_seq) &&
          util::get_u64(in, m.offered) && util::get_u64(in, m.ingested) &&
@@ -80,35 +74,21 @@ bool decode_meta(std::string_view in, CheckpointMeta& m) {
 std::string encode_checkpoint(const Checkpoint& ckp) {
   std::string out;
   out += kMagic;
-  util::put_u32(out, 2);  // sections
-  put_section(out, "meta", encode_meta(ckp.meta));
-  put_section(out, "analyzer", ckp.analyzer_state);
+  put_body(out, encode_meta(ckp.meta));
+  put_body(out, ckp.analyzer_state);
   return out;
 }
 
 std::optional<Checkpoint> decode_checkpoint(std::string_view data) {
   if (!data.starts_with(kMagic)) return std::nullopt;
   data.remove_prefix(kMagic.size());
-  std::uint32_t count = 0;
-  if (!util::get_u32(data, count) || count > 64) return std::nullopt;
-
   Checkpoint ckp;
-  bool have_meta = false;
-  bool have_analyzer = false;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::string_view name;
-    std::string_view body;
-    if (!pop_section(data, name, body)) return std::nullopt;
-    if (name == "meta") {
-      if (!decode_meta(body, ckp.meta)) return std::nullopt;
-      have_meta = true;
-    } else if (name == "analyzer") {
-      ckp.analyzer_state.assign(body);
-      have_analyzer = true;
-    }
-    // Unknown sections: CRC-checked, then skipped (forward compatibility).
-  }
-  if (!data.empty() || !have_meta || !have_analyzer) return std::nullopt;
+  std::string_view meta;
+  std::string_view analyzer;
+  if (!pop_body(data, meta) || !decode_meta(meta, ckp.meta) ||
+      !pop_body(data, analyzer) || !data.empty())
+    return std::nullopt;
+  ckp.analyzer_state.assign(analyzer);
   return ckp;
 }
 

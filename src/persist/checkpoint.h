@@ -1,4 +1,4 @@
-// GRTCKP01: the versioned, CRC-checked checkpoint format.
+// GRTCKP02: the versioned, CRC-checked checkpoint format.
 //
 // A checkpoint is one file, written atomically (tmp+fsync+rename, like
 // save_fingerprint_db), holding everything the stream analyzer needs to
@@ -8,17 +8,15 @@
 // running against, and the journal high-water mark that ties the
 // checkpoint to the report journal.
 //
-// Layout (integers big-endian, util/binio.h):
-//   magic    "GRTCKP01"
-//   count    u32                      sections
-//   section: name  (u32 len + bytes)
-//            body  u32 len, u32 crc32, bytes
+// Layout (integers big-endian, util/binio.h), two bodies in fixed order:
+//   magic     "GRTCKP02"
+//   meta      u32 len, u32 crc32, bytes   ledger counters, watermark,
+//                                         journal mark, db identity
+//   analyzer  u32 len, u32 crc32, bytes   Analyzer::save_state blob
 //
-// Sections (unknown names are skipped on read, so the format can grow):
-//   "meta"      ledger counters, tick/watermark, journal mark, db identity
-//   "analyzer"  Analyzer::save_state blob
-//
-// Every section carries its own CRC32 (util/crc32.h): a torn write or a
+// Nothing follows the analyzer body.  A file with any other magic (the
+// GRTCKP01 layout included) does not decode, like any other corrupt file.
+// Every body carries its own CRC32 (util/crc32.h): a torn write or a
 // flipped bit fails the checksum and the loader falls back to the next
 // newest file instead of resuming from garbage.  Files are named
 // checkpoint-<seq>.grtckp with a monotonically increasing u64 seq.
@@ -33,7 +31,6 @@ namespace gretel::persist {
 
 struct CheckpointMeta {
   std::uint64_t checkpoint_seq = 0;  // monotone per analyzer lifetime
-  std::uint64_t tick = 0;            // stream tick the snapshot was taken at
   std::int64_t watermark_ns = 0;     // stream watermark (sim time)
   // First journal sequence number NOT covered by this checkpoint: every
   // journaled report with seq < journal_next_seq was emitted before the
@@ -46,7 +43,7 @@ struct CheckpointMeta {
   std::uint64_t ingested = 0;
   std::uint64_t shed = 0;
   std::uint64_t shed_episodes = 0;
-  std::uint64_t ticks = 0;
+  std::uint64_t ticks = 0;  // also the tick the snapshot was taken at
   std::uint64_t reports = 0;
   std::uint64_t reports_evicted = 0;
   std::uint64_t metrics = 0;

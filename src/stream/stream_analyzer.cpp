@@ -285,7 +285,6 @@ bool StreamAnalyzer::checkpoint_now() {
   persist::Checkpoint ckp;
   persist::CheckpointMeta& m = ckp.meta;
   m.checkpoint_seq = checkpoint_seq_;
-  m.tick = counters_.ticks;
   m.watermark_ns = watermark_.nanos();
   m.journal_next_seq = journal_->next_seq();
   m.offered = counters_.offered;
@@ -363,13 +362,13 @@ std::unique_ptr<StreamAnalyzer> StreamAnalyzer::restore(
         replay_from = m.journal_next_seq;
         ri.recovered = true;
         ri.checkpoint_seq = m.checkpoint_seq;
-        ri.checkpoint_tick = m.tick;
+        ri.checkpoint_tick = m.ticks;
       } else {
-        // Sections passed CRC but the analyzer blob would not decode
-        // (version skew) or left bytes over: count it with the corrupt
-        // skips and cold-start.  load_state may have applied some sections
-        // before it stopped, so the partly loaded analyzer is discarded
-        // for a fresh one (its journal closed before the reopen).
+        // Both bodies passed CRC but the analyzer blob would not decode
+        // or left bytes over: count it with the corrupt skips and
+        // cold-start.  load_state may have applied some state before it
+        // stopped, so the partly loaded analyzer is discarded for a fresh
+        // one (its journal closed before the reopen).
         ++ri.corrupt_checkpoints_skipped;
         sa.reset();
         sa = fresh();

@@ -182,7 +182,8 @@ struct RecoveryInfo {
   std::uint64_t checkpoint_seq = 0;
   std::uint64_t checkpoint_tick = 0;
   // Checkpoint files skipped because they failed CRC/decode (torn write
-  // artifacts); recovery fell back to the next-newest valid one.
+  // artifacts, or a file in an older layout such as GRTCKP01); recovery
+  // fell back to the next-newest valid one.
   std::size_t corrupt_checkpoints_skipped = 0;
   // Torn journal-tail records truncated on open (never fsync-acknowledged,
   // so nothing durable was lost).
@@ -266,7 +267,7 @@ class StreamAnalyzer {
   // ---- Durability (persist/) -------------------------------------------
   //
   // When armed, every report is fsync'd to the append-only journal BEFORE
-  // the sink sees it (fsync-before-acknowledge), and a GRTCKP01 checkpoint
+  // the sink sees it (fsync-before-acknowledge), and a GRTCKP02 checkpoint
   // of the learned analyzer state + flow ledger is written atomically every
   // checkpoint_interval_s of stream time (at a tick boundary, where the
   // ring is drained and the ledger reconciles with queued() == 0).

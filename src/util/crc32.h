@@ -1,7 +1,7 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the integrity
 // check shared by every on-disk format that must detect torn writes and
-// bit rot: the GRTFDB02 fingerprint database, the GRTCKP01 checkpoint
-// sections, and the report-journal records (src/persist/).
+// bit rot: the GRTFDB02 fingerprint database, the two GRTCKP02 checkpoint
+// bodies, and the report-journal records (src/persist/).
 //
 // Table-driven, one table generated at compile time.  The incremental form
 // (seed in, crc out) lets callers checksum a file in chunks; the one-shot

@@ -118,21 +118,17 @@ TEST(DualBuffer, StaleFreezeReturnsEmptyInsteadOfWrapping) {
   const auto info = buf.freeze(10, cols);
   EXPECT_EQ(cols.size(), 0u);
   EXPECT_EQ(info.center_index, 0u);
-  EXPECT_EQ(buf.stale_freezes(), 1u);
 
-  // A resident center still freezes normally and is not counted.
+  // A resident center still freezes normally.
   buf.freeze(95, cols);
   EXPECT_NE(cols.size(), 0u);
-  EXPECT_EQ(buf.stale_freezes(), 1u);
 
   buf.freeze(0, cols);
-  EXPECT_EQ(buf.stale_freezes(), 2u);
+  EXPECT_EQ(cols.size(), 0u);
 
-  // A center beyond the newest event has nothing to freeze either, but it
-  // was never evicted, so it is not stale.
+  // A center beyond the newest event has nothing to freeze either.
   buf.freeze(500, cols);
   EXPECT_EQ(cols.size(), 0u);
-  EXPECT_EQ(buf.stale_freezes(), 2u);
 }
 
 TEST(DualBuffer, ColumnsMirrorResidentEvents) {
@@ -173,7 +169,6 @@ TEST(DualBuffer, EvictionBoundaryClampAndStaleCenter) {
   EXPECT_EQ(cols.api[info.center_index], 10u);
   EXPECT_TRUE(info.clamped_front);
   EXPECT_EQ(info.losses, 13u / 4 - 8u / 4);  // loss(13) - loss(8)
-  EXPECT_EQ(buf.stale_freezes(), 0u);
 
   // Exactly at the boundary: center 12 wants [8, 16), all resident.
   info = buf.freeze(12, cols);
@@ -188,7 +183,6 @@ TEST(DualBuffer, EvictionBoundaryClampAndStaleCenter) {
   ASSERT_EQ(cols.size(), 4u);  // [8, 12)
   EXPECT_EQ(info.center_index, 0u);
   EXPECT_TRUE(info.clamped_front);
-  EXPECT_EQ(buf.stale_freezes(), 0u);
 
   // One past the boundary: center 7 is evicted, the freeze is stale.
   info = buf.freeze(7, cols);
@@ -196,7 +190,6 @@ TEST(DualBuffer, EvictionBoundaryClampAndStaleCenter) {
   EXPECT_EQ(info.center_index, 0u);
   EXPECT_EQ(info.losses, 0u);
   EXPECT_FALSE(info.clamped_front);
-  EXPECT_EQ(buf.stale_freezes(), 1u);
 }
 
 // Property: for any α and stream length, the frozen window contains at most

@@ -1,13 +1,9 @@
-// AnomalyDetector checkpoint blob (the GRTCKP01 "analyzer" section's
-// detector part): save → load → save is byte-identical, the layout older
-// checkpoints were written in still loads (a u32 tracker count of 1 before
-// the tracker blob, two retired stats words written as 0), and a blob with
-// any other tracker count or a torn tail is rejected with the detector left
-// at its constructed state.  Words that repeat another object's count are
-// written from that object, not from the loaded blob.  The latency tracker blob inside it still loads
-// in the layout that carried a P² sketch and the raw latency series, and
-// the analyzer blob around it in the layout that carried the per-resource
-// level-shift stream.
+// Checkpoint blobs of the GRTCKP02 "analyzer" body.  The latency tracker
+// blob is pinned by a hand-written copy and restores its learned state;
+// the AnomalyDetector blob is the tracker blob followed by the nine Stats
+// counters, and the Analyzer blob adds the stale-series total.  save →
+// load → save is byte-identical, and a blob cut at any byte is rejected
+// with the object left at its constructed state.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -94,25 +90,22 @@ TEST(DetectorCheckpoint, SaveLoadSaveIsByteIdentical) {
   EXPECT_GT(restored->stats().events, 0u);
 }
 
-TEST(DetectorCheckpoint, LayoutMatchesOneShardBlob) {
+// The detector blob is the tracker blob, then the nine counters.
+TEST(DetectorCheckpoint, BlobIsTrackerBlobThenNineStats) {
   const auto& saved = trained_blob();
-  ASSERT_GT(saved.size(), 4u + 18 * 8);
-  // Big-endian u32 tracker count.
-  EXPECT_EQ(saved.substr(0, 4), std::string("\0\0\0\1", 4));
-  // The tail is 18 u64 words: loss count, 7 stats, the 2 retired words,
-  // 8 more stats.
-  const auto retired = saved.substr(saved.size() - 18 * 8 + 8 * 8, 2 * 8);
-  EXPECT_EQ(retired, std::string(16, '\0'));
-}
-
-TEST(DetectorCheckpoint, OtherTrackerCountIsRejected) {
-  const auto constructed = save(make_detector());
-  auto blob = trained_blob();
-  blob[3] = 2;
-  auto detector = make_detector();
-  std::string_view in(blob);
-  EXPECT_FALSE(detector->load_state(in));
-  EXPECT_EQ(save(detector), constructed);
+  auto restored = make_detector();
+  std::string_view in(saved);
+  ASSERT_TRUE(restored->load_state(in));
+  const auto& s = restored->stats();
+  EXPECT_GT(s.events, 0u);
+  std::string expected;
+  restored->latency().save_state(expected);
+  for (const std::uint64_t word :
+       {s.events, s.rest_errors, s.rpc_errors, s.operational_reports,
+        s.performance_reports, s.suppressed_triggers, s.losses_recorded,
+        s.degraded_reports, s.forced_reports})
+    util::put_u64(expected, word);
+  EXPECT_EQ(saved, expected);
 }
 
 TEST(DetectorCheckpoint, TornBlobLeavesConstructedState) {
@@ -130,29 +123,7 @@ TEST(DetectorCheckpoint, TornBlobLeavesConstructedState) {
   }
 }
 
-// The stale-freeze word repeats the dual buffer's count, which restarts
-// with the new window: a restored detector writes the buffer's 0 there,
-// whatever the loaded blob held.
-TEST(DetectorCheckpoint, StaleFreezeWordIsWrittenFromTheBuffer) {
-  const auto& saved = trained_blob();
-  // Word 13 of the 18-word tail.
-  const std::size_t at = saved.size() - 18 * 8 + 13 * 8;
-  std::string blob = saved;
-  std::string word;
-  util::put_u64(word, 3);
-  blob.replace(at, 8, word);
-  auto restored = make_detector();
-  std::string_view in(blob);
-  ASSERT_TRUE(restored->load_state(in));
-  EXPECT_TRUE(in.empty());
-  const auto resaved = save(restored);
-  ASSERT_EQ(resaved.size(), blob.size());
-  EXPECT_EQ(resaved.substr(at, 8), std::string(8, '\0'));
-  EXPECT_EQ(resaved.substr(0, at), blob.substr(0, at));
-  EXPECT_EQ(resaved.substr(at + 8), blob.substr(at + 8));
-}
-
-// --- LatencyTracker blob: the retired sketch and series sections ---
+// --- LatencyTracker blob ---
 
 constexpr wire::ApiId kApi(3);
 constexpr std::uint32_t kPendingConn = 500;
@@ -190,20 +161,14 @@ void warm_up(detect::LatencyTracker& tracker) {
                               at_ms(1000.0 * kWarmup)));
 }
 
-// Hand-written tracker blob holding the warm-up state.  With no retired
-// content it is the current layout; with a sketch section, series points
-// and a series-trim count it is the layout that still carried them.
-std::string tracker_blob(std::string_view sketch, std::uint32_t points,
-                         std::uint64_t trimmed) {
+// Hand-written tracker blob holding the warm-up state.
+std::string tracker_blob() {
   detect::LevelShiftDetector detector;
   for (int i = 0; i < kWarmup; ++i) {
     const double t_ms = 1000.0 * i + warmup_latency_ms(i);
     detector.observe(at_ms(t_ms).to_seconds(),
                      (at_ms(t_ms) - at_ms(1000.0 * i)).to_millis());
   }
-  std::string det;
-  detector.save_state(det);
-
   std::string out;
   util::put_u32(out, 1);  // pending REST requests
   util::put_u32(out, kPendingConn);
@@ -211,27 +176,12 @@ std::string tracker_blob(std::string_view sketch, std::uint32_t points,
   util::put_u32(out, 0);  // pending RPC requests
   util::put_u32(out, 1);  // APIs
   util::put_u16(out, kApi.value());
-  util::put_bytes(out, "level-shift");
-  util::put_bytes(out, det);
-  util::put_bytes(out, sketch);
-  util::put_u32(out, points);
-  for (std::uint32_t p = 0; p < points; ++p) {
-    util::put_f64(out, static_cast<double>(p));
-    util::put_f64(out, warmup_latency_ms(static_cast<int>(p)));
-  }
+  detector.save_state(out);
   util::put_u32(out, 0);        // in-flight FIFO
   util::put_u64(out, kWarmup);  // samples
   util::put_u32(out, 0);        // observes since sweep
   for (int g = 0; g < 4; ++g) util::put_u64(out, 0);  // guard counters
-  util::put_u64(out, trimmed);
   return out;
-}
-
-// Stand-in bytes for the P² sketch: the loader skips them unread.
-const std::string kSketch(120, '\x5a');
-
-std::string older_layout_blob() {
-  return tracker_blob(kSketch, kWarmup, 17);
 }
 
 std::string save_tracker(const detect::LatencyTracker& tracker) {
@@ -270,48 +220,35 @@ std::vector<AlarmRecord> continuation_alarms(detect::LatencyTracker& tracker) {
 TEST(DetectorCheckpoint, HandWrittenTrackerBlobMatchesSaveState) {
   detect::LatencyTracker tracker;
   warm_up(tracker);
-  EXPECT_EQ(save_tracker(tracker), tracker_blob({}, 0, 0));
+  EXPECT_EQ(save_tracker(tracker), tracker_blob());
 }
 
-TEST(DetectorCheckpoint, OlderTrackerLayoutRestoresLearnedState) {
+TEST(DetectorCheckpoint, TrackerBlobRestoresLearnedState) {
   detect::LatencyTracker uninterrupted;
   warm_up(uninterrupted);
   const auto expected = continuation_alarms(uninterrupted);
   ASSERT_EQ(expected.size(), 2u);  // the shift up and the shift back
 
-  const std::string current = tracker_blob({}, 0, 0);
-  const std::string older = older_layout_blob();
-  ASSERT_GT(older.size(), current.size());
-
-  detect::LatencyTracker from_current;
-  std::string_view in(current);
-  ASSERT_TRUE(from_current.load_state(in));
+  const std::string blob = tracker_blob();
+  detect::LatencyTracker restored;
+  std::string_view in(blob);
+  ASSERT_TRUE(restored.load_state(in));
   EXPECT_TRUE(in.empty());
-
-  detect::LatencyTracker from_older;
-  in = older;
-  ASSERT_TRUE(from_older.load_state(in));
-  EXPECT_TRUE(in.empty());
-  // The retired sections are dropped: the restored tracker saves the
-  // current layout of the same learned state.
-  EXPECT_EQ(save_tracker(from_older), current);
-  EXPECT_EQ(from_older.samples(), static_cast<std::uint64_t>(kWarmup));
-  EXPECT_EQ(from_older.pending(), 1u);
-
-  EXPECT_EQ(continuation_alarms(from_current), expected);
-  EXPECT_EQ(continuation_alarms(from_older), expected);
+  EXPECT_EQ(save_tracker(restored), blob);
+  EXPECT_EQ(restored.samples(), static_cast<std::uint64_t>(kWarmup));
+  EXPECT_EQ(restored.pending(), 1u);
+  EXPECT_EQ(continuation_alarms(restored), expected);
 }
 
-TEST(DetectorCheckpoint, TornOlderTrackerBlobLeavesTrackerReset) {
+TEST(DetectorCheckpoint, TornTrackerBlobLeavesTrackerReset) {
   const std::string fresh = save_tracker(detect::LatencyTracker());
-  const std::string older = older_layout_blob();
-  // Every cut, which covers each byte of the retired sketch bytes, the
-  // series points and the series-trim word.
-  for (std::size_t keep = 0; keep < older.size(); ++keep) {
+  const std::string blob = tracker_blob();
+  // Every cut, which covers each byte of every live section.
+  for (std::size_t keep = 0; keep < blob.size(); ++keep) {
     SCOPED_TRACE("kept " + std::to_string(keep) + " bytes");
     detect::LatencyTracker tracker;
     warm_up(tracker);
-    std::string_view in(older.data(), keep);
+    std::string_view in(blob.data(), keep);
     ASSERT_FALSE(tracker.load_state(in));
     EXPECT_EQ(save_tracker(tracker), fresh);
     EXPECT_EQ(tracker.samples(), 0u);
@@ -319,7 +256,7 @@ TEST(DetectorCheckpoint, TornOlderTrackerBlobLeavesTrackerReset) {
   }
 }
 
-// --- Analyzer blob: the retired resource-stream section ---
+// --- Analyzer blob ---
 
 std::unique_ptr<Analyzer> make_analyzer() {
   auto& e = env();
@@ -336,62 +273,20 @@ std::string save_analyzer(const Analyzer& analyzer) {
   return out;
 }
 
-// The analyzer blob after the detector part: the resource-stream section
-// (written empty) and the stale-series total.
-std::string current_tail(std::uint64_t stale) {
-  std::string out;
-  util::put_u32(out, 0);  // resource-stream detectors
-  util::put_u32(out, 0);  // resource alarms
-  util::put_u64(out, 0);  // resource samples
-  util::put_u64(out, stale);
-  return out;
-}
-
-// The tail in the layout that still ran a level-shift detector per (node,
-// resource): two detectors with learned baselines and two alarms.
-std::string parent_tail(std::uint64_t stale) {
-  detect::LevelShiftDetector cpu;
-  detect::LevelShiftDetector disk;
-  for (int t = 0; t < 40; ++t) {
-    cpu.observe(t, 20.0 + 0.1 * (t % 3));
-    disk.observe(t, 5000.0 - t);
-  }
-  std::string out;
-  util::put_u32(out, 2);
-  for (const auto& [key, det] : {std::pair{0x0100u, &cpu},
-                                 std::pair{0x0103u, &disk}}) {
-    std::string blob;
-    det->save_state(blob);
-    util::put_u32(out, key);
-    util::put_bytes(out, "level-shift");
-    util::put_bytes(out, blob);
-  }
-  util::put_u32(out, 2);
-  for (int i = 0; i < 2; ++i) {
-    util::put_u8(out, 1);  // node
-    util::put_u8(out, 0);  // CPU
-    util::put_f64(out, 50.0 + i);
-    util::put_f64(out, 92.0);
-    util::put_f64(out, 20.0);
-    util::put_f64(out, 72.0);
-    util::put_u8(out, 0);  // up
-  }
-  util::put_u64(out, 80);  // samples
-  util::put_u64(out, stale);
-  return out;
-}
-
-// The detector part of a warmed-up analyzer's blob.
-std::string warm_detector_part() {
+// A warmed-up analyzer's blob with the stale-series total set to `stale`.
+// Warming the tracker directly leaves the detector's counters at 0, so the
+// blob is the tracker blob, nine zero counters and the stale total.
+std::string warm_analyzer_blob(std::uint64_t stale) {
   auto analyzer = make_analyzer();
   warm_up(analyzer->latency());
-  const std::string saved = save_analyzer(*analyzer);
-  const std::string tail = current_tail(0);
-  EXPECT_EQ(saved.substr(saved.size() - tail.size()), tail);
-  return saved.substr(0, saved.size() - tail.size());
+  std::string blob = save_tracker(analyzer->latency());
+  for (int i = 0; i < 9; ++i) util::put_u64(blob, 0);  // counters
+  EXPECT_EQ(save_analyzer(*analyzer), blob + std::string(8, '\0'));
+  util::put_u64(blob, stale);
+  return blob;
 }
 
-TEST(AnalyzerCheckpoint, ParentLayoutRestoresLatencyState) {
+TEST(AnalyzerCheckpoint, BlobRestoresLatencyStateAndStaleSeries) {
   detect::LatencyTracker warmed;
   warm_up(warmed);
   detect::LatencyTracker uninterrupted;
@@ -399,30 +294,27 @@ TEST(AnalyzerCheckpoint, ParentLayoutRestoresLatencyState) {
   const auto expected = continuation_alarms(uninterrupted);
   ASSERT_EQ(expected.size(), 2u);
 
-  const std::string detector_part = warm_detector_part();
-  const std::string parent = detector_part + parent_tail(7);
+  const std::string blob = warm_analyzer_blob(7);
   auto restored = make_analyzer();
-  std::string_view in(parent);
+  std::string_view in(blob);
   ASSERT_TRUE(restored->load_state(in));
   EXPECT_TRUE(in.empty());
-  // The resource section is dropped: the restored analyzer saves the
-  // current layout of the same learned state and stale-series total.
-  EXPECT_EQ(save_analyzer(*restored), detector_part + current_tail(7));
+  EXPECT_EQ(save_analyzer(*restored), blob);
   EXPECT_EQ(restored->stale_series(), 7u);
   EXPECT_EQ(save_tracker(restored->latency()), save_tracker(warmed));
   EXPECT_EQ(continuation_alarms(restored->latency()), expected);
 }
 
-TEST(AnalyzerCheckpoint, TornParentLayoutLeavesAnalyzerReset) {
+TEST(AnalyzerCheckpoint, TornBlobLeavesAnalyzerReset) {
   const std::string fresh = save_analyzer(*make_analyzer());
-  const std::string parent = warm_detector_part() + parent_tail(7);
+  const std::string blob = warm_analyzer_blob(7);
   auto analyzer = make_analyzer();
-  // Every cut, which covers each byte of the detector blobs and alarm
-  // records the loader skips.
-  for (std::size_t keep = 0; keep < parent.size(); ++keep) {
+  // Every cut, which covers each byte of the tracker, counter and
+  // stale-series words.
+  for (std::size_t keep = 0; keep < blob.size(); ++keep) {
     SCOPED_TRACE("kept " + std::to_string(keep) + " bytes");
     warm_up(analyzer->latency());
-    std::string_view in(parent.data(), keep);
+    std::string_view in(blob.data(), keep);
     ASSERT_FALSE(analyzer->load_state(in));
     EXPECT_EQ(save_analyzer(*analyzer), fresh);
     EXPECT_EQ(analyzer->latency().samples(), 0u);

@@ -1,6 +1,7 @@
-// GRTCKP01 contract: encode/decode round-trip, per-section CRC rejection,
-// unknown-section forward compatibility, prune-to-keep-N, corrupt-file
-// fallback in the loader, and the crash fail-point artifacts.
+// GRTCKP02 contract: encode/decode round-trip over two fixed bodies,
+// per-body CRC rejection, rejection of trailing bytes and of the older
+// GRTCKP01 magic, prune-to-keep-N, corrupt-file fallback in the loader,
+// and the crash fail-point artifacts.
 #include "persist/checkpoint.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 
 #include "persist/crash_hook.h"
 #include "util/binio.h"
-#include "util/crc32.h"
 
 namespace gretel::persist {
 namespace {
@@ -41,7 +41,6 @@ struct TempDir {
 Checkpoint sample(std::uint64_t seq) {
   Checkpoint ckp;
   ckp.meta.checkpoint_seq = seq;
-  ckp.meta.tick = 40 + seq;
   ckp.meta.watermark_ns = 12'345'678'900 + static_cast<std::int64_t>(seq);
   ckp.meta.journal_next_seq = 7 + seq;
   ckp.meta.offered = 1000;
@@ -61,7 +60,6 @@ Checkpoint sample(std::uint64_t seq) {
 
 void expect_equal(const Checkpoint& a, const Checkpoint& b) {
   EXPECT_EQ(a.meta.checkpoint_seq, b.meta.checkpoint_seq);
-  EXPECT_EQ(a.meta.tick, b.meta.tick);
   EXPECT_EQ(a.meta.watermark_ns, b.meta.watermark_ns);
   EXPECT_EQ(a.meta.journal_next_seq, b.meta.journal_next_seq);
   EXPECT_EQ(a.meta.offered, b.meta.offered);
@@ -80,7 +78,11 @@ void expect_equal(const Checkpoint& a, const Checkpoint& b) {
 TEST(Checkpoint, EncodeDecodeRoundTrip) {
   const auto ckp = sample(3);
   const auto blob = encode_checkpoint(ckp);
-  EXPECT_EQ(blob.substr(0, 8), "GRTCKP01");
+  EXPECT_EQ(blob.substr(0, 8), "GRTCKP02");
+  // Magic, then each body as u32 len · u32 crc · bytes: meta is 12 u64
+  // words and the u32 DB CRC.
+  EXPECT_EQ(blob.size(),
+            8 + (8 + 12 * 8 + 4) + (8 + ckp.analyzer_state.size()));
   const auto back = decode_checkpoint(blob);
   ASSERT_TRUE(back.has_value());
   expect_equal(ckp, *back);
@@ -96,8 +98,8 @@ TEST(Checkpoint, EveryTruncationIsRejectedNotCrashing) {
 
 TEST(Checkpoint, BitFlipsFailTheSectionCrc) {
   const auto blob = encode_checkpoint(sample(1));
-  // Flip one bit in every byte past the magic: either a length/name field
-  // breaks parsing or a body byte breaks its section CRC.  Decode must
+  // Flip one bit in every byte past the magic: either a length field
+  // breaks parsing or a body byte breaks its CRC.  Decode must
   // reject or — never — return silently different content.
   for (std::size_t i = 8; i < blob.size(); i += 7) {
     std::string mutated = blob;
@@ -111,23 +113,21 @@ TEST(Checkpoint, BitFlipsFailTheSectionCrc) {
   }
 }
 
-TEST(Checkpoint, UnknownSectionsAreSkipped) {
-  // The format grows by adding sections; an old reader must skip them.
+TEST(Checkpoint, AnythingAfterTheAnalyzerBodyIsRejected) {
+  // No writer emits a third body, so bytes past the analyzer body are
+  // corruption, not a newer section to skip.
   auto blob = encode_checkpoint(sample(2));
-  // Patch the section count from 2 to 3 and append a valid extra section.
-  ASSERT_EQ(blob[11], 2);  // u32 big-endian count at offset 8
-  blob[11] = 3;
-  std::string extra;
-  util::put_u32(extra, 6);
-  extra += "future";
-  const std::string body = "anything";
-  util::put_u32(extra, static_cast<std::uint32_t>(body.size()));
-  util::put_u32(extra, util::crc32(body));
-  extra += body;
-  blob += extra;
-  const auto back = decode_checkpoint(blob);
-  ASSERT_TRUE(back.has_value());
-  expect_equal(sample(2), *back);
+  util::put_u32(blob, 0);
+  EXPECT_FALSE(decode_checkpoint(blob));
+}
+
+TEST(Checkpoint, OlderLayoutMagicIsRejected) {
+  // An otherwise valid file stamped GRTCKP01 is not read: the older
+  // layout fails like any other undecodable file.
+  auto blob = encode_checkpoint(sample(2));
+  ASSERT_TRUE(decode_checkpoint(blob));
+  blob.replace(0, 8, "GRTCKP01");
+  EXPECT_FALSE(decode_checkpoint(blob));
 }
 
 TEST(Checkpoint, WriteLoadAndPruneKeepN) {
@@ -153,7 +153,7 @@ TEST(Checkpoint, LoaderFallsBackAcrossCorruptFiles) {
   {
     std::ofstream f(checkpoint_path(dir.path, 2),
                     std::ios::binary | std::ios::trunc);
-    f << "GRTCKP01torn";
+    f << "GRTCKP02torn";
   }
   {
     std::ifstream in(checkpoint_path(dir.path, 1), std::ios::binary);

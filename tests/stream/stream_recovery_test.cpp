@@ -9,6 +9,8 @@
 //   - the journal tail is replayed when the crash landed after the last
 //     checkpoint (including with no checkpoint at all);
 //   - corrupt checkpoints fall back to the next-newest valid one;
+//   - a directory whose only checkpoint is in the older GRTCKP01 layout
+//     cold-starts, and journal numbering stays exact;
 //   - a fingerprint-DB identity mismatch cold-starts the learned state
 //     instead of grafting baselines onto the wrong APIs;
 //   - an analyzer blob that will not decode cleanly cold-starts from a
@@ -341,7 +343,7 @@ TEST(Checkpoint, RestoreFallsBackAcrossACorruptNewestFile) {
     std::FILE* f =
         std::fopen(persist::checkpoint_path(dir.path, seqs[0]).c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    std::fputs("GRTCKP01 torn mid-write", f);
+    std::fputs("GRTCKP02 torn mid-write", f);
     std::fclose(f);
   }
   RecoveryInfo ri;
@@ -352,6 +354,44 @@ TEST(Checkpoint, RestoreFallsBackAcrossACorruptNewestFile) {
     EXPECT_TRUE(ri.recovered);
     EXPECT_EQ(ri.checkpoint_seq, seqs[1]);
   }
+}
+
+TEST(Recovery, OlderLayoutCheckpointColdStartsAndJournalStillCounts) {
+  auto& e = env();
+  const auto recs = record_workload(10, 3, 0x5EED41);
+  TempDir dir;
+  const auto emitted = run_stream(recs, dir.path);
+  ASSERT_FALSE(emitted.empty());
+  // A directory last written in the GRTCKP01 layout: its newest (here its
+  // only) checkpoint carries the older magic.
+  const auto seqs = persist::list_checkpoints(dir.path);
+  ASSERT_FALSE(seqs.empty());
+  for (std::size_t i = 1; i < seqs.size(); ++i)
+    fs::remove(persist::checkpoint_path(dir.path, seqs[i]));
+  const std::string path = persist::checkpoint_path(dir.path, seqs[0]);
+  {
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fputs("GRTCKP01", f);
+    std::fclose(f);
+  }
+
+  RecoveryInfo ri;
+  auto restored = restore(dir.path, &ri);
+  ASSERT_NE(restored, nullptr);
+  EXPECT_FALSE(ri.recovered);
+  EXPECT_EQ(ri.corrupt_checkpoints_skipped, 1u);
+  // The learned state cold-starts...
+  StreamAnalyzer fresh(&e.training.db, &e.catalog.apis(), &e.deployment,
+                       base_options(), {}, base_stream());
+  std::string restored_state, fresh_state;
+  restored->analyzer().save_state(restored_state);
+  fresh.analyzer().save_state(fresh_state);
+  EXPECT_TRUE(restored_state == fresh_state);
+  // ...while the journal still numbers every report exactly.
+  EXPECT_TRUE(restored->durable());
+  EXPECT_EQ(restored->journal_next_seq(), emitted.size());
+  EXPECT_EQ(restored->counters().reports, emitted.size());
 }
 
 TEST(Recovery, DbIdentityMismatchColdStartsLearnedState) {
