@@ -129,7 +129,9 @@ bool write_checkpoint(const std::string& dir, const Checkpoint& ckp,
   if (!util::write_file_atomic(path, data, /*sync_dir=*/true)) return false;
   if (crash_requested("checkpoint.post_rename")) throw SimulatedCrash{};
 
-  // Prune all but the newest `keep` (never the one just written).
+  // Prune all but the newest `keep`.  The writer numbers each checkpoint
+  // past the files it found (restore() does so on a cold start), so the
+  // one just written is never pruned.
   auto seqs = list_checkpoints(dir);
   for (std::size_t i = keep; i < seqs.size(); ++i) {
     std::filesystem::remove(checkpoint_path(dir, seqs[i]), ec);

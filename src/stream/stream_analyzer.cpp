@@ -384,6 +384,13 @@ std::unique_ptr<StreamAnalyzer> StreamAnalyzer::restore(
   ri.replayed = persist::ReportJournal::read_from(dir, replay_from);
   sa->counters_.reports =
       std::max(sa->counters_.reports, sa->journal_->next_seq());
+  // A cold start numbers its checkpoints past every file it skipped (an
+  // older layout, a torn write, another DB): write_checkpoint keeps the
+  // newest by seq, so seq 0 would be pruned as soon as it was written.
+  if (!ri.recovered) {
+    const auto seqs = persist::list_checkpoints(dir);
+    if (!seqs.empty()) sa->checkpoint_seq_ = seqs.front() + 1;
+  }
   return sa;
 }
 

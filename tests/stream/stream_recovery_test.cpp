@@ -10,7 +10,8 @@
 //     checkpoint (including with no checkpoint at all);
 //   - corrupt checkpoints fall back to the next-newest valid one;
 //   - a directory whose only checkpoint is in the older GRTCKP01 layout
-//     cold-starts, and journal numbering stays exact;
+//     cold-starts, journal numbering stays exact, and the next checkpoint
+//     is the one the next restore loads;
 //   - a fingerprint-DB identity mismatch cold-starts the learned state
 //     instead of grafting baselines onto the wrong APIs;
 //   - an analyzer blob that will not decode cleanly cold-starts from a
@@ -392,6 +393,26 @@ TEST(Recovery, OlderLayoutCheckpointColdStartsAndJournalStillCounts) {
   EXPECT_TRUE(restored->durable());
   EXPECT_EQ(restored->journal_next_seq(), emitted.size());
   EXPECT_EQ(restored->counters().reports, emitted.size());
+
+  // The cold-started stream checkpoints past the older file, so its own
+  // checkpoint is the newest on disk and is the one the next restore loads.
+  for (const auto& r : recs) {
+    restored->advance_to(r.ts);
+    restored->offer(r);
+  }
+  ASSERT_TRUE(restored->checkpoint_now());
+  std::string checkpointed_state;
+  restored->analyzer().save_state(checkpointed_state);
+  restored.reset();
+  RecoveryInfo again;
+  auto resumed = restore(dir.path, &again);
+  ASSERT_NE(resumed, nullptr);
+  EXPECT_TRUE(again.recovered);
+  EXPECT_EQ(again.corrupt_checkpoints_skipped, 0u);
+  EXPECT_GT(again.checkpoint_seq, seqs[0]);
+  std::string resumed_state;
+  resumed->analyzer().save_state(resumed_state);
+  EXPECT_TRUE(resumed_state == checkpointed_state);
 }
 
 TEST(Recovery, DbIdentityMismatchColdStartsLearnedState) {
