@@ -101,7 +101,7 @@ ScenarioResult run_scenario(bench::BenchEnv& env,
                         env.deployment.service_by_port());
     hansel::Hansel baseline;
     for (const auto& r : records) {
-      if (auto ev = tap.decode(r)) baseline.on_message(*ev, r.bytes);
+      if (auto ev = tap.decode(r)) baseline.on_message(r, *ev);
     }
     baseline.flush();
 

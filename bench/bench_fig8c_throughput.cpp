@@ -92,7 +92,7 @@ int main() {
         records, [&](const net::WireRecord& r) {
           // HANSEL decodes the message *and* analyzes the payload for
           // identifiers on every message (§9.2).
-          if (auto ev = tap.decode(r)) baseline.on_message(*ev, r.bytes);
+          if (auto ev = tap.decode(r)) baseline.on_message(r, *ev);
         });
     baseline.flush();
     std::printf("%-14s %-10zu %-14llu %-12zu %-14.0f %-14.2f\n",

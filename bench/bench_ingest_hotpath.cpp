@@ -8,9 +8,14 @@
 //  2. allocations/event: a counting global operator new shows the warmed-up
 //     CaptureTap performs zero steady-state heap allocations per decoded
 //     event.  This is a gate: the bench exits 2 when the count is above 0.
-//  3. detector ingest events/sec on the pre-decoded pool.  The pool is
-//     fault-free, so this is an ingest microbenchmark, not an end-to-end
-//     number (see perfbench/).
+//  3. detector ingest events/sec on the pre-decoded pool.  No REST error
+//     triggers a snapshot, so this is an ingest microbenchmark, not an
+//     end-to-end number (see perfbench/).
+//
+// The pool has the shape of simulator records: every record carries the
+// payload identifiers the simulator stamps (which only HANSEL reads), each
+// REST exchange has a connection of its own, and one RPC reply in four
+// carries an oslo error payload.
 //
 // Usage: bench_ingest_hotpath [--events N] [--out PATH]
 #include <algorithm>
@@ -80,10 +85,10 @@ namespace {
 using namespace gretel;
 
 // ---------------------------------------------------------------------------
-// Synthetic capture: a clean (fault-free) record pool cycling over every
-// catalog API — request/response pairs for REST, publish/deliver for RPC —
-// with a bounded conn-id set so the tap's per-stream map reaches a steady
-// state during warmup.
+// Synthetic capture: a record pool cycling over every catalog API —
+// request/response pairs for REST, publish/deliver for RPC — shaped like
+// simulator records (stack/workflow.cpp): payload identifiers on every
+// record, a fresh connection per REST exchange, and RPC error replies.
 // ---------------------------------------------------------------------------
 
 std::string instantiate_template(std::string_view tmpl) {
@@ -132,6 +137,13 @@ std::vector<net::WireRecord> build_pool(const bench::BenchEnv& env) {
   std::vector<net::WireRecord> pool;
   std::uint32_t conn = 1;
   std::uint64_t msg_id = 1;
+  std::uint32_t rpc_replies = 0;
+  // Tenant id plus a resource hash, as the simulator stamps on each
+  // message of an operation.
+  const auto identifiers = [](std::uint32_t op) {
+    return std::vector<std::uint32_t>{1000u + op % 40u,
+                                      0x9E3779B1u * (op + 1)};
+  };
   for (const auto& api : env.catalog.apis().all()) {
     if (api.kind == wire::ApiKind::Rest) {
       const auto port_it = port_of.find(api.service);
@@ -154,6 +166,7 @@ std::vector<net::WireRecord> build_pool(const bench::BenchEnv& env) {
       r.conn_id = conn;
       r.dst.port = port_it->second;
       r.bytes = serialize(req);
+      r.identifiers = identifiers(conn);
       pool.push_back(r);
 
       wire::HttpResponse resp;
@@ -169,8 +182,9 @@ std::vector<net::WireRecord> build_pool(const bench::BenchEnv& env) {
       rr.conn_id = conn;
       rr.dst.port = 0;  // responses resolve via the stream, not the port
       rr.bytes = serialize(resp);
+      rr.identifiers = identifiers(conn);
       pool.push_back(rr);
-      conn = conn % 64 + 1;  // bounded stream-id set -> steady-state map
+      ++conn;  // one TCP stream per exchange, as the simulator opens
     } else {
       wire::AmqpFrame frame;
       frame.routing_key =
@@ -183,15 +197,22 @@ std::vector<net::WireRecord> build_pool(const bench::BenchEnv& env) {
       net::WireRecord pub;
       pub.is_amqp = true;
       pub.bytes = serialize(frame);
+      pub.identifiers = identifiers(static_cast<std::uint32_t>(msg_id));
       pool.push_back(pub);
 
       frame.type = wire::AmqpFrameType::Deliver;
-      frame.payload = R"({"oslo.reply": {"result": {"host": "compute-1", )"
-                      R"("nodename": "compute-1.domain", "limits": {}}, )"
-                      R"("ending": true}})";
+      frame.payload =
+          ++rpc_replies % 4 == 0
+              ? wire::make_rpc_error_payload(
+                    "NoValidHost", "No valid host was found. There are not "
+                                   "enough hosts available.")
+              : R"({"oslo.reply": {"result": {"host": "compute-1", )"
+                R"("nodename": "compute-1.domain", "limits": {}}, )"
+                R"("ending": true}})";
       net::WireRecord del;
       del.is_amqp = true;
       del.bytes = serialize(frame);
+      del.identifiers = pub.identifiers;
       pool.push_back(del);
     }
   }
@@ -216,8 +237,8 @@ template <typename DecodeFn>
 DecodeMeasurement measure_decode(const std::vector<net::WireRecord>& pool,
                                  std::size_t passes, DecodeFn&& decode) {
   std::size_t decoded = 0;
-  // Warmup: grows the arena slab list / conn map / malloc pools to their
-  // high-water mark so the measured passes see the steady state.
+  // Warmup: grows the arena slab list / connection table / malloc pools to
+  // their high-water mark so the measured passes see the steady state.
   for (const auto& r : pool) decoded += decode(r);
 
   g_alloc_count.store(0, std::memory_order_relaxed);

@@ -8,7 +8,7 @@
 namespace gretel::detect {
 
 namespace {
-// Pending-map sweep cadence, in observe() calls.  The sweep only reclaims
+// Pending-table sweep cadence, in observe() calls.  The sweep only reclaims
 // memory (admission is decided at pairing time), so the cadence affects
 // footprint, never output.
 constexpr std::uint32_t kSweepStride = 64;
@@ -21,20 +21,16 @@ void LatencyTracker::sweep_now(util::SimTime now) {
 }
 
 bool LatencyTracker::stale(const InflightEntry& e) const {
-  if (e.rpc) {
-    const auto it = pending_rpc_.find(e.key);
-    return it == pending_rpc_.end() || it->second != e.ts;
-  }
-  const auto it = pending_rest_.find(static_cast<std::uint32_t>(e.key));
-  return it == pending_rest_.end() || it->second != e.ts;
+  const util::SimTime* ts = pending_.find(key_of(e));
+  return !ts || *ts != e.ts;
 }
 
 void LatencyTracker::note_inflight(std::uint64_t key, util::SimTime ts,
                                    bool rpc) {
   inflight_fifo_.push_back({key, ts, rpc});
 
-  // Pairing and the orphan sweep erase map entries but leave their FIFO
-  // records behind (no per-map back-index), and pops only advance the head
+  // Pairing and the orphan sweep erase table entries but leave their FIFO
+  // records behind (no back-index), and pops only advance the head
   // index.  When dead entries dominate, one pass reclaims them — amortized
   // O(1) per insert, and the queue stays O(pending + cap).
   const std::size_t slack = inflight_cap_ + 64;
@@ -55,69 +51,38 @@ void LatencyTracker::note_inflight(std::uint64_t key, util::SimTime ts,
          inflight_head_ < inflight_fifo_.size()) {
     const InflightEntry entry = inflight_fifo_[inflight_head_++];
     if (stale(entry)) continue;
-    if (entry.rpc) {
-      pending_rpc_.erase(entry.key);
-    } else {
-      pending_rest_.erase(static_cast<std::uint32_t>(entry.key));
-    }
+    pending_.erase(key_of(entry));
     ++guards_.inflight_evicted;
   }
 }
 
 void LatencyTracker::sweep_orphans(util::SimTime now) {
-  const auto expired = [&](util::SimTime req_ts) {
-    return (now - req_ts).to_seconds() > orphan_timeout_seconds_;
-  };
-  for (auto it = pending_rest_.begin(); it != pending_rest_.end();) {
-    if (expired(it->second)) {
-      it = pending_rest_.erase(it);
-      ++guards_.orphans_reaped;
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = pending_rpc_.begin(); it != pending_rpc_.end();) {
-    if (expired(it->second)) {
-      it = pending_rpc_.erase(it);
-      ++guards_.orphans_reaped;
-    } else {
-      ++it;
-    }
-  }
+  guards_.orphans_reaped +=
+      pending_.erase_if([&](const PendingKey&, util::SimTime req_ts) {
+        return (now - req_ts).to_seconds() > orphan_timeout_seconds_;
+      });
 }
 
 std::optional<LatencySample> LatencyTracker::observe(
-    const wire::EventHeader& event) {
+    const wire::Event& event) {
   if (orphan_timeout_seconds_ > 0.0 &&
       ++observes_since_sweep_ >= kSweepStride) {
     observes_since_sweep_ = 0;
     sweep_orphans(event.ts);
   }
 
+  const PendingKey key = key_of(event);
   if (event.is_request()) {
-    if (event.kind == wire::ApiKind::Rest) {
-      pending_rest_[event.conn_id] = event.ts;
-      if (inflight_cap_ > 0) note_inflight(event.conn_id, event.ts, false);
-    } else {
-      pending_rpc_[event.msg_id] = event.ts;
-      if (inflight_cap_ > 0) note_inflight(event.msg_id, event.ts, true);
-    }
+    pending_.insert_or_assign(key, event.ts);
+    if (inflight_cap_ > 0) note_inflight(key.id, event.ts, key.rpc);
     return std::nullopt;
   }
 
   // Response: close out the pending request, if any.
-  util::SimTime req_ts;
-  if (event.kind == wire::ApiKind::Rest) {
-    const auto it = pending_rest_.find(event.conn_id);
-    if (it == pending_rest_.end()) return std::nullopt;
-    req_ts = it->second;
-    pending_rest_.erase(it);
-  } else {
-    const auto it = pending_rpc_.find(event.msg_id);
-    if (it == pending_rpc_.end()) return std::nullopt;
-    req_ts = it->second;
-    pending_rpc_.erase(it);
-  }
+  const util::SimTime* pending_ts = pending_.find(key);
+  if (!pending_ts) return std::nullopt;
+  const util::SimTime req_ts = *pending_ts;
+  pending_.erase(key);
 
   // Pairing-time admission: a response past the orphan timeout is the tail
   // of an exchange the tap effectively lost — its latency reflects the
@@ -148,29 +113,25 @@ std::optional<LatencySample> LatencyTracker::observe(
 }
 
 void LatencyTracker::save_state(std::string& out) const {
-  // Unordered maps are walked in sorted-key order so the same tracker state
+  // Hash tables are walked in sorted-key order so the same tracker state
   // always produces the same bytes (checkpoint files diff cleanly and the
   // recovery tests can compare blobs directly).
   {
-    std::vector<std::uint32_t> keys;
-    keys.reserve(pending_rest_.size());
-    for (const auto& [k, ts] : pending_rest_) keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    util::put_u32(out, static_cast<std::uint32_t>(keys.size()));
-    for (std::uint32_t k : keys) {
-      util::put_u32(out, k);
-      util::put_i64(out, pending_rest_.at(k).nanos());
+    std::vector<std::pair<std::uint64_t, std::int64_t>> rest, rpc;
+    pending_.for_each([&](const PendingKey& k, util::SimTime ts) {
+      (k.rpc ? rpc : rest).push_back({k.id, ts.nanos()});
+    });
+    std::sort(rest.begin(), rest.end());
+    std::sort(rpc.begin(), rpc.end());
+    util::put_u32(out, static_cast<std::uint32_t>(rest.size()));
+    for (const auto& [conn, ts] : rest) {
+      util::put_u32(out, static_cast<std::uint32_t>(conn));
+      util::put_i64(out, ts);
     }
-  }
-  {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(pending_rpc_.size());
-    for (const auto& [k, ts] : pending_rpc_) keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    util::put_u32(out, static_cast<std::uint32_t>(keys.size()));
-    for (std::uint64_t k : keys) {
-      util::put_u64(out, k);
-      util::put_i64(out, pending_rpc_.at(k).nanos());
+    util::put_u32(out, static_cast<std::uint32_t>(rpc.size()));
+    for (const auto& [msg, ts] : rpc) {
+      util::put_u64(out, msg);
+      util::put_i64(out, ts);
     }
   }
   {
@@ -211,8 +172,7 @@ void LatencyTracker::save_state(std::string& out) const {
 }
 
 void LatencyTracker::reset() {
-  pending_rest_.clear();
-  pending_rpc_.clear();
+  pending_.clear();
   detectors_.clear();
   inflight_fifo_.clear();
   inflight_head_ = 0;
@@ -234,7 +194,7 @@ bool LatencyTracker::load_state(std::string_view& in) {
       reset();
       return false;
     }
-    pending_rest_.emplace(k, util::SimTime(ts));
+    pending_.try_insert({k, false}, util::SimTime(ts));
   }
   std::uint32_t n_rpc = 0;
   if (!util::get_u32(in, n_rpc) || n_rpc > kMaxElems) {
@@ -248,7 +208,7 @@ bool LatencyTracker::load_state(std::string_view& in) {
       reset();
       return false;
     }
-    pending_rpc_.emplace(k, util::SimTime(ts));
+    pending_.try_insert({k, true}, util::SimTime(ts));
   }
 
   std::uint32_t n_apis = 0;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "detect/level_shift.h"
+#include "util/flat_map.h"
 #include "util/time.h"
 #include "wire/message.h"
 
@@ -45,7 +46,7 @@ struct LatencyGuardStats {
   // the detectors also consume operator-supplied series); rejected.
   std::uint64_t rejected_nonfinite = 0;
   // Requests whose response never arrived within the orphan timeout: swept
-  // from the pending maps, or rejected when the response finally limped in
+  // from the pending table, or rejected when the response finally limped in
   // past the deadline.  Each lost exchange is counted exactly once.
   std::uint64_t orphans_reaped = 0;
   // Streaming only (in-flight cap armed): oldest pending requests evicted
@@ -61,17 +62,12 @@ class LatencyTracker {
 
   // Feeds one captured event.  A response that closes a pending request
   // and passes the guards returns the admitted sample, carrying the alarm
-  // when it confirmed a level shift; everything else returns nullopt.  The
-  // EventHeader overload is the real implementation — pairing and the
-  // level-shift feed read only header fields.
-  std::optional<LatencySample> observe(const wire::EventHeader& event);
-  std::optional<LatencySample> observe(const wire::Event& event) {
-    return observe(wire::EventHeader(event));
-  }
+  // when it confirmed a level shift; everything else returns nullopt.
+  std::optional<LatencySample> observe(const wire::Event& event);
 
   // Orphan-request reaper (0 = off).  Whether a pairing is admitted depends
   // only on the response−request gap vs the timeout — never on sweep
-  // timing — so the periodic sweep merely reclaims the pending-map memory
+  // timing — so the periodic sweep merely reclaims the pending-table memory
   // a lossy tap would otherwise leak.
   void set_orphan_timeout_seconds(double seconds) {
     orphan_timeout_seconds_ = seconds;
@@ -93,9 +89,7 @@ class LatencyTracker {
   void set_inflight_cap(std::size_t cap) { inflight_cap_ = cap; }
 
   // Requests that never saw a response (diagnostic).
-  std::size_t pending() const {
-    return pending_rest_.size() + pending_rpc_.size();
-  }
+  std::size_t pending() const { return pending_.size(); }
   std::uint64_t samples() const { return samples_; }
 
   // Footprint accounting for the streaming soak assertions.
@@ -124,7 +118,7 @@ class LatencyTracker {
 
  private:
   // Insertion-order record for the in-flight cap.  Entries are never
-  // eagerly removed on pairing (that would need a per-map index); instead
+  // eagerly removed on pairing (that would need a back-index); instead
   // an entry is "stale" when its key no longer maps to its timestamp, and
   // stale entries are skipped during eviction and compacted lazily.
   struct InflightEntry {
@@ -133,13 +127,34 @@ class LatencyTracker {
     bool rpc;
   };
 
+  // A pending request: REST by TCP connection, RPC by message id.
+  struct PendingKey {
+    std::uint64_t id = 0;
+    bool rpc = false;
+    bool operator==(const PendingKey&) const = default;
+  };
+  struct PendingKeyHash {
+    std::uint64_t operator()(const PendingKey& k) const {
+      return util::mix64(k.id ^ (k.rpc ? 0x9E3779B97F4A7C15ull : 0));
+    }
+  };
+  static PendingKey key_of(const wire::Event& event) {
+    return event.kind == wire::ApiKind::Rest
+               ? PendingKey{event.conn_id, false}
+               : PendingKey{event.msg_id, true};
+  }
+  // REST FIFO keys are 32-bit connection ids.
+  static PendingKey key_of(const InflightEntry& e) {
+    return {e.rpc ? e.key : static_cast<std::uint32_t>(e.key), e.rpc};
+  }
+
   void sweep_orphans(util::SimTime now);
   bool stale(const InflightEntry& e) const;
   void note_inflight(std::uint64_t key, util::SimTime ts, bool rpc);
 
   LevelShiftParams params_;
-  std::unordered_map<std::uint32_t, util::SimTime> pending_rest_;  // conn_id
-  std::unordered_map<std::uint64_t, util::SimTime> pending_rpc_;   // msg_id
+  // Request timestamp per pending exchange, both kinds in one flat table.
+  util::FlatMap<PendingKey, util::SimTime, PendingKeyHash> pending_;
   std::unordered_map<wire::ApiId, LevelShiftDetector> detectors_;
   // FIFO as vector + head index.  Entries before inflight_head_ are
   // consumed; compaction reclaims them together with stale live entries.

@@ -1,5 +1,6 @@
 #include "detect/level_shift.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/binio.h"
@@ -7,14 +8,31 @@
 
 namespace gretel::detect {
 
+LevelShiftDetector::LevelShiftDetector(LevelShiftParams params)
+    : params_(params) {
+  // The window peaks at baseline_window + 1 (push, then trim), at
+  // min_baseline before it arms, and at confirm right after a shift.
+  const std::size_t most = std::max({params_.baseline_window + 1,
+                                     params_.min_baseline, params_.confirm});
+  window_.reserve(most);
+  scratch_.reserve(most);
+  pending_.reserve(params_.confirm);
+}
+
+void LevelShiftDetector::window_to_scratch() {
+  scratch_.clear();
+  for (std::size_t i = 0; i < window_.size(); ++i)
+    scratch_.push_back(window_[i]);
+}
+
 void LevelShiftDetector::refresh_baseline() {
   // Refresh runs at line rate (every few absorptions); the preallocated
   // scratch plus the nth_element-based estimators keep it allocation-free
   // after warm-up.  The in-place variants are bit-identical to
   // median()/mad_sigma(), so alarms are unchanged.
-  scratch_.assign(window_.begin(), window_.end());
+  window_to_scratch();
   cached_median_ = util::median_inplace(scratch_);
-  scratch_.assign(window_.begin(), window_.end());
+  window_to_scratch();
   cached_sigma_ =
       std::max(util::mad_sigma_inplace(scratch_), params_.sigma_floor);
   stale_ = 0;
@@ -33,7 +51,7 @@ std::optional<Alarm> LevelShiftDetector::observe(double t_seconds,
     return std::nullopt;
   }
   if (!armed()) {
-    window_.push_back(value);
+    window_.claim_back() = value;
     if (armed()) refresh_baseline();
     return std::nullopt;
   }
@@ -46,7 +64,7 @@ std::optional<Alarm> LevelShiftDetector::observe(double t_seconds,
     // baseline is refreshed periodically, not per sample.
     pending_.clear();
     pending_sign_ = 0;
-    window_.push_back(value);
+    window_.claim_back() = value;
     while (window_.size() > params_.baseline_window) window_.pop_front();
     if (++stale_ >= 8) refresh_baseline();
     return std::nullopt;
@@ -71,7 +89,8 @@ std::optional<Alarm> LevelShiftDetector::observe(double t_seconds,
   alarm.magnitude = std::fabs(new_level - cached_median_);
   alarm.direction = sign > 0 ? ShiftDirection::Up : ShiftDirection::Down;
 
-  window_.assign(pending_.begin(), pending_.end());
+  window_.clear();
+  for (double v : pending_) window_.claim_back() = v;
   pending_.clear();
   pending_sign_ = 0;
   refresh_baseline();
@@ -102,7 +121,8 @@ void LevelShiftDetector::save_state(std::string& out) const {
   // uncheckpointed one).  scratch_ is a temp buffer, always re-assigned
   // before use, so it carries no state.
   util::put_u32(out, static_cast<std::uint32_t>(window_.size()));
-  for (double v : window_) util::put_f64(out, v);
+  for (std::size_t i = 0; i < window_.size(); ++i)
+    util::put_f64(out, window_[i]);
   util::put_u32(out, static_cast<std::uint32_t>(pending_.size()));
   for (double v : pending_) util::put_f64(out, v);
   util::put_i64(out, pending_sign_);
@@ -119,19 +139,20 @@ bool LevelShiftDetector::load_state(std::string_view& in) {
   // save_state can produce; anything larger is corrupt input, rejected
   // before allocating.
   constexpr std::uint32_t kMaxElems = 1u << 20;
-  const auto get_values = [&in](auto& dst) {
+  const auto get_values = [&in](auto&& append) {
     std::uint32_t n = 0;
     if (!util::get_u32(in, n) || n > kMaxElems) return false;
     for (std::uint32_t i = 0; i < n; ++i) {
       double v = 0.0;
       if (!util::get_f64(in, v)) return false;
-      dst.push_back(v);
+      append(v);
     }
     return true;
   };
   std::int64_t sign = 0;
   std::int64_t stale = 0;
-  if (!get_values(window_) || !get_values(pending_) ||
+  if (!get_values([this](double v) { window_.claim_back() = v; }) ||
+      !get_values([this](double v) { pending_.push_back(v); }) ||
       !util::get_i64(in, sign) || !util::get_f64(in, last_alarm_t_) ||
       !util::get_f64(in, cached_median_) ||
       !util::get_f64(in, cached_sigma_) || !util::get_i64(in, stale) ||

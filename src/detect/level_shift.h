@@ -9,13 +9,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "detect/outlier.h"
+#include "util/slot_ring.h"
 
 namespace gretel::detect {
 
@@ -32,8 +32,10 @@ struct LevelShiftParams {
 
 class LevelShiftDetector final : public OutlierDetector {
  public:
-  LevelShiftDetector() = default;
-  explicit LevelShiftDetector(LevelShiftParams params) : params_(params) {}
+  LevelShiftDetector() : LevelShiftDetector(LevelShiftParams{}) {}
+  // Sizes the window, the pending run and the scratch for the largest
+  // state `params` allows, so observe() never allocates.
+  explicit LevelShiftDetector(LevelShiftParams params);
 
   std::optional<Alarm> observe(double t_seconds, double value) override;
   std::string_view name() const override { return "level-shift"; }
@@ -68,8 +70,13 @@ class LevelShiftDetector final : public OutlierDetector {
   // line rate (§7.4.1).
   void refresh_baseline();
 
+  // Copies the baseline window into scratch_, oldest first.
+  void window_to_scratch();
+
   LevelShiftParams params_;
-  std::deque<double> window_;
+  // Rolling baseline window; its slots are reused, so absorbing a sample
+  // at line rate allocates nothing once the window has filled.
+  util::SlotRing<double> window_;
   std::vector<double> pending_;  // consecutive out-of-band samples
   // Preallocated buffer for the in-place median/MAD estimators: refreshes
   // permute this copy instead of allocating a fresh vector per refresh.

@@ -85,6 +85,10 @@ class Analyzer {
     return detector_.stats();
   }
   const net::TapStats& tap_stats() const { return tap_.stats(); }
+  // REST requests the tap is holding for their response (footprint).
+  std::size_t tap_open_connections() const {
+    return tap_.open_connections();
+  }
 
   // Stale or missing metric series hit by root-cause analysis, summed over
   // every diagnosis emitted (retained or delivered to the sink).

@@ -29,11 +29,11 @@ AnomalyDetector::AnomalyDetector(const FingerprintDb* db,
 }
 
 void AnomalyDetector::on_event(const wire::Event& source) {
-  // Push first, stamping the assigned seq in-ring — the detection scan only
-  // reads header fields, so the hot path never copies the full event.
+  // Push first, stamping the assigned seq in-ring, then read the stored row:
+  // the one copy an event costs is the flat assignment into the ring.
   ++stats_.events;
   const auto seq = buffer_.push_stamped(source, stats_.losses_recorded);
-  const wire::EventHeader event(source, seq);
+  const wire::Event& event = buffer_.at(seq);
 
   if (event.is_error()) {
     if (event.kind == wire::ApiKind::Rest) {

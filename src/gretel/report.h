@@ -28,7 +28,8 @@ struct FaultReport {
   std::size_t candidates = 0;   // fingerprints containing the offending API
 
   // Error messages found inside the snapshot (REST and RPC), with their
-  // endpoint nodes — Algorithm 3 starts its search from these.
+  // endpoint nodes — Algorithm 3 starts its search from these.  Flat rows:
+  // one allocation per report, however many errors it carries.
   std::vector<wire::Event> error_events;
 
   // Context-buffer time span, which bounds the root-cause analysis window.

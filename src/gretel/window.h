@@ -24,9 +24,9 @@ namespace gretel::core {
 // Struct-of-arrays view of a frozen snapshot: the per-event fields the
 // analysis loops actually scan, laid out as contiguous columns so the error
 // scan, the request filter and the Alg. 2 symbol walks read dense uint16 /
-// uint8 / double arrays instead of striding through fat wire::Event records
-// (whose strings and identifier vectors the scans never touch).  The
-// columns are the natural operands of the util/simd.h kernels.
+// uint8 / double arrays instead of striding through whole wire::Event rows
+// (most of whose fields the scans never touch).  The columns are the
+// natural operands of the util/simd.h kernels.
 //
 // DualBuffer::freeze fills them straight from the ring; row i describes the
 // event with sequence number FreezeInfo::first_seq + i.
@@ -98,8 +98,7 @@ class DualBuffer {
     return ring_.push(event);
   }
   // push() that also stamps the assigned sequence number onto the stored
-  // copy — saving the ingestion hot path a full wire::Event copy whose only
-  // purpose was to set `seq` before pushing.
+  // row, so the caller need not copy the event just to set `seq`.
   std::uint64_t push_stamped(const wire::Event& event,
                              std::uint64_t cumulative_loss) {
     const auto seq = push(event, cumulative_loss);

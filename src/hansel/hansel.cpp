@@ -91,14 +91,16 @@ std::vector<std::uint32_t> Hansel::extract_identifiers(
   return out;
 }
 
-void Hansel::on_message(wire::Event event, std::string_view payload) {
-  auto extracted = extract_identifiers(payload);
-  event.identifiers.insert(event.identifiers.end(), extracted.begin(),
-                           extracted.end());
-  on_event(event);
+void Hansel::on_message(const net::WireRecord& record,
+                        const wire::Event& event) {
+  std::vector<std::uint32_t> identifiers = record.identifiers;
+  const auto extracted = extract_identifiers(record.bytes);
+  identifiers.insert(identifiers.end(), extracted.begin(), extracted.end());
+  on_event(event, identifiers);
 }
 
-void Hansel::on_event(const wire::Event& event) {
+void Hansel::on_event(const wire::Event& event,
+                      std::span<const std::uint32_t> identifiers) {
   ++stats_.events;
 
   if (!bucket_open_) {
@@ -115,7 +117,7 @@ void Hansel::on_event(const wire::Event& event) {
   parent_.push_back(g);
 
   // Link through every payload identifier (the per-message stitching cost).
-  for (const auto ident : event.identifiers) {
+  for (const auto ident : identifiers) {
     const auto [it, inserted] = ident_group_.try_emplace(ident, g);
     if (!inserted) {
       unite(g, it->second);

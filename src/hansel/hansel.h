@@ -12,9 +12,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "net/capture.h"
 #include "util/time.h"
 #include "wire/message.h"
 
@@ -39,15 +42,19 @@ class Hansel {
   explicit Hansel(Options options);
 
   // Stitching runs on every message (unlike GRETEL's fault-triggered
-  // snapshots).  Chains for buckets that closed are appended to chains().
-  void on_event(const wire::Event& event);
+  // snapshots): `event` is linked to every earlier message of the open
+  // bucket sharing one of `identifiers`.  Chains for buckets that closed
+  // are appended to chains().
+  void on_event(const wire::Event& event,
+                std::span<const std::uint32_t> identifiers);
 
   // The production path: HANSEL "analyzes the request and response payloads
-  // to extract meaningful identifiers" (§9.2) — scans the raw payload for
-  // numeric and UUID-like tokens, merges them with the event's transport
-  // identifiers, and stitches.  This per-message payload analysis is a
-  // large part of why HANSEL peaks at ~1.6K messages/s.
-  void on_message(wire::Event event, std::string_view payload);
+  // to extract meaningful identifiers" (§9.2) — scans the captured bytes
+  // for numeric and UUID-like tokens, appends them to the record's
+  // identifiers, and stitches `event` (the record's decoded form) on the
+  // lot.  This per-message payload analysis is a large part of why HANSEL
+  // peaks at ~1.6K messages/s.
+  void on_message(const net::WireRecord& record, const wire::Event& event);
 
   // Numeric tokens (4-10 digits, skipping short protocol numbers like
   // status codes) parsed directly; UUID-ish hex tokens hashed.  Exposed

@@ -154,12 +154,49 @@ std::vector<QuarantinedFrame> CaptureTap::quarantine() const {
   return out;
 }
 
+namespace {
+// Open-connection expiry cadence, in decode() calls.  Expiry only drops
+// connections far past any response, so the cadence bounds memory and
+// never changes what decodes.
+constexpr std::uint32_t kExpiryStride = 4096;
+}  // namespace
+
+std::optional<wire::ApiId> CaptureTap::response_api(
+    std::uint32_t conn) const {
+  if (const auto* open = open_conns_.find(conn)) return open->api;
+  for (std::size_t k = 1; k <= closed_count_; ++k) {
+    const auto& c = closed_conns_[(closed_next_ + kClosedConns - k) %
+                                  kClosedConns];
+    if (c.conn == conn) return c.api;
+  }
+  return std::nullopt;
+}
+
+void CaptureTap::close_connection(std::uint32_t conn, wire::ApiId api) {
+  if (!open_conns_.erase(conn)) return;  // already closed: a re-delivery
+  closed_conns_[closed_next_] = {conn, api};
+  closed_next_ = (closed_next_ + 1) % kClosedConns;
+  closed_count_ = std::min(closed_count_ + 1, kClosedConns);
+}
+
+void CaptureTap::expire_connections() {
+  const util::SimTime cutoff = last_ts_ - kOpenConnectionHorizon;
+  stats_.connections_expired +=
+      open_conns_.erase_if([cutoff](std::uint32_t, const OpenConn& c) {
+        return c.opened < cutoff;
+      });
+}
+
 std::optional<wire::Event> CaptureTap::decode(const WireRecord& record) {
   stats_.bytes_seen += record.bytes.size();
   if (record.ts < last_ts_) {
     ++stats_.non_monotonic;
   } else {
     last_ts_ = record.ts;
+  }
+  if (++decodes_since_expiry_ >= kExpiryStride) {
+    decodes_since_expiry_ = 0;
+    expire_connections();
   }
   arena_.reset();  // previous record's parse scratch dies here
   const auto failures_before = stats_.decode_failures;
@@ -176,7 +213,6 @@ std::optional<wire::Event> CaptureTap::decode(const WireRecord& record) {
     event->truth_instance = record.truth_instance;
     event->truth_template = record.truth_template;
     event->truth_noise = record.truth_noise;
-    event->identifiers = record.identifiers;
     ++stats_.decoded;
   }
   return event;
@@ -194,20 +230,17 @@ std::optional<wire::Event> CaptureTap::decode_rest(const WireRecord& record) {
       return std::nullopt;
     }
     // Responses carry no URI; attribute to the request seen on this stream.
-    const auto it = conn_last_api_.find(record.conn_id);
-    if (it == conn_last_api_.end()) {
+    const auto api = response_api(record.conn_id);
+    if (!api) {
       ++stats_.unknown_api;
       return std::nullopt;
     }
+    close_connection(record.conn_id, *api);
     ev.dir = wire::Direction::Response;
-    ev.api = it->second;
+    ev.api = *api;
     ev.status = resp->status;
     ev.correlation_id =
         parse_correlation_id(resp->headers.get("X-Openstack-Request-Id"));
-    // Error text outlives the batch (it rides in the FaultReport), so this
-    // is the one copy the error path pays.
-    if (wire::is_error_status(resp->status))
-      ev.error_text = std::string(resp->reason);
     return ev;
   }
 
@@ -231,7 +264,7 @@ std::optional<wire::Event> CaptureTap::decode_rest(const WireRecord& record) {
   ev.api = *api;
   ev.correlation_id =
       parse_correlation_id(req->headers.get("X-Openstack-Request-Id"));
-  conn_last_api_[record.conn_id] = *api;
+  open_conns_.insert_or_assign(record.conn_id, {*api, record.ts});
   return ev;
 }
 
@@ -271,7 +304,6 @@ std::optional<wire::Event> CaptureTap::decode_amqp(const WireRecord& record) {
     ev.dir = wire::Direction::Response;
     if (wire::rpc_payload_has_error(frame->payload)) {
       ev.status = 500;
-      ev.error_text = std::string(frame->payload);
     } else {
       ev.status = wire::kStatusOk;
     }

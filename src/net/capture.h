@@ -8,6 +8,7 @@
 // labels ride alongside the bytes for the evaluation harness only.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -16,6 +17,8 @@
 #include <vector>
 
 #include "util/arena.h"
+#include "util/flat_map.h"
+#include "util/time.h"
 #include "wire/api.h"
 #include "wire/message.h"
 
@@ -37,6 +40,9 @@ struct WireRecord {
   wire::OpInstanceId truth_instance;
   wire::OpTemplateId truth_template;
   bool truth_noise = false;
+  // Payload identifiers (tenant id, resource UUID hashes) the simulator
+  // stamps on a message.  GRETEL never reads them; the HANSEL baseline
+  // stitches on them (hansel::Hansel::on_message).
   std::vector<std::uint32_t> identifiers;
 };
 
@@ -65,6 +71,9 @@ struct TapStats {
   // Frames whose capture timestamp regressed behind an earlier frame's
   // (clock skew between tapped nodes, or a reordering tap).
   std::uint64_t non_monotonic = 0;
+  // Open REST connections dropped because no response arrived within
+  // kOpenConnectionHorizon of capture time (the wire lost it).
+  std::uint64_t connections_expired = 0;
 };
 
 // Postmortem sample of a malformed frame: enough transport metadata and
@@ -82,6 +91,12 @@ struct QuarantinedFrame {
 inline constexpr std::size_t kQuarantinePrefixBytes = 48;
 inline constexpr std::size_t kQuarantineRingCapacity = 16;
 
+// A REST request still unanswered this long after it was captured lost its
+// response on the wire; the tap stops holding its connection.  Far beyond
+// any API timeout, so only lost responses expire.
+inline constexpr util::SimDuration kOpenConnectionHorizon =
+    util::SimDuration::seconds(300);
+
 class CaptureTap {
  public:
   // The tap needs the API catalog to resolve symbols and the node->service
@@ -97,12 +112,16 @@ class CaptureTap {
   // APIs missing from the catalog (counted in stats).
   //
   // Zero-allocation steady state: headers, the normalized URI, and all
-  // parse scratch live in the tap's arena (reset per call); the returned
-  // Event owns no heap memory unless the record carries ground-truth
-  // identifiers or an error payload that must outlive the batch.
+  // parse scratch live in the tap's arena (reset per call), the returned
+  // Event is a flat row, and the connection table reuses its slots.
   std::optional<wire::Event> decode(const WireRecord& record);
 
   const TapStats& stats() const { return stats_; }
+
+  // REST connections whose request decoded and whose response has not yet:
+  // the requests in flight, plus those whose response the wire lost within
+  // the last kOpenConnectionHorizon.
+  std::size_t open_connections() const { return open_conns_.size(); }
 
   // Most recent malformed frames (up to kQuarantineRingCapacity), oldest
   // first.  stats().decode_failures counts every quarantined frame; the
@@ -116,12 +135,40 @@ class CaptureTap {
   std::optional<wire::Event> decode_rest(const WireRecord& record);
   std::optional<wire::Event> decode_amqp(const WireRecord& record);
 
+  struct ConnHash {
+    std::uint64_t operator()(std::uint32_t conn) const {
+      return util::mix64(conn);
+    }
+  };
+  // Resolves a response to the API of the request last seen on its TCP
+  // stream (Bro pairs them the same way): the open table, then the ring of
+  // recently closed streams, newest first.  nullopt when neither has it.
+  std::optional<wire::ApiId> response_api(std::uint32_t conn) const;
+  void close_connection(std::uint32_t conn, wire::ApiId api);
+  // Drops open connections older than kOpenConnectionHorizon.
+  void expire_connections();
+  void quarantine_record(const WireRecord& record);
+
   const wire::ApiCatalog* catalog_;
   std::unordered_map<std::uint16_t, wire::ServiceKind> service_by_port_;
-  // Per-TCP-stream last request API, so responses resolve to the same API
-  // (Bro pairs them the same way).
-  std::unordered_map<std::uint32_t, wire::ApiId> conn_last_api_;
-  void quarantine_record(const WireRecord& record);
+  // Streams whose request decoded and whose response has not: the request's
+  // API and capture time.
+  struct OpenConn {
+    wire::ApiId api;
+    util::SimTime opened;
+  };
+  util::FlatMap<std::uint32_t, OpenConn, ConnHash> open_conns_;
+  std::uint32_t decodes_since_expiry_ = 0;
+  // Streams whose response decoded, kept a little longer so a response
+  // the wire delivers twice (ChaosTap duplication) still resolves.
+  struct ClosedConn {
+    std::uint32_t conn = 0;
+    wire::ApiId api;
+  };
+  static constexpr std::size_t kClosedConns = 16;
+  std::array<ClosedConn, kClosedConns> closed_conns_{};
+  std::size_t closed_next_ = 0;
+  std::size_t closed_count_ = 0;
 
   util::Arena arena_;  // per-record parse scratch, reset every decode()
   TapStats stats_;

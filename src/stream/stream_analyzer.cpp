@@ -48,7 +48,9 @@ std::size_t StateFootprint::approx_bytes() const {
   std::size_t total = source_ring_bytes;
   total += source_ring_records * sizeof(net::WireRecord);
   total += window_capacity * (sizeof(wire::Event) + sizeof(std::uint64_t));
-  total += pending_requests * 32;  // hash-map node: key + SimTime + links
+  // Flat tables are kept at most half full: two slots per entry.
+  total += pending_requests * 64;  // 32-byte slot: key + SimTime + flag
+  total += tap_connections * 64;   // 32-byte slot: conn + ApiId + time
   total += inflight_queue * 24;    // InflightEntry
   total += metric_points * 16;
   total += reports_retained * sizeof(StreamReport);
@@ -117,12 +119,12 @@ bool StreamAnalyzer::offer(const net::WireRecord& record) {
     }
     // DropOldest: evict the queue head to stay current.  Its own
     // losses_before plus itself carry forward to the new head (or to the
-    // tail marker if the ring somehow empties — cap >= 1 prevents that
-    // here, but finish() handles trailing losses anyway).
-    Slot evicted = std::move(ring_.front());
-    ring_.pop_front();
+    // tail marker if the ring empties — with cap 1 the new record then
+    // takes the freed slot).
+    const Slot& evicted = ring_.front();
     ring_bytes_ -= evicted.rec.bytes.size();
     const std::uint64_t carried = evicted.losses_before + 1;
+    ring_.pop_front();
     if (!ring_.empty()) {
       ring_.front().losses_before += carried;
     } else {
@@ -130,12 +132,13 @@ bool StreamAnalyzer::offer(const net::WireRecord& record) {
     }
   }
 
-  Slot slot;
+  // Copy-assign into a reused slot: its bytes and identifiers keep their
+  // capacity, so a ring below its high-water depth allocates nothing.
+  Slot& slot = ring_.claim_back();
   slot.rec = record;
   slot.losses_before = tail_losses_;
   tail_losses_ = 0;
   ring_bytes_ += record.bytes.size();
-  ring_.push_back(std::move(slot));
   return true;
 }
 
@@ -164,13 +167,16 @@ void StreamAnalyzer::advance_to(util::SimTime watermark) {
 }
 
 void StreamAnalyzer::drain_ring() {
+  // The record is read in its slot; the slot is released after the
+  // analyzer returns (the sink must not offer() from inside a drain — the
+  // single-producer contract above).
   while (!ring_.empty()) {
-    Slot slot = std::move(ring_.front());
-    ring_.pop_front();
+    const Slot& slot = ring_.front();
     ring_bytes_ -= slot.rec.bytes.size();
     if (slot.losses_before > 0)
       analyzer_.record_ingest_loss(slot.losses_before);
     analyzer_.on_wire(slot.rec);
+    ring_.pop_front();
     ++counters_.ingested;
   }
   // Hysteresis: the gate reopens only once the ring has drained to half
@@ -249,6 +255,7 @@ StateFootprint StreamAnalyzer::footprint() {
   fp.window_capacity = 2 * analyzer_.config().alpha();
   const auto& latency = analyzer_.latency();
   fp.pending_requests = latency.pending();
+  fp.tap_connections = analyzer_.tap_open_connections();
   fp.inflight_queue = latency.inflight_queue();
   fp.metric_points = analyzer_.metrics().retained_points();
   fp.reports_retained = recent_.size();

@@ -10,13 +10,14 @@
 //
 //   1. Bounded memory.  Every stateful stage is capped: the source ring
 //      (StreamOptions::source_ring), the pending-request table
-//      (inflight_cap), the metrics store (retention of 2 ×
-//      detect::kBaselineSeconds, which covers Is_Anomalous's past-only
-//      baseline plus the window and report delay) and the retained
-//      report ring (report_cap); per-API latency state is the
-//      level-shift detector's fixed baseline window.  footprint()
-//      itemizes the state and the soak test asserts the ceiling is flat
-//      under sustained overload.
+//      (inflight_cap), the tap's open-connection table (REST requests
+//      awaiting a response, expired after net::kOpenConnectionHorizon),
+//      the metrics store (retention of 2 × detect::kBaselineSeconds,
+//      which covers Is_Anomalous's past-only baseline plus the window and
+//      report delay) and the retained report ring (report_cap); per-API
+//      latency state is the level-shift detector's fixed baseline
+//      window.  footprint() itemizes the state and the soak test asserts
+//      the ceiling is flat under sustained overload.
 //
 //   2. Explicit backpressure with exact shed accounting.  offer() admits a
 //      record or sheds one under shed_policy; credits() tells a
@@ -59,6 +60,7 @@
 #include "gretel/analyzer.h"
 #include "persist/checkpoint.h"
 #include "persist/journal.h"
+#include "util/slot_ring.h"
 
 namespace gretel::stream {
 
@@ -164,6 +166,7 @@ struct StateFootprint {
   std::size_t source_ring_bytes = 0;  // queued wire payload bytes
   std::size_t window_capacity = 0;    // dual-buffer slots (fixed: 2α)
   std::size_t pending_requests = 0;   // latency pending-table entries
+  std::size_t tap_connections = 0;    // tap open-connection entries
   std::size_t inflight_queue = 0;     // in-flight FIFO bookkeeping entries
   std::size_t metric_points = 0;      // retained metric samples
   std::size_t reports_retained = 0;
@@ -335,7 +338,9 @@ class StreamAnalyzer {
   ReportSink sink_;
   core::Analyzer analyzer_;      // last: its sink lambda captures `this`
 
-  std::deque<Slot> ring_;
+  // Source ring: slots are reused, and the ring grows only to its
+  // high-water depth (never past source_ring).
+  util::SlotRing<Slot> ring_;
   std::size_t ring_bytes_ = 0;   // queued rec.bytes payload total
   // Shed losses not yet anchored to a queued record: attributed before
   // the next admitted record, or at finish() if none follows.

@@ -11,7 +11,7 @@
 //
 // Not thread-safe: one arena per decoding thread (CaptureTap owns one).
 // Lifetime rule: anything allocated here is dead after reset(); only data
-// copied out (e.g. Event::error_text) may outlive the capture batch.  See
+// copied out into the flat wire::Event may outlive the record.  See
 // docs/ARCHITECTURE.md, "Hot path & memory model".
 #pragma once
 

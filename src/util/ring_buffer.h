@@ -21,10 +21,11 @@ class RingBuffer {
     assert(capacity > 0);
   }
 
-  // Appends an element, overwriting the oldest if full.  Returns the
-  // monotonically increasing global sequence number of the element.
-  std::uint64_t push(T value) {
-    data_[static_cast<std::size_t>(next_seq_ % capacity_)] = std::move(value);
+  // Appends an element, assigned in place over the oldest if full.
+  // Returns the monotonically increasing global sequence number of the
+  // element.
+  std::uint64_t push(const T& value) {
+    data_[static_cast<std::size_t>(next_seq_ % capacity_)] = value;
     return next_seq_++;
   }
 

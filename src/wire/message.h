@@ -7,9 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <type_traits>
-#include <vector>
 
 #include "util/ids.h"
 #include "util/time.h"
@@ -53,20 +51,15 @@ struct Event {
   // RPC: oslo.messaging msg_id unique per request/response pair.  REST: 0.
   std::uint64_t msg_id = 0;
 
-  // Responses: HTTP status, or an RPC error indicator (0 = success,
-  // 500 = remote error payload present).  Requests: 0.
+  // Responses: HTTP status, or an RPC error indicator (200 = success,
+  // 500 = remote error payload present).  RPC errors are found when the tap
+  // decodes the frame: CaptureTap::decode_amqp runs the lightweight error
+  // scan (wire::rpc_payload_has_error, §5.3 "regular expressions") over the
+  // payload, which is never copied into the Event.  Requests: 0.
   std::uint16_t status = 0;
 
   // Size of the message on the wire, for throughput accounting.
   std::uint32_t wire_bytes = 0;
-
-  // Error text fragment for RPC responses; the detector runs its lightweight
-  // regular-expression scan over this, never a JSON parse.
-  std::string error_text;
-
-  // Payload identifiers (tenant id, resource UUID hashes).  GRETEL ignores
-  // these; the HANSEL baseline stitches on them.
-  std::vector<std::uint32_t> identifiers;
 
   // OpenStack's per-operation correlation identifier (§5.3.1: "GRETEL can
   // exploit these correlation identifiers to increase its precision").
@@ -86,44 +79,10 @@ struct Event {
   }
 };
 
-// The fixed-size slice of an Event that the detection front half reads:
-// error-status scan, request/response pairing and the level-shift feed
-// consume exactly these fields (LatencyTracker::observe touches nothing
-// else).  The detector builds one per ingested event instead of copying the
-// full Event — a flat 40-byte copy with no strings and no identifier
-// vectors.  Trivially copyable by construction; the static_assert keeps it
-// that way.
-struct EventHeader {
-  std::uint64_t seq = 0;
-  util::SimTime ts;
-  std::uint64_t msg_id = 0;
-  std::uint32_t conn_id = 0;
-  ApiId api;
-  ApiKind kind = ApiKind::Rest;
-  Direction dir = Direction::Request;
-  std::uint16_t status = 0;
-
-  EventHeader() = default;
-  explicit EventHeader(const Event& e) : EventHeader(e, e.seq) {}
-  // Header with the sequence number assigned at ingestion time (the wire
-  // Event's own seq field may still be the capture default).
-  EventHeader(const Event& e, std::uint64_t assigned_seq)
-      : seq(assigned_seq),
-        ts(e.ts),
-        msg_id(e.msg_id),
-        conn_id(e.conn_id),
-        api(e.api),
-        kind(e.kind),
-        dir(e.dir),
-        status(e.status) {}
-
-  bool is_request() const { return dir == Direction::Request; }
-  bool is_response() const { return dir == Direction::Response; }
-  bool is_error() const {
-    return is_response() && is_error_status(status);
-  }
-};
-static_assert(std::is_trivially_copyable_v<EventHeader>,
-              "EventHeader must stay a flat copy");
+// A flat row: the dual buffer copies events by plain assignment and a
+// report's error events are one contiguous vector.  Payload bytes, HANSEL's
+// payload identifiers and error text stay in the net::WireRecord.
+static_assert(std::is_trivially_copyable_v<Event>,
+              "wire::Event must stay a flat row");
 
 }  // namespace gretel::wire

@@ -128,9 +128,9 @@ TEST(DetectorCheckpoint, TornBlobLeavesConstructedState) {
 constexpr wire::ApiId kApi(3);
 constexpr std::uint32_t kPendingConn = 500;
 
-wire::EventHeader rest_header(std::uint32_t conn, wire::Direction dir,
-                              SimTime ts) {
-  wire::EventHeader h;
+wire::Event rest_header(std::uint32_t conn, wire::Direction dir,
+                        SimTime ts) {
+  wire::Event h;
   h.ts = ts;
   h.conn_id = conn;
   h.api = kApi;
@@ -196,7 +196,7 @@ using AlarmRecord = std::tuple<std::uint16_t, std::int64_t, double, double,
 // Closes the pending request, then drives a shift to 60 ms and back.
 std::vector<AlarmRecord> continuation_alarms(detect::LatencyTracker& tracker) {
   std::vector<AlarmRecord> alarms;
-  const auto feed = [&](const wire::EventHeader& h) {
+  const auto feed = [&](const wire::Event& h) {
     const auto sample = tracker.observe(h);
     if (sample && sample->alarm) {
       const auto& a = *sample->alarm;

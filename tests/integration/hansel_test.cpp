@@ -14,22 +14,26 @@ using util::SimDuration;
 using util::SimTime;
 using wire::Event;
 
-Event make_event(double t_s, std::vector<std::uint32_t> idents,
-                 bool error = false, std::uint32_t instance = 0) {
+Event make_event(double t_s, bool error = false, std::uint32_t instance = 0) {
   Event ev;
   ev.ts = SimTime::epoch() +
           SimDuration::nanos(static_cast<std::int64_t>(t_s * 1e9));
-  ev.identifiers = std::move(idents);
   ev.dir = wire::Direction::Response;
   ev.status = error ? 500 : 200;
   if (instance) ev.truth_instance = wire::OpInstanceId(instance);
   return ev;
 }
 
+// One message carrying payload identifiers `idents`.
+void feed(Hansel& h, double t_s, const std::vector<std::uint32_t>& idents,
+          bool error = false, std::uint32_t instance = 0) {
+  h.on_event(make_event(t_s, error, instance), idents);
+}
+
 TEST(Hansel, NoErrorNoChain) {
   Hansel h;
-  h.on_event(make_event(0.0, {1}));
-  h.on_event(make_event(1.0, {1}));
+  feed(h, 0.0, {1});
+  feed(h, 1.0, {1});
   h.flush();
   EXPECT_TRUE(h.chains().empty());
   EXPECT_EQ(h.stats().events, 2u);
@@ -37,10 +41,10 @@ TEST(Hansel, NoErrorNoChain) {
 
 TEST(Hansel, ErrorChainLinksSharedIdentifiers) {
   Hansel h;
-  h.on_event(make_event(0.0, {7, 100}));
-  h.on_event(make_event(1.0, {7, 200}));
-  h.on_event(make_event(2.0, {200}, /*error=*/true));
-  h.on_event(make_event(3.0, {999}));  // unrelated
+  feed(h, 0.0, {7, 100});
+  feed(h, 1.0, {7, 200});
+  feed(h, 2.0, {200}, /*error=*/true);
+  feed(h, 3.0, {999});  // unrelated
   h.flush();
   ASSERT_EQ(h.chains().size(), 1u);
   EXPECT_EQ(h.chains()[0].events.size(), 3u);
@@ -48,9 +52,9 @@ TEST(Hansel, ErrorChainLinksSharedIdentifiers) {
 
 TEST(Hansel, ChainEventsTimeSorted) {
   Hansel h;
-  h.on_event(make_event(2.0, {5}, true));
-  h.on_event(make_event(0.5, {5}));
-  h.on_event(make_event(1.5, {5}));
+  feed(h, 2.0, {5}, true);
+  feed(h, 0.5, {5});
+  feed(h, 1.5, {5});
   h.flush();
   ASSERT_EQ(h.chains().size(), 1u);
   const auto& evs = h.chains()[0].events;
@@ -62,10 +66,10 @@ TEST(Hansel, ChainEventsTimeSorted) {
 TEST(Hansel, ReportDelayedToBucketClose) {
   // The paper's §9.2 point: a 30 s buffer means ~30 s reporting latency.
   Hansel h;
-  h.on_event(make_event(0.0, {3}, true));
-  h.on_event(make_event(1.0, {3}));
+  feed(h, 0.0, {3}, true);
+  feed(h, 1.0, {3});
   EXPECT_TRUE(h.chains().empty()) << "nothing reported inside the bucket";
-  h.on_event(make_event(31.0, {4}));  // crosses the bucket boundary
+  feed(h, 31.0, {4});  // crosses the bucket boundary
   ASSERT_EQ(h.chains().size(), 1u);
   EXPECT_GE((h.chains()[0].reported_at - SimTime::epoch()).to_seconds(),
             30.0);
@@ -73,17 +77,17 @@ TEST(Hansel, ReportDelayedToBucketClose) {
 
 TEST(Hansel, BucketsSeparateUnrelatedErrors) {
   Hansel h;
-  h.on_event(make_event(0.0, {1}, true));
-  h.on_event(make_event(40.0, {1}, true));  // same tenant, next bucket
+  feed(h, 0.0, {1}, true);
+  feed(h, 40.0, {1}, true);  // same tenant, next bucket
   h.flush();
   EXPECT_EQ(h.chains().size(), 2u);
 }
 
 TEST(Hansel, TransitiveLinking) {
   Hansel h;
-  h.on_event(make_event(0.0, {1, 2}));
-  h.on_event(make_event(1.0, {2, 3}));
-  h.on_event(make_event(2.0, {3}, true));
+  feed(h, 0.0, {1, 2});
+  feed(h, 1.0, {2, 3});
+  feed(h, 2.0, {3}, true);
   h.flush();
   ASSERT_EQ(h.chains().size(), 1u);
   EXPECT_EQ(h.chains()[0].events.size(), 3u);
@@ -93,9 +97,9 @@ TEST(Hansel, OverLinksOperationsSharingTenant) {
   // GRETEL-vs-HANSEL point (5) in §9.2: common identifiers (tenant id) link
   // the faulty operation with unrelated successful ones.
   Hansel h;
-  h.on_event(make_event(0.0, {42, 100}, false, /*instance=*/1));
-  h.on_event(make_event(1.0, {42, 200}, false, /*instance=*/2));
-  h.on_event(make_event(2.0, {42, 300}, true, /*instance=*/3));
+  feed(h, 0.0, {42, 100}, false, /*instance=*/1);
+  feed(h, 1.0, {42, 200}, false, /*instance=*/2);
+  feed(h, 2.0, {42, 300}, true, /*instance=*/3);
   h.flush();
   ASSERT_EQ(h.chains().size(), 1u);
   EXPECT_EQ(h.chains()[0].distinct_instances(), 3u);
@@ -117,7 +121,7 @@ TEST(Hansel, RealWorkloadChainsCoverInjectedFault) {
   net::CaptureTap tap(&catalog.apis(), deployment.service_by_port());
   Hansel h;
   for (const auto& r : records) {
-    if (auto ev = tap.decode(r)) h.on_event(*ev);
+    if (auto ev = tap.decode(r)) h.on_event(*ev, r.identifiers);
   }
   h.flush();
 
@@ -181,10 +185,11 @@ TEST(HanselExtract, OnMessageStitchesViaPayload) {
   Hansel h;
   // Two messages share no transport identifiers, but both carry the same
   // tenant id in their payloads.
-  wire::Event a = make_event(0.0, {});
-  wire::Event b = make_event(1.0, {}, /*error=*/true);
-  h.on_message(a, R"({"tenant_id": "1007"})");
-  h.on_message(b, R"({"tenant_id": "1007", "oops": true})");
+  net::WireRecord a, b;
+  a.bytes = R"({"tenant_id": "1007"})";
+  b.bytes = R"({"tenant_id": "1007", "oops": true})";
+  h.on_message(a, make_event(0.0));
+  h.on_message(b, make_event(1.0, /*error=*/true));
   h.flush();
   ASSERT_EQ(h.chains().size(), 1u);
   EXPECT_EQ(h.chains()[0].events.size(), 2u);
@@ -192,8 +197,8 @@ TEST(HanselExtract, OnMessageStitchesViaPayload) {
 
 TEST(Hansel, StatsCountUnions) {
   Hansel h;
-  h.on_event(make_event(0.0, {1}));
-  h.on_event(make_event(1.0, {1}));
+  feed(h, 0.0, {1});
+  feed(h, 1.0, {1});
   EXPECT_GE(h.stats().unions, 1u);
 }
 

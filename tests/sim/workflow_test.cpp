@@ -143,7 +143,8 @@ TEST_F(WorkflowTest, RpcFaultRelaysViaRestPoll) {
     if (ev->is_error() && ev->kind == ApiKind::Rest) {
       saw_rest_error = true;
       EXPECT_EQ(ev->api, poll_);
-      EXPECT_NE(ev->error_text.find("No valid host"), std::string::npos);
+      EXPECT_GE(ev->status, 400);
+      EXPECT_NE(r.bytes.find("No valid host"), std::string::npos);
     }
   }
   EXPECT_TRUE(saw_rpc_error);

@@ -80,7 +80,7 @@ TEST(StreamSoak, BoundedStateUnderSustainedOverloadAndChaos) {
   StreamAnalyzer streamer(&e.training.db, &e.catalog.apis(), &e.deployment,
                           opt, {}, stream);
 
-  constexpr int kRounds = 16;
+  constexpr int kRounds = 24;
   std::vector<std::size_t> bytes_after_round;
   std::vector<std::size_t> metric_points_after_round;
   std::uint64_t prev_losses = 0, prev_orphans = 0, prev_evicted = 0,
@@ -151,6 +151,11 @@ TEST(StreamSoak, BoundedStateUnderSustainedOverloadAndChaos) {
               stream.inflight_cap + 64)  // cap + floor slack
         << "round " << round;
     EXPECT_LE(fp.reports_retained, 32u);
+    // Each round loses ~40 responses to drops and shedding, and each
+    // leaves its connection open until net::kOpenConnectionHorizon (300 s,
+    // about ten rounds here) expires it: the table levels off below 600
+    // instead of growing with rounds (~900 by round 24 without expiry).
+    EXPECT_LE(fp.tap_connections, 600u) << "round " << round;
     bytes_after_round.push_back(fp.approx_bytes());
     metric_points_after_round.push_back(fp.metric_points);
   }
@@ -158,6 +163,8 @@ TEST(StreamSoak, BoundedStateUnderSustainedOverloadAndChaos) {
   const auto& c = streamer.counters();
   EXPECT_EQ(c.offered, c.ingested + c.shed);
   EXPECT_GT(c.shed, 0u) << "overload never engaged — soak is vacuous";
+  EXPECT_GT(streamer.analyzer().tap_stats().connections_expired, 0u)
+      << "no open connection outlived the horizon — soak too short";
   EXPECT_GE(c.shed_episodes, 1u);
 
   // The whole point: state is flat in stream length.  Every post-warmup

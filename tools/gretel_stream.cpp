@@ -188,9 +188,9 @@ int main(int argc, char** argv) {
   auto fp = streamer.footprint();
   std::printf(
       "state: ring=%zu rec (%zu B)  window=%zu slots  pending=%zu  "
-      "reports=%zu  ~%zu B (peak ~%zu B)\n",
+      "conns=%zu  reports=%zu  ~%zu B (peak ~%zu B)\n",
       fp.source_ring_records, fp.source_ring_bytes, fp.window_capacity,
-      fp.pending_requests, fp.reports_retained,
+      fp.pending_requests, fp.tap_connections, fp.reports_retained,
       fp.approx_bytes(), streamer.peak_state_bytes());
   const auto& guards = streamer.analyzer().latency().guard_stats();
   std::printf(
