@@ -29,20 +29,6 @@ void LatencyTracker::note_inflight(std::uint64_t key, util::SimTime ts,
                                    bool rpc) {
   inflight_fifo_.push_back({key, ts, rpc});
 
-  // Pairing and the orphan sweep erase table entries but leave their FIFO
-  // records behind (no back-index), and pops only advance the head
-  // index.  When dead entries dominate, one pass reclaims them — amortized
-  // O(1) per insert, and the queue stays O(pending + cap).
-  const std::size_t slack = inflight_cap_ + 64;
-  if (inflight_fifo_.size() > 2 * (pending() + slack)) {
-    std::size_t w = 0;
-    for (std::size_t r = inflight_head_; r < inflight_fifo_.size(); ++r) {
-      if (!stale(inflight_fifo_[r])) inflight_fifo_[w++] = inflight_fifo_[r];
-    }
-    inflight_fifo_.resize(w);
-    inflight_head_ = 0;
-  }
-
   // Enforce the cap: evict the oldest still-pending request, exactly
   // accounted.  A request evicted here is one the stream lost the response
   // to (or will look like it did) — the same degradation the orphan reaper
@@ -54,6 +40,23 @@ void LatencyTracker::note_inflight(std::uint64_t key, util::SimTime ts,
     pending_.erase(key_of(entry));
     ++guards_.inflight_evicted;
   }
+  compact_inflight();
+}
+
+void LatencyTracker::compact_inflight() {
+  // Pairing and the orphan sweep erase table entries but leave their FIFO
+  // records behind (no back-index), and evictions only advance the head
+  // index.  Past 2 × pending + 64 slots, one pass keeps only the live
+  // entries — one per pending request, unless a duplicated capture record
+  // left two — so each pass about halves the FIFO: amortized O(1) per
+  // observe, and the FIFO stays O(pending).
+  if (inflight_fifo_.size() <= 2 * pending() + 64) return;
+  std::size_t w = 0;
+  for (std::size_t r = inflight_head_; r < inflight_fifo_.size(); ++r) {
+    if (!stale(inflight_fifo_[r])) inflight_fifo_[w++] = inflight_fifo_[r];
+  }
+  inflight_fifo_.resize(w);
+  inflight_head_ = 0;
 }
 
 void LatencyTracker::sweep_orphans(util::SimTime now) {
@@ -61,6 +64,7 @@ void LatencyTracker::sweep_orphans(util::SimTime now) {
       pending_.erase_if([&](const PendingKey&, util::SimTime req_ts) {
         return (now - req_ts).to_seconds() > orphan_timeout_seconds_;
       });
+  compact_inflight();
 }
 
 std::optional<LatencySample> LatencyTracker::observe(
@@ -83,6 +87,7 @@ std::optional<LatencySample> LatencyTracker::observe(
   if (!pending_ts) return std::nullopt;
   const util::SimTime req_ts = *pending_ts;
   pending_.erase(key);
+  compact_inflight();
 
   // Pairing-time admission: a response past the orphan timeout is the tail
   // of an exchange the tap effectively lost — its latency reflects the

@@ -92,7 +92,9 @@ class LatencyTracker {
   std::size_t pending() const { return pending_.size(); }
   std::uint64_t samples() const { return samples_; }
 
-  // Footprint accounting for the streaming soak assertions.
+  // Footprint accounting for the streaming soak assertions.  Whenever
+  // pending() shrinks or a request joins the FIFO, the FIFO is compacted
+  // back under 2 × pending() + 64 entries.
   std::size_t inflight_queue() const {
     return inflight_fifo_.size() - inflight_head_;
   }
@@ -151,6 +153,7 @@ class LatencyTracker {
   void sweep_orphans(util::SimTime now);
   bool stale(const InflightEntry& e) const;
   void note_inflight(std::uint64_t key, util::SimTime ts, bool rpc);
+  void compact_inflight();
 
   LevelShiftParams params_;
   // Request timestamp per pending exchange, both kinds in one flat table.

@@ -54,10 +54,6 @@ void Analyzer::on_wire(const net::WireRecord& record) {
   if (event) detector_.on_event(*event);
 }
 
-void Analyzer::on_event(const wire::Event& event) {
-  detector_.on_event(event);
-}
-
 void Analyzer::finish() { detector_.flush(); }
 
 void Analyzer::save_state(std::string& out) const {

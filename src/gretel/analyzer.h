@@ -7,7 +7,7 @@
 //   dependency watch ─┴─────────────▶ RootCauseEngine ──▶ Diagnoses
 //
 // The analyzer's external contract is single-threaded and deterministic:
-// on_wire()/on_event() are called in capture order from one thread, faults
+// on_wire() is called in capture order from one thread, faults
 // are reported synchronously (on that thread) once their future context
 // arrives, and finish() flushes triggers still waiting at end of stream.
 // Internally it is serial too: detection, Algorithm 2 and RCA all run on
@@ -53,9 +53,6 @@ class Analyzer {
   // Wire-level entry point: decodes the captured bytes (HTTP / AMQP) and
   // feeds the event pipeline.  Undecodable records are counted and dropped.
   void on_wire(const net::WireRecord& record);
-
-  // Pre-decoded entry point (replay of event captures).
-  void on_event(const wire::Event& event);
 
   // on_wire() over a span of records, in order.  Kept for callers that
   // hold captures in chunks (perfbench's batch driver).

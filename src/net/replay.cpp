@@ -1,92 +1,34 @@
 #include "net/replay.h"
 
-#include <algorithm>
+#include <chrono>
 
 namespace gretel::net {
 
-namespace {
-
-// Regressions against the running timestamp maximum — the same notion of
-// "non-monotonic" CaptureTap counts, so replay- and tap-side accounting for
-// one capture agree.
-std::uint64_t count_regressions(std::span<const WireRecord> records) {
-  std::uint64_t n = 0;
-  if (records.empty()) return n;
-  auto last = records.front().ts;
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    if (records[i].ts < last) {
-      ++n;
-    } else {
-      last = records[i].ts;
-    }
-  }
-  return n;
-}
-
-}  // namespace
-
 ReplayReport ReplayEngine::replay(std::span<const WireRecord> records,
                                   const Sink& sink) {
-  return replay_looped(records, 1, ReplayOptions{}, sink);
-}
-
-ReplayReport ReplayEngine::replay(std::span<const WireRecord> records,
-                                  const ReplayOptions& options,
-                                  const Sink& sink) {
-  return replay_looped(records, 1, options, sink);
-}
-
-ReplayReport ReplayEngine::replay_looped(std::span<const WireRecord> records,
-                                         int loops, const Sink& sink) {
-  return replay_looped(records, loops, ReplayOptions{}, sink);
-}
-
-ReplayReport ReplayEngine::replay_looped(std::span<const WireRecord> records,
-                                         int loops,
-                                         const ReplayOptions& options,
-                                         const Sink& sink) {
   ReplayReport report;
-  const auto input_regressions = count_regressions(records);
-
-  std::vector<WireRecord> sorted;
-  std::span<const WireRecord> feed = records;
-  if (options.timestamp_policy == TimestampPolicy::Resort) {
-    sorted.assign(records.begin(), records.end());
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const WireRecord& a, const WireRecord& b) {
-                       return a.ts < b.ts;
-                     });
-    feed = sorted;
-  }
-
   const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < loops; ++i) {
-    report.non_monotonic += input_regressions;
-    if (options.timestamp_policy == TimestampPolicy::Drop) {
-      util::SimTime last;
-      bool first = true;
-      for (const auto& r : feed) {
-        if (!first && r.ts < last) {
-          ++report.dropped;
-          continue;
-        }
-        first = false;
-        last = r.ts;
-        sink(r);
-        ++report.records;
-        report.wire_bytes += r.bytes.size();
-      }
-    } else {
-      for (const auto& r : feed) {
-        sink(r);
-        ++report.records;
-        report.wire_bytes += r.bytes.size();
-      }
-    }
+  for (const auto& r : records) {
+    sink(r);
+    ++report.records;
+    report.wire_bytes += r.bytes.size();
   }
   const auto end = std::chrono::steady_clock::now();
-  report.wall_seconds =
-      std::chrono::duration<double>(end - start).count();
+  report.wall_seconds = std::chrono::duration<double>(end - start).count();
+
+  // Regressions against the running timestamp maximum — the same notion of
+  // "non-monotonic" CaptureTap counts, so replay- and tap-side accounting
+  // for one capture agree.  Counted outside the timed loop.
+  if (!records.empty()) {
+    auto last = records.front().ts;
+    for (const auto& r : records.subspan(1)) {
+      if (r.ts < last) {
+        ++report.non_monotonic;
+      } else {
+        last = r.ts;
+      }
+    }
+  }
   return report;
 }
 

@@ -7,37 +7,22 @@
 // y-axis is produced.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <vector>
 
 #include "net/capture.h"
 
 namespace gretel::net {
 
-// What to do with records whose capture timestamp regressed behind an
-// earlier record's (skewed tap clocks, merged multi-tap captures).
-enum class TimestampPolicy : std::uint8_t {
-  Accept,  // feed as-is; regressions are only counted (legacy behavior)
-  Drop,    // skip regressing records so the sink sees a monotone stream
-  Resort,  // stable-sort by timestamp before feeding (ties keep capture order)
-};
-
-struct ReplayOptions {
-  TimestampPolicy timestamp_policy = TimestampPolicy::Accept;
-};
-
 struct ReplayReport {
   std::uint64_t records = 0;
   std::uint64_t wire_bytes = 0;
   double wall_seconds = 0.0;
-  // Input records whose timestamp regressed behind the running maximum
-  // (counted under every policy; under Resort the sink still sees none).
+  // Records whose timestamp regressed behind the running maximum.  They
+  // are fed as captured; skewed tap clocks and merged multi-tap captures
+  // only show up in this count.
   std::uint64_t non_monotonic = 0;
-  // Records withheld from the sink by TimestampPolicy::Drop.
-  std::uint64_t dropped = 0;
 
   double events_per_second() const {
     return wall_seconds > 0 ? static_cast<double>(records) / wall_seconds
@@ -54,19 +39,10 @@ class ReplayEngine {
  public:
   using Sink = std::function<void(const WireRecord&)>;
 
-  // Feeds every record to `sink` back-to-back and reports achieved rates.
+  // Feeds every record to `sink` back-to-back, in capture order, and
+  // reports achieved rates.
   static ReplayReport replay(std::span<const WireRecord> records,
                              const Sink& sink);
-  static ReplayReport replay(std::span<const WireRecord> records,
-                             const ReplayOptions& options, const Sink& sink);
-
-  // Feeds the records `loops` times (tcpreplay --loop), for longer
-  // steady-state measurements on small captures.
-  static ReplayReport replay_looped(std::span<const WireRecord> records,
-                                    int loops, const Sink& sink);
-  static ReplayReport replay_looped(std::span<const WireRecord> records,
-                                    int loops, const ReplayOptions& options,
-                                    const Sink& sink);
 };
 
 }  // namespace gretel::net

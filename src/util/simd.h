@@ -4,20 +4,20 @@
 // error-flag scan over frozen context windows, and fingerprint truncation —
 // are all "find the next/last element equal to X" or "find the next set
 // flag" over small dense arrays (ApiId symbols are uint16, error flags are
-// uint8).  This header provides those primitives as SIMD kernels with a
+// uint8).  This header provides those primitives as AVX2 kernels with a
 // scalar reference implementation that is *the* semantic contract: every
 // vector path must return bit-identical results to its `scalar::` twin
 // (property-tested across widths 0..130 in tests/util/simd_test.cpp), so
 // detector output is byte-identical whichever kernel family is compiled in.
 //
-// Kernel family selection is compile-time:
-//   GRETEL_FORCE_SCALAR  — escape hatch (also a CMake option): everything
-//                          aliases the scalar reference.
+// Kernel family selection is compile-time, and there are two families:
 //   __AVX2__             — 16×u16 / 32×u8 lanes (enabled automatically by
 //                          the build when the host CPU supports it).
-//   __SSE2__ / x86_64    — 8×u16 / 16×u8 lanes (x86-64 baseline).
-//   __ARM_NEON           — 8×u16 / 16×u8 lanes.
-//   otherwise            — scalar fallback.
+//   otherwise            — the scalar references.  GRETEL_FORCE_SCALAR
+//                          (also a CMake option) picks them on an AVX2
+//                          host too.
+// docs/PERFORMANCE.md ("Kernel costs") records what the AVX2 family buys
+// over the scalar one, end to end.
 //
 // A *runtime* escape hatch (set_force_scalar) additionally lets one process
 // run both families for in-process A/B determinism tests and the
@@ -29,24 +29,11 @@
 #include <cstddef>
 #include <cstdint>
 
-#if !defined(GRETEL_FORCE_SCALAR)
-#if defined(__AVX2__)
+#if defined(__AVX2__) && !defined(GRETEL_FORCE_SCALAR)
 #include <immintrin.h>
-#define GRETEL_SIMD_AVX2 1
-#elif defined(__SSE2__) || defined(_M_X64) || \
-    (defined(_M_IX86_FP) && _M_IX86_FP >= 2)
-#include <emmintrin.h>
-#define GRETEL_SIMD_SSE2 1
-#elif defined(__ARM_NEON)
-#include <arm_neon.h>
-#define GRETEL_SIMD_NEON 1
-#endif
-#endif
 
-#if defined(GRETEL_SIMD_AVX2) || defined(GRETEL_SIMD_SSE2) || \
-    defined(GRETEL_SIMD_NEON)
-#define GRETEL_SIMD_VECTOR 1
 #include <bit>
+#define GRETEL_SIMD_AVX2 1
 #endif
 
 namespace gretel::simd {
@@ -74,10 +61,6 @@ inline bool force_scalar() {
 inline const char* compiled_kernel() {
 #if defined(GRETEL_SIMD_AVX2)
   return "avx2";
-#elif defined(GRETEL_SIMD_SSE2)
-  return "sse2";
-#elif defined(GRETEL_SIMD_NEON)
-  return "neon";
 #else
   return "scalar";
 #endif
@@ -133,7 +116,7 @@ inline std::size_t count_set_u8(const std::uint8_t* flags, std::size_t n) {
 }  // namespace scalar
 
 // ---------------------------------------------------------------------------
-// Vector implementations.  Each mirrors its scalar twin exactly; the public
+// AVX2 implementations.  Each mirrors its scalar twin exactly; the public
 // dispatchers below pick vector vs scalar.
 // ---------------------------------------------------------------------------
 #if defined(GRETEL_SIMD_AVX2)
@@ -228,197 +211,6 @@ inline std::size_t count_set_u8(const std::uint8_t* flags, std::size_t n) {
 }
 
 }  // namespace vec
-
-#elif defined(GRETEL_SIMD_SSE2)
-namespace vec {
-
-inline std::size_t find_first_eq_u16(const std::uint16_t* data, std::size_t n,
-                                     std::uint16_t v) {
-  const __m128i needle = _mm_set1_epi16(static_cast<short>(v));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i chunk =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
-    const auto mask = static_cast<std::uint32_t>(
-        _mm_movemask_epi8(_mm_cmpeq_epi16(chunk, needle)));
-    if (mask) return i + static_cast<std::size_t>(std::countr_zero(mask)) / 2;
-  }
-  for (; i < n; ++i) {
-    if (data[i] == v) return i;
-  }
-  return npos;
-}
-
-inline std::size_t find_last_eq_u16(const std::uint16_t* data, std::size_t n,
-                                    std::uint16_t v) {
-  const __m128i needle = _mm_set1_epi16(static_cast<short>(v));
-  std::size_t i = n;
-  while (i >= 8) {
-    i -= 8;
-    const __m128i chunk =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
-    const auto mask = static_cast<std::uint32_t>(
-        _mm_movemask_epi8(_mm_cmpeq_epi16(chunk, needle)));
-    if (mask) {
-      return i + (31 - static_cast<std::size_t>(std::countl_zero(mask))) / 2;
-    }
-  }
-  while (i-- > 0) {
-    if (data[i] == v) return i;
-  }
-  return npos;
-}
-
-inline std::size_t find_first_set_u8(const std::uint8_t* flags,
-                                     std::size_t n) {
-  const __m128i zero = _mm_setzero_si128();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i chunk =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(flags + i));
-    const auto mask =
-        0xFFFFu &
-        ~static_cast<std::uint32_t>(
-            _mm_movemask_epi8(_mm_cmpeq_epi8(chunk, zero)));
-    if (mask) return i + static_cast<std::size_t>(std::countr_zero(mask));
-  }
-  for (; i < n; ++i) {
-    if (flags[i]) return i;
-  }
-  return npos;
-}
-
-inline std::size_t find_last_set_u8(const std::uint8_t* flags, std::size_t n) {
-  const __m128i zero = _mm_setzero_si128();
-  std::size_t i = n;
-  while (i >= 16) {
-    i -= 16;
-    const __m128i chunk =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(flags + i));
-    const auto mask =
-        0xFFFFu &
-        ~static_cast<std::uint32_t>(
-            _mm_movemask_epi8(_mm_cmpeq_epi8(chunk, zero)));
-    if (mask) {
-      return i + 31 - static_cast<std::size_t>(std::countl_zero(mask));
-    }
-  }
-  while (i-- > 0) {
-    if (flags[i]) return i;
-  }
-  return npos;
-}
-
-inline std::size_t count_set_u8(const std::uint8_t* flags, std::size_t n) {
-  const __m128i zero = _mm_setzero_si128();
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i chunk =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(flags + i));
-    const auto mask =
-        0xFFFFu &
-        ~static_cast<std::uint32_t>(
-            _mm_movemask_epi8(_mm_cmpeq_epi8(chunk, zero)));
-    count += static_cast<std::size_t>(std::popcount(mask));
-  }
-  for (; i < n; ++i) count += flags[i] ? 1 : 0;
-  return count;
-}
-
-}  // namespace vec
-
-#elif defined(GRETEL_SIMD_NEON)
-namespace vec {
-
-// NEON has no movemask; vshrn on the 16-bit lanes packs each lane's
-// comparison result into a nibble of a 64-bit scalar (4 bits per u16 lane,
-// 4 bits per u8 lane after the shift-right-narrow), which countr/countl
-// then treat exactly like an x86 movemask with 4 bits per lane.
-inline std::uint64_t nibble_mask_u16(uint16x8_t eq) {
-  const uint8x8_t narrowed = vshrn_n_u16(eq, 4);
-  return vget_lane_u64(vreinterpret_u64_u8(narrowed), 0);
-}
-
-inline std::uint64_t nibble_mask_u8(uint8x16_t eq) {
-  const uint8x8_t narrowed = vshrn_n_u16(vreinterpretq_u16_u8(eq), 4);
-  return vget_lane_u64(vreinterpret_u64_u8(narrowed), 0);
-}
-
-inline std::size_t find_first_eq_u16(const std::uint16_t* data, std::size_t n,
-                                     std::uint16_t v) {
-  const uint16x8_t needle = vdupq_n_u16(v);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const auto mask = nibble_mask_u16(vceqq_u16(vld1q_u16(data + i), needle));
-    if (mask) {
-      return i + static_cast<std::size_t>(std::countr_zero(mask)) / 8;
-    }
-  }
-  for (; i < n; ++i) {
-    if (data[i] == v) return i;
-  }
-  return npos;
-}
-
-inline std::size_t find_last_eq_u16(const std::uint16_t* data, std::size_t n,
-                                    std::uint16_t v) {
-  const uint16x8_t needle = vdupq_n_u16(v);
-  std::size_t i = n;
-  while (i >= 8) {
-    i -= 8;
-    const auto mask = nibble_mask_u16(vceqq_u16(vld1q_u16(data + i), needle));
-    if (mask) {
-      return i + (63 - static_cast<std::size_t>(std::countl_zero(mask))) / 8;
-    }
-  }
-  while (i-- > 0) {
-    if (data[i] == v) return i;
-  }
-  return npos;
-}
-
-inline std::size_t find_first_set_u8(const std::uint8_t* flags,
-                                     std::size_t n) {
-  const uint8x16_t zero = vdupq_n_u8(0);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const uint8x16_t nonzero =
-        vmvnq_u8(vceqq_u8(vld1q_u8(flags + i), zero));
-    const auto mask = nibble_mask_u8(nonzero);
-    if (mask) {
-      return i + static_cast<std::size_t>(std::countr_zero(mask)) / 4;
-    }
-  }
-  for (; i < n; ++i) {
-    if (flags[i]) return i;
-  }
-  return npos;
-}
-
-inline std::size_t find_last_set_u8(const std::uint8_t* flags, std::size_t n) {
-  const uint8x16_t zero = vdupq_n_u8(0);
-  std::size_t i = n;
-  while (i >= 16) {
-    i -= 16;
-    const uint8x16_t nonzero =
-        vmvnq_u8(vceqq_u8(vld1q_u8(flags + i), zero));
-    const auto mask = nibble_mask_u8(nonzero);
-    if (mask) {
-      return i + (63 - static_cast<std::size_t>(std::countl_zero(mask))) / 4;
-    }
-  }
-  while (i-- > 0) {
-    if (flags[i]) return i;
-  }
-  return npos;
-}
-
-inline std::size_t count_set_u8(const std::uint8_t* flags, std::size_t n) {
-  return scalar::count_set_u8(flags, n);
-}
-
-}  // namespace vec
 #endif
 
 // ---------------------------------------------------------------------------
@@ -433,7 +225,7 @@ inline std::size_t count_set_u8(const std::uint8_t* flags, std::size_t n) {
 
 inline std::size_t find_first_eq_u16(const std::uint16_t* data, std::size_t n,
                                      std::uint16_t v) {
-#if defined(GRETEL_SIMD_VECTOR)
+#if defined(GRETEL_SIMD_AVX2)
   if (!force_scalar()) return vec::find_first_eq_u16(data, n, v);
 #endif
   return scalar::find_first_eq_u16(data, n, v);
@@ -441,7 +233,7 @@ inline std::size_t find_first_eq_u16(const std::uint16_t* data, std::size_t n,
 
 inline std::size_t find_last_eq_u16(const std::uint16_t* data, std::size_t n,
                                     std::uint16_t v) {
-#if defined(GRETEL_SIMD_VECTOR)
+#if defined(GRETEL_SIMD_AVX2)
   if (!force_scalar()) return vec::find_last_eq_u16(data, n, v);
 #endif
   return scalar::find_last_eq_u16(data, n, v);
@@ -449,21 +241,21 @@ inline std::size_t find_last_eq_u16(const std::uint16_t* data, std::size_t n,
 
 inline std::size_t find_first_set_u8(const std::uint8_t* flags,
                                      std::size_t n) {
-#if defined(GRETEL_SIMD_VECTOR)
+#if defined(GRETEL_SIMD_AVX2)
   if (!force_scalar()) return vec::find_first_set_u8(flags, n);
 #endif
   return scalar::find_first_set_u8(flags, n);
 }
 
 inline std::size_t find_last_set_u8(const std::uint8_t* flags, std::size_t n) {
-#if defined(GRETEL_SIMD_VECTOR)
+#if defined(GRETEL_SIMD_AVX2)
   if (!force_scalar()) return vec::find_last_set_u8(flags, n);
 #endif
   return scalar::find_last_set_u8(flags, n);
 }
 
 inline std::size_t count_set_u8(const std::uint8_t* flags, std::size_t n) {
-#if defined(GRETEL_SIMD_VECTOR)
+#if defined(GRETEL_SIMD_AVX2)
   if (!force_scalar()) return vec::count_set_u8(flags, n);
 #endif
   return scalar::count_set_u8(flags, n);

@@ -160,8 +160,9 @@ const Passes& passes() {
 }
 
 // Warm-up passes before the counted one: enough for the stream's in-flight
-// FIFO to reach its compaction point (about 2 × (inflight_cap + 64)
-// requests), the largest it ever grows.
+// FIFO to reach the largest it ever grows.  It compacts past 2 × pending +
+// 64 entries, and pending never exceeds inflight_cap, so 3 × (inflight_cap
+// + 64) requests are always enough.
 constexpr std::uint64_t kWarmupPasses = 6;
 
 TEST(SteadyStateAllocs, CaptureHasTheRealRecordShape) {

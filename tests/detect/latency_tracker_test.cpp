@@ -236,5 +236,27 @@ TEST(LatencyTracker, TimeoutZeroKeepsLegacyBehavior) {
   EXPECT_EQ(tracker.guard_stats().orphans_reaped, 0u);
 }
 
+TEST(LatencyTracker, InflightFifoStaysBoundedByPending) {
+  // A stream that answers every request before the next one keeps one
+  // request pending at most.  The in-flight FIFO must track that, not the
+  // cap: its dead entries are reclaimed well before cap-sized growth.
+  auto tracker = fast_tracker();
+  tracker.set_inflight_cap(4096);
+  const ApiId api(12);
+  SimTime ts = SimTime::epoch();
+  for (std::uint32_t i = 0; i < 10000; ++i) {
+    const std::uint32_t conn = 1 + i % 50;
+    tracker.observe(rest_event(api, Direction::Request, conn, ts));
+    ASSERT_LE(tracker.inflight_queue(), 2 * tracker.pending() + 64)
+        << "after request " << i;
+    ts += SimDuration::millis(1);
+    tracker.observe(rest_event(api, Direction::Response, conn, ts));
+    ASSERT_LE(tracker.inflight_queue(), 2 * tracker.pending() + 64)
+        << "after response " << i;
+  }
+  EXPECT_EQ(tracker.samples(), 10000u);
+  EXPECT_EQ(tracker.guard_stats().inflight_evicted, 0u);
+}
+
 }  // namespace
 }  // namespace gretel::detect

@@ -58,6 +58,7 @@ class ReferenceTracker {
       req = it->second;
       rest_.erase(it);
     }
+    compact();
     if (timeout_ > 0.0 && (e.ts - req).to_seconds() > timeout_) {
       ++guards_.orphans_reaped;
       return std::nullopt;
@@ -144,13 +145,6 @@ class ReferenceTracker {
 
   void note(std::uint64_t key, SimTime ts, bool rpc) {
     fifo_.push_back({key, ts, rpc});
-    if (fifo_.size() > 2 * (pending() + cap_ + 64)) {
-      std::size_t w = 0;
-      for (std::size_t r = head_; r < fifo_.size(); ++r)
-        if (!stale(fifo_[r])) fifo_[w++] = fifo_[r];
-      fifo_.resize(w);
-      head_ = 0;
-    }
     while (pending() > cap_ && head_ < fifo_.size()) {
       const Entry e = fifo_[head_++];
       if (stale(e)) continue;
@@ -161,6 +155,16 @@ class ReferenceTracker {
       }
       ++guards_.inflight_evicted;
     }
+    compact();
+  }
+
+  void compact() {
+    if (fifo_.size() <= 2 * pending() + 64) return;
+    std::size_t w = 0;
+    for (std::size_t r = head_; r < fifo_.size(); ++r)
+      if (!stale(fifo_[r])) fifo_[w++] = fifo_[r];
+    fifo_.resize(w);
+    head_ = 0;
   }
 
   void sweep(SimTime now) {
@@ -183,6 +187,7 @@ class ReferenceTracker {
         ++it;
       }
     }
+    compact();
   }
 
   double timeout_;

@@ -1,6 +1,5 @@
-// ReplayEngine timestamp-policy tests: Accept counts regressions without
-// touching the stream, Drop feeds a monotone subsequence, Resort feeds a
-// stable time-sorted stream — and all three account for what they did.
+// ReplayEngine tests: the sink sees the capture exactly as recorded, and
+// timestamp regressions are counted, never repaired.
 #include "net/replay.h"
 
 #include <gtest/gtest.h>
@@ -21,120 +20,44 @@ WireRecord record_at(std::int64_t ms, int tag) {
   return r;
 }
 
-// Timestamps (ms): 10, 30, 20, 40, 5, 50 — two regressions (20 and 5)
-// against the running maximum.
-std::vector<WireRecord> skewed_capture() {
-  return {record_at(10, 0), record_at(30, 1), record_at(20, 2),
-          record_at(40, 3), record_at(5, 4),  record_at(50, 5)};
-}
-
 std::vector<WireRecord> fed(const std::vector<WireRecord>& records,
-                            const ReplayOptions& options,
-                            ReplayReport* report = nullptr) {
+                            ReplayReport* report) {
   std::vector<WireRecord> out;
-  auto r = ReplayEngine::replay(
-      records, options, [&out](const WireRecord& rec) { out.push_back(rec); });
-  if (report) *report = r;
+  *report = ReplayEngine::replay(
+      records, [&out](const WireRecord& rec) { out.push_back(rec); });
   return out;
 }
 
 TEST(Replay, AcceptFeedsAsIsAndCountsRegressions) {
-  const auto records = skewed_capture();
+  // Timestamps (ms): 10, 30, 20, 40, 5, 50 — two regressions (20 and 5)
+  // against the running maximum.
+  const std::vector<WireRecord> records = {
+      record_at(10, 0), record_at(30, 1), record_at(20, 2),
+      record_at(40, 3), record_at(5, 4),  record_at(50, 5)};
   ReplayReport report;
-  const auto out = fed(records, ReplayOptions{}, &report);
+  const auto out = fed(records, &report);
 
   ASSERT_EQ(out.size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(out[i].bytes, records[i].bytes);
   }
   EXPECT_EQ(report.records, records.size());
+  EXPECT_EQ(report.wire_bytes, 12u);
   EXPECT_EQ(report.non_monotonic, 2u);
-  EXPECT_EQ(report.dropped, 0u);
 }
 
-TEST(Replay, DropFeedsMonotoneSubsequence) {
-  const auto records = skewed_capture();
-  ReplayOptions options;
-  options.timestamp_policy = TimestampPolicy::Drop;
-  ReplayReport report;
-  const auto out = fed(records, options, &report);
-
-  EXPECT_EQ(report.non_monotonic, 2u);
-  EXPECT_EQ(report.dropped, 2u);
-  EXPECT_EQ(report.records, records.size() - 2);
-  ASSERT_EQ(out.size(), 4u);
-  for (std::size_t i = 1; i < out.size(); ++i) {
-    EXPECT_GE(out[i].ts, out[i - 1].ts);
-  }
-  EXPECT_EQ(out[0].bytes, "r0");
-  EXPECT_EQ(out[1].bytes, "r1");
-  EXPECT_EQ(out[2].bytes, "r3");
-  EXPECT_EQ(out[3].bytes, "r5");
-}
-
-TEST(Replay, ResortFeedsSortedStreamButStillCounts) {
-  const auto records = skewed_capture();
-  ReplayOptions options;
-  options.timestamp_policy = TimestampPolicy::Resort;
-  ReplayReport report;
-  const auto out = fed(records, options, &report);
-
-  EXPECT_EQ(report.non_monotonic, 2u);
-  EXPECT_EQ(report.dropped, 0u);
-  ASSERT_EQ(out.size(), records.size());
-  for (std::size_t i = 1; i < out.size(); ++i) {
-    EXPECT_GE(out[i].ts, out[i - 1].ts);
-  }
-  // 5, 10, 20, 30, 40, 50.
-  EXPECT_EQ(out[0].bytes, "r4");
-  EXPECT_EQ(out[1].bytes, "r0");
-  EXPECT_EQ(out[2].bytes, "r2");
-  EXPECT_EQ(out[3].bytes, "r1");
-  EXPECT_EQ(out[5].bytes, "r5");
-}
-
-TEST(Replay, ResortTiesKeepCaptureOrder) {
-  std::vector<WireRecord> records = {record_at(10, 0), record_at(10, 1),
-                                     record_at(5, 2), record_at(10, 3)};
-  ReplayOptions options;
-  options.timestamp_policy = TimestampPolicy::Resort;
-  const auto out = fed(records, options);
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_EQ(out[0].bytes, "r2");
-  EXPECT_EQ(out[1].bytes, "r0");
-  EXPECT_EQ(out[2].bytes, "r1");
-  EXPECT_EQ(out[3].bytes, "r3");
-}
-
-TEST(Replay, LoopedPoliciesScaleCounts) {
-  const auto records = skewed_capture();
-  ReplayOptions options;
-  options.timestamp_policy = TimestampPolicy::Drop;
-  std::size_t sunk = 0;
-  const auto report = ReplayEngine::replay_looped(
-      records, 3, options, [&sunk](const WireRecord&) { ++sunk; });
-  EXPECT_EQ(report.non_monotonic, 6u);
-  EXPECT_EQ(report.dropped, 6u);
-  EXPECT_EQ(report.records, 12u);
-  EXPECT_EQ(sunk, 12u);
-}
-
+// Replay has one timestamp policy — feed as captured — so "every policy"
+// is that one.
 TEST(Replay, MonotoneCaptureIsUntouchedByEveryPolicy) {
-  std::vector<WireRecord> records = {record_at(1, 0), record_at(2, 1),
-                                     record_at(3, 2)};
-  for (const auto policy : {TimestampPolicy::Accept, TimestampPolicy::Drop,
-                            TimestampPolicy::Resort}) {
-    ReplayOptions options;
-    options.timestamp_policy = policy;
-    ReplayReport report;
-    const auto out = fed(records, options, &report);
-    ASSERT_EQ(out.size(), 3u);
-    for (std::size_t i = 0; i < 3; ++i) {
-      EXPECT_EQ(out[i].bytes, records[i].bytes);
-    }
-    EXPECT_EQ(report.non_monotonic, 0u);
-    EXPECT_EQ(report.dropped, 0u);
+  const std::vector<WireRecord> records = {record_at(1, 0), record_at(2, 1),
+                                           record_at(3, 2)};
+  ReplayReport report;
+  const auto out = fed(records, &report);
+  ASSERT_EQ(out.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(out[i].bytes, records[i].bytes);
   }
+  EXPECT_EQ(report.non_monotonic, 0u);
 }
 
 }  // namespace
