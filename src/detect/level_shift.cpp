@@ -8,6 +8,13 @@
 
 namespace gretel::detect {
 
+namespace {
+
+// In-band absorptions between two refreshes of the cached baseline.
+constexpr int kRefreshEvery = 8;
+
+}  // namespace
+
 LevelShiftDetector::LevelShiftDetector(LevelShiftParams params)
     : params_(params) {
   // The window peaks at baseline_window + 1 (push, then trim), at
@@ -66,7 +73,7 @@ std::optional<Alarm> LevelShiftDetector::observe(double t_seconds,
     pending_sign_ = 0;
     window_.claim_back() = value;
     while (window_.size() > params_.baseline_window) window_.pop_front();
-    if (++stale_ >= 8) refresh_baseline();
+    if (++stale_ >= kRefreshEvery) refresh_baseline();
     return std::nullopt;
   }
 
@@ -135,13 +142,16 @@ void LevelShiftDetector::save_state(std::string& out) const {
 
 bool LevelShiftDetector::load_state(std::string_view& in) {
   reset();
-  // Element counts are bounded by baseline_window / confirm in any state
-  // save_state can produce; anything larger is corrupt input, rejected
-  // before allocating.
-  constexpr std::uint32_t kMaxElems = 1u << 20;
-  const auto get_values = [&in](auto&& append) {
+  // Reject what save_state can never write, before allocating: after any
+  // observe() the window holds at most the largest of baseline_window,
+  // min_baseline and confirm samples, the pending run stays shorter than
+  // confirm, the sign is -1, 0 or 1, and the refresh clock stays below
+  // kRefreshEvery.
+  const std::size_t max_window = std::max(
+      {params_.baseline_window, params_.min_baseline, params_.confirm});
+  const auto get_values = [&in](std::size_t most, auto&& append) {
     std::uint32_t n = 0;
-    if (!util::get_u32(in, n) || n > kMaxElems) return false;
+    if (!util::get_u32(in, n) || n > most) return false;
     for (std::uint32_t i = 0; i < n; ++i) {
       double v = 0.0;
       if (!util::get_f64(in, v)) return false;
@@ -151,11 +161,15 @@ bool LevelShiftDetector::load_state(std::string_view& in) {
   };
   std::int64_t sign = 0;
   std::int64_t stale = 0;
-  if (!get_values([this](double v) { window_.claim_back() = v; }) ||
-      !get_values([this](double v) { pending_.push_back(v); }) ||
-      !util::get_i64(in, sign) || !util::get_f64(in, last_alarm_t_) ||
+  if (!get_values(max_window,
+                  [this](double v) { window_.claim_back() = v; }) ||
+      !get_values(std::max<std::size_t>(params_.confirm, 1) - 1,
+                  [this](double v) { pending_.push_back(v); }) ||
+      !util::get_i64(in, sign) || sign < -1 || sign > 1 ||
+      !util::get_f64(in, last_alarm_t_) ||
       !util::get_f64(in, cached_median_) ||
       !util::get_f64(in, cached_sigma_) || !util::get_i64(in, stale) ||
+      stale < 0 || stale >= kRefreshEvery ||
       !util::get_u64(in, rejected_nonfinite_)) {
     reset();
     return false;
@@ -163,10 +177,6 @@ bool LevelShiftDetector::load_state(std::string_view& in) {
   pending_sign_ = static_cast<int>(sign);
   stale_ = static_cast<int>(stale);
   return true;
-}
-
-std::unique_ptr<OutlierDetector> make_level_shift() {
-  return std::make_unique<LevelShiftDetector>();
 }
 
 }  // namespace gretel::detect

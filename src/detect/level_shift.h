@@ -6,6 +6,10 @@
 // confirmed shift does not alarm again.  Implementation: a robust baseline
 // (median / MAD over a rolling window) plus an m-consecutive-deviations
 // confirmation rule, with re-baselining on confirmation.
+//
+// The paper remarks that outlier detection is pluggable (§6); this is the
+// one detector the analyzer runs, held by value per API latency stream and
+// checkpointed through save_state/load_state.
 #pragma once
 
 #include <cstdint>
@@ -14,10 +18,19 @@
 #include <string_view>
 #include <vector>
 
-#include "detect/outlier.h"
 #include "util/slot_ring.h"
 
 namespace gretel::detect {
+
+enum class ShiftDirection { Up, Down };
+
+struct Alarm {
+  double t_seconds = 0.0;   // time of the confirming sample
+  double value = 0.0;       // the confirming sample
+  double baseline = 0.0;    // level before the shift
+  double magnitude = 0.0;   // |new level - old level| estimate
+  ShiftDirection direction = ShiftDirection::Up;
+};
 
 struct LevelShiftParams {
   std::size_t baseline_window = 64;  // samples kept for the robust baseline
@@ -30,16 +43,17 @@ struct LevelShiftParams {
   double cooldown_seconds = 5.0;
 };
 
-class LevelShiftDetector final : public OutlierDetector {
+class LevelShiftDetector {
  public:
   LevelShiftDetector() : LevelShiftDetector(LevelShiftParams{}) {}
   // Sizes the window, the pending run and the scratch for the largest
   // state `params` allows, so observe() never allocates.
   explicit LevelShiftDetector(LevelShiftParams params);
 
-  std::optional<Alarm> observe(double t_seconds, double value) override;
-  std::string_view name() const override { return "level-shift"; }
-  void reset() override;
+  // Feeds one sample; returns an alarm when a level shift is confirmed.
+  std::optional<Alarm> observe(double t_seconds, double value);
+  // Forgets all state (fresh series).
+  void reset();
 
   // Checkpoint support (src/persist/): appends the *dynamic* state —
   // learned baseline, pending run, cooldown clock — to `out` in the
@@ -88,7 +102,5 @@ class LevelShiftDetector final : public OutlierDetector {
   int stale_ = 0;  // absorptions since the last refresh
   std::uint64_t rejected_nonfinite_ = 0;
 };
-
-std::unique_ptr<OutlierDetector> make_level_shift();
 
 }  // namespace gretel::detect

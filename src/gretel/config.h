@@ -91,15 +91,8 @@ struct GretelConfig {
   double orphan_timeout_seconds = 0.0;
 
   // --- root-cause analysis (Algorithm 3, §5.4) ---
-
-  // (§5.4) · 3.0 · metric context, in seconds, added around the fault
-  // window on both sides before Is_Anomalous runs.
-  double rca_window_pad_seconds = 3.0;
-
-  // (§5.4) · 5.0 · Is_Anomalous threshold: a window's resource level is
-  // anomalous when it deviates from the node's own baseline by more than
-  // this many baseline sigmas.
-  double rca_k_sigma = 5.0;
+  // The window padding and the Is_Anomalous threshold are constants in
+  // gretel/root_cause.cpp.
 
   // (monitoring) · 0.0 = off · metric freshness horizon in seconds.  When
   // set, a metric series whose newest sample lags the analysis window end
@@ -136,11 +129,6 @@ struct GretelConfig {
     if (!std::isfinite(orphan_timeout_seconds) ||
         orphan_timeout_seconds < 0.0)
       bad("orphan_timeout_seconds must be >= 0 (0 = off)");
-    if (!std::isfinite(rca_window_pad_seconds) ||
-        rca_window_pad_seconds < 0.0)
-      bad("rca_window_pad_seconds must be >= 0");
-    if (!std::isfinite(rca_k_sigma) || rca_k_sigma <= 0.0)
-      bad("rca_k_sigma must be > 0");
     if (!std::isfinite(metric_staleness_s) || metric_staleness_s < 0.0)
       bad("metric_staleness_s must be >= 0 (0 = off)");
     if (!std::isfinite(probe_budget_ms) || probe_budget_ms < 0.0)

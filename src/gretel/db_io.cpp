@@ -15,11 +15,7 @@ namespace {
 //   meta     u32 len, u32 crc32, bytes { u64 catalog-hash, u32 count }
 //   records  u32 len, u32 crc32, bytes { count × record }
 //   record:  op u32, name (u16 len + bytes), sequence (u32 len + u16 each)
-//
-// v1 (legacy, still readable): magic "GRTFDB01", then the same hash /
-// count / records laid out flat with no checksums.
 constexpr std::string_view kMagicV2 = "GRTFDB02";
-constexpr std::string_view kMagicV1 = "GRTFDB01";
 
 void put_section(std::string& out, std::string_view body) {
   util::put_u32(out, static_cast<std::uint32_t>(body.size()));
@@ -47,7 +43,7 @@ void encode_records(std::string& out, const FingerprintDb& db) {
   }
 }
 
-// Shared by both format versions: the record stream after hash/count.
+// The record stream of the records section.
 std::optional<FingerprintDb> decode_records(std::string_view data,
                                             std::uint32_t count,
                                             const wire::ApiCatalog& catalog) {
@@ -80,16 +76,6 @@ std::optional<FingerprintDb> decode_records(std::string_view data,
   }
   if (!data.empty()) return std::nullopt;
   return db;
-}
-
-std::optional<FingerprintDb> decode_v1(std::string_view data,
-                                       const wire::ApiCatalog& catalog) {
-  std::uint64_t hash = 0;
-  if (!util::get_u64(data, hash) || hash != catalog_hash(catalog))
-    return std::nullopt;
-  std::uint32_t count = 0;
-  if (!util::get_u32(data, count)) return std::nullopt;
-  return decode_records(data, count, catalog);
 }
 
 std::optional<FingerprintDb> decode_v2(std::string_view data,
@@ -139,10 +125,6 @@ std::optional<FingerprintDb> decode_fingerprint_db(
   if (data.starts_with(kMagicV2)) {
     data.remove_prefix(kMagicV2.size());
     return decode_v2(data, catalog);
-  }
-  if (data.starts_with(kMagicV1)) {
-    data.remove_prefix(kMagicV1.size());
-    return decode_v1(data, catalog);
   }
   return std::nullopt;
 }

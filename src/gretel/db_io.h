@@ -16,9 +16,9 @@
 //
 // Every section carries its own CRC32, so truncation or bit flips anywhere
 // in the file are detected before any record is trusted — the loader never
-// crashes and never returns a silently-wrong DB.  The legacy flat
-// "GRTFDB01" layout (no CRCs) is still read.  Writes are atomic
-// (tmp + fsync + rename).
+// crashes and never returns a silently-wrong DB.  A file in the retired
+// flat "GRTFDB01" layout (no CRCs) fails to load like any foreign file.
+// Writes are atomic (tmp + fsync + rename).
 #pragma once
 
 #include <optional>

@@ -9,6 +9,19 @@
 
 namespace gretel::core {
 
+namespace {
+
+// (§5.4) · 3 s · metric context added around the fault window on both
+// sides before Is_Anomalous runs.
+constexpr util::SimDuration kWindowPad = util::SimDuration::seconds(3);
+
+// (§5.4) · 5.0 · Is_Anomalous threshold: a window's resource level is
+// anomalous when it deviates from the node's own baseline by more than
+// this many baseline sigmas.
+constexpr double kAnomalyKSigma = 5.0;
+
+}  // namespace
+
 RootCauseEngine::RootCauseEngine(const FingerprintDb* db,
                                  const wire::ApiCatalog* catalog,
                                  const stack::Deployment* deployment,
@@ -86,7 +99,7 @@ std::vector<Cause> RootCauseEngine::find_causes(
       if (!series) continue;
       const auto verdict =
           detect::analyze_window(*series, from.to_seconds(), to.to_seconds(),
-                                 series_scratch_, options_.k_sigma);
+                                 series_scratch_, kAnomalyKSigma);
 
       // The absolute rules judge the window level alone, so they need only
       // in-window samples (a full disk reads exactly 0 MB free).
@@ -151,8 +164,8 @@ RootCauseReport RootCauseEngine::analyze(const FaultReport& fault) const {
   // A lossy snapshot weakens negative evidence (a clean node may simply be
   // one whose telemetry was lost); carry the flag through to the diagnosis.
   report.degraded = fault.degraded_confidence;
-  const auto from = fault.window_start - options_.window_pad;
-  const auto to = fault.window_end + options_.window_pad;
+  const auto from = fault.window_start - kWindowPad;
+  const auto to = fault.window_end + kWindowPad;
 
   // Collect the window's dependency evidence ONCE: probing advances
   // breaker/flap state and spends the deadline budget, so both search

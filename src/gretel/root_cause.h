@@ -31,9 +31,6 @@ namespace gretel::core {
 class RootCauseEngine {
  public:
   struct Options {
-    // Metric context added around the fault window on both sides.
-    util::SimDuration window_pad = util::SimDuration::seconds(3);
-    double k_sigma = 5.0;  // Is_Anomalous threshold
     // Metric freshness horizon; 0 = staleness checking off (legacy).
     double metric_staleness_s = 0.0;
     // Per-analysis probe deadline budget; 0 = unbounded (legacy).
@@ -42,9 +39,6 @@ class RootCauseEngine {
     // The analyzer's RCA knobs, read from their GretelConfig rows.
     static Options from(const GretelConfig& config) {
       Options o;
-      o.window_pad = util::SimDuration(static_cast<std::int64_t>(
-          config.rca_window_pad_seconds * 1e9));
-      o.k_sigma = config.rca_k_sigma;
       o.metric_staleness_s = config.metric_staleness_s;
       o.probe_budget_ms = config.probe_budget_ms;
       return o;

@@ -48,8 +48,8 @@ TEST(ConfigValidate, EachBadKnobIsItemized) {
   }
   {
     GretelConfig c;
-    c.rca_k_sigma = kNaN;
-    EXPECT_TRUE(has_error(c, "rca_k_sigma"));
+    c.metric_staleness_s = kNaN;
+    EXPECT_TRUE(has_error(c, "metric_staleness_s"));
   }
   {
     GretelConfig c;
@@ -62,7 +62,7 @@ TEST(ConfigValidate, ErrorsAccumulateAcrossKnobs) {
   GretelConfig c;
   c.fp_max = 0;
   c.p_rate = -1.0;
-  c.rca_window_pad_seconds = -1.0;
+  c.c2 = 0.0;
   c.orphan_timeout_seconds = -1.0;
   EXPECT_GE(c.validate().size(), 4u);
 }

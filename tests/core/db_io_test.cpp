@@ -120,9 +120,10 @@ TEST(DbIo, CurrentFormatIsV2Sectioned) {
   EXPECT_EQ(data.substr(0, 8), "GRTFDB02");
 }
 
-TEST(DbIo, ReadsLegacyV1Format) {
-  // GRTFDB01 files written before the sectioned format must keep loading:
-  // magic, u64 catalog hash, u32 count, then the flat record stream.
+TEST(DbIo, RejectsLegacyV1Format) {
+  // The retired flat GRTFDB01 layout (magic, u64 catalog hash, u32 count,
+  // then the record stream, no CRCs) fails to load like any foreign file,
+  // even when its catalog hash and records are sound.
   const auto catalog = small_catalog();
   const auto db = sample_db();
   std::string v1 = "GRTFDB01";
@@ -135,12 +136,7 @@ TEST(DbIo, ReadsLegacyV1Format) {
     util::put_u32(v1, static_cast<std::uint32_t>(fp.sequence.size()));
     for (auto api : fp.sequence) util::put_u16(v1, api.value());
   }
-  const auto decoded = decode_fingerprint_db(v1, catalog);
-  ASSERT_TRUE(decoded.has_value());
-  ASSERT_EQ(decoded->size(), db.size());
-  EXPECT_EQ(decoded->get(0).name, "vm-create");
-  EXPECT_EQ(decoded->get(0).sequence, db.get(0).sequence);
-  EXPECT_EQ(decoded->get(1).sequence, db.get(1).sequence);
+  EXPECT_FALSE(decode_fingerprint_db(v1, catalog).has_value());
 }
 
 // Corruption fuzz: decode must never crash and never return a DB that

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "util/binio.h"
 #include "util/rng.h"
 
 namespace gretel::detect {
@@ -24,7 +26,7 @@ LevelShiftParams fast_params() {
 }
 
 // Feeds a flat series with gaussian noise; returns alarms raised.
-int feed_noise(OutlierDetector& d, double level, double sigma, int n,
+int feed_noise(LevelShiftDetector& d, double level, double sigma, int n,
                std::uint64_t seed, double t0 = 0.0) {
   util::Rng rng(seed);
   int alarms = 0;
@@ -189,9 +191,87 @@ TEST(LevelShift, TornLoadLeavesDetectorReset) {
   EXPECT_EQ(whole.rejected_nonfinite(), 1u);
 }
 
-TEST(LevelShift, FactoryReturnsWorkingDetector) {
-  const auto d = make_level_shift();
-  EXPECT_EQ(d->name(), "level-shift");
+TEST(LevelShift, LoadRejectsStateSaveCannotWrite) {
+  // Default params: confirm 3, baseline_window 64, min_baseline 12.  The
+  // blob is built field by field in save_state's layout.
+  struct Fields {
+    std::vector<double> window;
+    std::vector<double> pending;
+    std::int64_t sign = 1;
+    std::int64_t stale = 0;
+  };
+  const auto encode = [](const Fields& f) {
+    std::string out;
+    util::put_u32(out, static_cast<std::uint32_t>(f.window.size()));
+    for (double v : f.window) util::put_f64(out, v);
+    util::put_u32(out, static_cast<std::uint32_t>(f.pending.size()));
+    for (double v : f.pending) util::put_f64(out, v);
+    util::put_i64(out, f.sign);
+    util::put_f64(out, -1e300);  // last alarm
+    util::put_f64(out, 10.0);    // cached median
+    util::put_f64(out, 0.3);     // cached sigma
+    util::put_i64(out, f.stale);
+    util::put_u64(out, 0);  // rejected non-finite
+    return out;
+  };
+  // A full window and a pending run of confirm - 1: the largest state
+  // save_state writes.
+  const Fields valid{std::vector<double>(64, 10.0), {40.0, 40.0}, 1, 7};
+  const auto loads = [&encode](const Fields& f) {
+    LevelShiftDetector d;
+    const std::string bytes = encode(f);
+    std::string_view in(bytes);
+    const bool ok = d.load_state(in);
+    if (!ok) {
+      EXPECT_FALSE(d.armed());  // left reset
+    }
+    return ok;
+  };
+  EXPECT_TRUE(loads(valid));
+
+  auto f = valid;
+  f.pending.push_back(40.0);  // a run of confirm would alarm on the next
+  EXPECT_FALSE(loads(f));     // out-of-band sample, not after three
+  f = valid;
+  f.window.assign(5000, 10.0);
+  EXPECT_FALSE(loads(f));
+  f.window.assign(65, 10.0);
+  EXPECT_FALSE(loads(f));
+  for (const std::int64_t sign : {-2, 2}) {
+    f = valid;
+    f.sign = sign;
+    EXPECT_FALSE(loads(f)) << "sign " << sign;
+  }
+  for (const std::int64_t stale : {-1, 8}) {
+    f = valid;
+    f.stale = stale;
+    EXPECT_FALSE(loads(f)) << "stale " << stale;
+  }
+}
+
+TEST(LevelShift, DefaultParamsAlarmOncePerShift) {
+  // The regime of the retired detector ablation, at the production
+  // defaults: 600 samples of N(10, 0.4), 600 of N(14, 0.4) (a +10σ shift),
+  // then 300 of N(10, 0.4).  Each seed raises no alarm while stationary,
+  // one alarm in the shift, on its 3rd sample, and one on recovery.
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    LevelShiftDetector d;
+    util::Rng rng(seed);
+    double t = 0;
+    int stationary = 0;
+    std::vector<int> in_shift;  // sample indices that alarmed
+    int recovery = 0;
+    for (int i = 0; i < 600; ++i, ++t)
+      stationary += d.observe(t, rng.next_gaussian(10.0, 0.4)).has_value();
+    for (int i = 0; i < 600; ++i, ++t)
+      if (d.observe(t, rng.next_gaussian(14.0, 0.4))) in_shift.push_back(i);
+    for (int i = 0; i < 300; ++i, ++t)
+      recovery += d.observe(t, rng.next_gaussian(10.0, 0.4)).has_value();
+    EXPECT_EQ(stationary, 0);
+    EXPECT_EQ(in_shift, std::vector<int>{2});
+    EXPECT_EQ(recovery, 1);
+  }
 }
 
 TEST(LevelShift, RejectsNonFiniteSamples) {
