@@ -90,28 +90,23 @@ void AnomalyDetector::run_ready(bool force) {
 }
 
 void AnomalyDetector::run_snapshot(const PendingSnapshot& pending) {
-  const auto freeze = buffer_.freeze(pending.center, window_cols_);
-  const std::size_t n = window_cols_.size();
+  const auto window = buffer_.locate(pending.center);
+  const std::size_t n = window.rows;
   if (n == 0) return;
-  const auto center_index = std::min(freeze.center_index, n - 1);
+  const auto center_index = std::min(window.center_index, n - 1);
 
   // Re-anchor operational faults on the true failing API: "all REST and RPC
   // errors present in the snapshot are together analyzed" (§5.3.1).  An RPC
   // failure is relayed to the dashboard by a generic status GET; the error
   // message immediately preceding the trigger is the real fault.  The scan
-  // is one find_last_set over the error-flag column, limited to the
-  // kSuppressEvents window before the trigger.
+  // reads the kSuppressEvents window rows before the trigger straight from
+  // the ring, so a suppressed report never freezes its window.
   wire::ApiId anchor = pending.api;
   std::size_t anchor_index = center_index;
   if (pending.kind == FaultKind::Operational) {
-    const std::size_t scan_lo = center_index > kSuppressEvents
-                                    ? center_index - kSuppressEvents
-                                    : 0;
-    const auto hit = simd::find_last_set_u8(
-        window_cols_.err.data() + scan_lo, center_index - scan_lo);
-    if (hit != simd::npos) {
-      anchor_index = scan_lo + hit;
-      anchor = wire::ApiId(window_cols_.api[anchor_index]);
+    if (const auto seq = buffer_.last_error_before(window, kSuppressEvents)) {
+      anchor_index = static_cast<std::size_t>(*seq - window.first_seq);
+      anchor = buffer_.at(*seq).api;
     }
     // The relay and the original error resolve to the same anchor; report
     // each fault once.
@@ -124,6 +119,7 @@ void AnomalyDetector::run_snapshot(const PendingSnapshot& pending) {
     last_report_[anchor] = pending.center;
   }
 
+  buffer_.freeze(pending.center, window_cols_);
   auto detection =
       detector_.detect(window_cols_, anchor_index, anchor,
                        pending.kind == FaultKind::Operational);
@@ -131,16 +127,16 @@ void AnomalyDetector::run_snapshot(const PendingSnapshot& pending) {
   FaultReport report;
   report.kind = pending.kind;
   report.offending_api = anchor;
-  report.detected_at = buffer_.at(freeze.first_seq + n - 1).ts;
+  report.detected_at = buffer_.at(window.first_seq + n - 1).ts;
   report.matched_fingerprints = std::move(detection.matched);
   report.theta = detection.theta;
   report.beta_final = detection.beta_final;
   report.candidates = detection.candidates;
-  report.window_start = buffer_.at(freeze.first_seq).ts;
+  report.window_start = buffer_.at(window.first_seq).ts;
   report.window_end = report.detected_at;
   report.latency = pending.alarm;
-  report.window_losses = freeze.losses;
-  report.degraded_confidence = freeze.losses > 0;
+  report.window_losses = window.losses;
+  report.degraded_confidence = window.losses > 0;
   // Error events — the only events a report copies: skip from set flag to
   // set flag over the dense error column, then read each hit from the ring.
   const std::uint8_t* err_flags = window_cols_.err.data();
@@ -149,7 +145,7 @@ void AnomalyDetector::run_snapshot(const PendingSnapshot& pending) {
     const auto hit = simd::find_first_set_u8(err_flags + i, n - i);
     if (hit == simd::npos) break;
     i += hit;
-    report.error_events.push_back(buffer_.at(freeze.first_seq + i));
+    report.error_events.push_back(buffer_.at(window.first_seq + i));
   }
 
   if (pending.kind == FaultKind::Operational) {

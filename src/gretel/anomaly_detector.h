@@ -5,9 +5,11 @@
 // errors are counted but do not trigger — they surface in REST relays,
 // §5.3.1 "Improving precision").  Performance faults: the latency tracker's
 // level-shift alarms trigger snapshots without fingerprint truncation.
-// After a trigger, the detector waits for the future α/2 messages, freezes
-// the window between the dual buffer's two pointers, runs Algorithm 2, and
-// emits a FaultReport through the callback.
+// After a trigger, the detector waits for the future α/2 messages,
+// re-anchors the fault on the last error before it and drops a duplicate of
+// a fault already reported, then freezes the window between the dual
+// buffer's two pointers, runs Algorithm 2, and emits a FaultReport through
+// the callback.
 //
 // Threading: serial.  Each event is processed inline on the calling thread
 // (error scan, latency pairing + level shift, snapshot, Algorithm 2);
@@ -123,8 +125,9 @@ class AnomalyDetector {
   DualBuffer buffer_;
   // Columnar (SoA) view of the current frozen snapshot — scratch reused
   // across freezes so steady-state snapshotting allocates nothing.  The
-  // anchor re-scan, the error-event collection and Alg. 2 all read these
-  // columns through the util/simd.h kernels.
+  // error-event collection and Alg. 2 read these columns; the anchor
+  // re-scan reads the ring before the freeze, so a suppressed trigger
+  // freezes nothing.
   WindowColumns window_cols_;
   detect::LatencyTracker latency_;
   std::vector<PendingSnapshot> pending_;

@@ -31,7 +31,6 @@ const std::vector<FingerprintDb::Index>& FingerprintDb::containing(
 VariantCache::VariantCache(const FingerprintDb& db, const Matcher& matcher) {
   const auto add = [](VariantSet& set, std::vector<wire::ApiId> literals) {
     set.masks.push_back(symbol_fingerprint(literals));
-    set.any_mask |= set.masks.back();
     set.literals.push_back(std::move(literals));
   };
   // Fingerprints in ascending index order, so each api's list follows

@@ -71,7 +71,6 @@ class VariantCache {
   struct VariantSet {
     std::vector<std::vector<wire::ApiId>> literals;
     std::vector<std::uint64_t> masks;  // parallel to literals
-    std::uint64_t any_mask = 0;        // OR of masks
   };
 
   // One candidate fingerprint's variants for one offending api.

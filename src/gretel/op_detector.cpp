@@ -16,7 +16,8 @@ OperationDetector::OperationDetector(const FingerprintDb* db,
       catalog_(catalog),
       config_(config),
       matcher_(catalog, config.match_rpc),
-      variants_(*db, matcher_) {
+      variants_(*db, matcher_),
+      waiting_(catalog->size(), kNone) {
   assert(db_ && catalog_);
 }
 
@@ -57,52 +58,61 @@ constexpr int kStableGrowthsStop = 5;
 
 }  // namespace
 
-// Backward evidence for operational faults.  The faulty operation aborted
-// at the fault, so all its evidence lies before it: consume the literal
-// list right-to-left starting at the fault's request.  Each literal jumps
-// straight to its last occurrence below the previous consumption point
-// (simd::find_last_eq_u16) — the greedy rightmost-eligible walk, here
-// resumed on the rows a growth exposed (see the cursor invariant in
-// op_detector.h).
-bool OperationDetector::Cursor::resume(std::span<const wire::ApiId> literals,
-                                       const std::uint16_t* symbols,
-                                       std::span<const double> request_ts,
-                                       std::size_t lo, std::size_t end,
-                                       std::uint64_t rows_mask,
-                                       double fault_ts) {
-  if (remaining == 0 || anchor_failed) return false;
-  if ((simd::presence_bit_u16(literals[remaining - 1].value()) & rows_mask) ==
-      0)
-    return false;  // the next literal is not among the new rows
-  const std::size_t before = remaining;
-  while (remaining > 0) {
-    const auto pos = simd::find_last_eq_u16(symbols + lo, end - lo,
-                                            literals[remaining - 1].value());
-    if (pos == simd::npos) break;
-    if (remaining == literals.size() &&
-        fault_ts - request_ts[lo + pos] > kAnchorProximitySeconds) {
-      anchor_failed = true;  // not anchored at the fault
-      break;
-    }
-    --remaining;
-    end = lo + pos;
-  }
-  return remaining != before;
+void OperationDetector::wait(std::uint32_t ci) {
+  Cursor& cursor = cursors_[ci];
+  const auto literal = cursor.literals[cursor.remaining - 1].value();
+  assert(literal < waiting_.size());
+  cursor.next = waiting_[literal];
+  waiting_[literal] = ci;
 }
 
-// The walk's evidence: the number of consumed literals, or 0 when
+// Backward evidence for operational faults.  The faulty operation aborted
+// at the fault, so all its evidence lies before it: each variant consumes
+// its literal list right to left starting at the fault's request, each
+// literal at its last occurrence below the previous consumption point —
+// the greedy rightmost-eligible walk, run for all variants at once by
+// sweeping the rows right to left (see the sweep invariant in
+// op_detector.h).
+//
+// A variant's evidence is its number of consumed literals, or 0 when
 //  * the literal closest to the fault is farther than
 //    kAnchorProximitySeconds from it (the failed operation was executing
 //    right there, coincidental matches are scattered), or
 //  * fewer than min(kMinLiteralSuffix, |literals|) literals are evidenced —
 //    literals older than the window are excused (Fig. 4), a near-empty
 //    match is not.
-std::size_t OperationDetector::Cursor::evidence(
-    std::size_t literal_count) const {
-  if (anchor_failed) return 0;
-  const std::size_t consumed = literal_count - remaining;
-  if (consumed < std::min(kMinLiteralSuffix, literal_count)) return 0;
-  return consumed;
+void OperationDetector::sweep(std::size_t lo, std::size_t end,
+                              const WindowColumns& cols, double fault_ts,
+                              std::size_t& best) {
+  const std::uint16_t* symbols = symbol_data(apis_);
+  for (std::size_t row = end; row-- > lo;) {
+    const std::uint16_t symbol = symbols[row];
+    if (symbol >= waiting_.size()) continue;  // outside the catalog
+    std::uint32_t ci = waiting_[symbol];
+    if (ci == kNone) continue;
+    waiting_[symbol] = kNone;
+    do {
+      Cursor& cursor = cursors_[ci];
+      const std::uint32_t next = cursor.next;
+      if (cursor.remaining == cursor.count &&
+          fault_ts - cols.ts_s[event_index_[row]] > kAnchorProximitySeconds) {
+        ci = next;
+        continue;  // not anchored at the fault: the walk never resumes
+      }
+      const std::size_t consumed = cursor.count - --cursor.remaining;
+      if (consumed >= std::min<std::size_t>(kMinLiteralSuffix, cursor.count)) {
+        auto& c = candidates_[cursor.candidate];
+        c.evidence = std::max(c.evidence, consumed);
+        best = std::max(best, consumed);
+        // Completeness is only conclusive with enough literals behind it;
+        // trivially-short prefixes must clear the depth cutoff instead.
+        if (consumed >= kMinLiteralSuffix && cursor.remaining == 0)
+          c.complete = true;
+      }
+      if (cursor.remaining > 0) wait(ci);
+      ci = next;
+    } while (ci != kNone);
+  }
 }
 
 DetectionResult OperationDetector::detect(const WindowColumns& cols,
@@ -125,28 +135,29 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
   const std::uint32_t fault_corr =
       config_.use_correlation_ids ? cols.corr[fault_row] : 0;
 
-  // Request-side API sequence of the window with timestamps, plus the
-  // original event index so β (measured in messages) maps onto it.  Read
-  // from the columnar view: the filter touches only the req/corr columns
-  // and the kept rows copy out of dense arrays.
-  apis_.clear();
-  api_ts_.clear();
-  event_index_.clear();
-  for (std::size_t i = 0; i < cols.size(); ++i) {
-    if (!cols.req[i]) continue;
-    if (fault_corr != 0 && cols.corr[i] != fault_corr) continue;
-    apis_.push_back(wire::ApiId(cols.api[i]));
-    api_ts_.push_back(cols.ts_s[i]);
-    event_index_.push_back(i);
+  // Request-side API sequence of the window, plus each request's row in
+  // the window so β (measured in messages) maps onto it.  One branch-free
+  // compaction pass over the req/corr/api columns: every row is written at
+  // the write position, which advances past kept rows only.  The scratch
+  // columns keep the largest window's size, so the pass never reallocates.
+  if (apis_.size() < cols.size()) {
+    apis_.resize(cols.size());
+    event_index_.resize(cols.size());
   }
-  if (apis_.empty()) return result;
-  const std::uint16_t* symbols =
-      symbol_data(std::span<const wire::ApiId>(apis_));
+  std::size_t requests = 0;
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    apis_[requests] = wire::ApiId(cols.api[i]);
+    event_index_[requests] = static_cast<std::uint32_t>(i);
+    requests +=
+        cols.req[i] & ((fault_corr == 0) | (cols.corr[i] == fault_corr));
+  }
+  if (requests == 0) return result;
+  const std::uint16_t* symbols = symbol_data(apis_);
   // First request row at or after window row `row`.
-  const auto request_row = [this](std::size_t row) {
+  const auto request_row = [this, requests](std::size_t row) {
+    const auto first = event_index_.begin();
     return static_cast<std::size_t>(
-        std::lower_bound(event_index_.begin(), event_index_.end(), row) -
-        event_index_.begin());
+        std::lower_bound(first, first + requests, row) - first);
   };
 
   // Operational faults look backward only — the aborted operation produced
@@ -169,8 +180,9 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
   // evidence in any β slice — one AND of 64-bit masks discards it before
   // any scan.  The filter is conservative (collisions only admit extras),
   // so the matched set is unchanged.
-  const std::uint64_t window_mask =
-      simd::presence_mask_u16(symbols, apis_.size());
+  //
+  // Each truncated variant's cursor starts waiting on its last literal.
+  const std::uint64_t window_mask = simd::presence_mask_u16(symbols, requests);
   candidates_.clear();
   cursors_.clear();
   for (const auto& cv : candidate_variants) {
@@ -178,10 +190,14 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
     Candidate c;
     c.index = cv.index;
     c.variants = truncate ? &cv.truncated : &cv.full;
-    c.first_cursor = cursors_.size();
     if (truncate) {
-      for (const auto& literals : c.variants->literals)
-        cursors_.push_back({literals.size(), false});
+      for (const auto& literals : c.variants->literals) {
+        const auto count = static_cast<std::uint32_t>(literals.size());
+        cursors_.push_back({literals.data(), count, count,
+                            static_cast<std::uint32_t>(candidates_.size()),
+                            kNone});
+        wait(static_cast<std::uint32_t>(cursors_.size() - 1));
+      }
     }
     candidates_.push_back(c);
   }
@@ -197,7 +213,7 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
   // and, matching forward, [hi, new_hi) on the right.
   std::size_t lo = fault_hi;
   std::size_t hi = fault_hi;
-  // Presence mask of [lo, hi).
+  // Presence mask of [lo, hi), matching forward.
   std::uint64_t snap_mask = 0;
   const double fault_ts = cols.ts_s[fault_row];
 
@@ -213,8 +229,6 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
                  : std::min(fault_index + beta + 1, cols.size());
     const std::size_t new_lo = request_row(lo_ev);
     const std::size_t new_hi = request_row(hi_ev);
-    const std::uint64_t left_mask =
-        simd::presence_mask_u16(symbols + new_lo, lo - new_lo);
 
     // Evidence per candidate; the matched set keeps those whose evidence is
     // within kEvidenceRatio of the deepest candidate's, plus every
@@ -223,29 +237,11 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
     // fault has little history by definition).  Evidence only grows with
     // the slice, so `best` is a running maximum.
     if (truncate) {
-      for (auto& c : candidates_) {
-        // No symbol of any variant among the new rows ⟹ no walk advances;
-        // skip the candidate with one AND.
-        if ((c.variants->any_mask & left_mask) == 0) continue;
-        for (std::size_t vi = 0; vi < c.variants->literals.size(); ++vi) {
-          const auto& literals = c.variants->literals[vi];
-          auto& cursor = cursors_[c.first_cursor + vi];
-          if (!cursor.resume(literals, symbols, api_ts_, new_lo, lo,
-                             left_mask, fault_ts))
-            continue;
-          const auto consumed = cursor.evidence(literals.size());
-          c.evidence = std::max(c.evidence, consumed);
-          best = std::max(best, consumed);
-          // Completeness is only conclusive with enough literals behind it;
-          // trivially-short prefixes must clear the depth cutoff instead.
-          if (consumed >= kMinLiteralSuffix && consumed == literals.size())
-            c.complete = true;
-        }
-      }
+      sweep(new_lo, lo, cols, fault_ts, best);
     } else {
       // Performance faults: forward match over the slice.
-      snap_mask |=
-          left_mask | simd::presence_mask_u16(symbols + hi, new_hi - hi);
+      snap_mask |= simd::presence_mask_u16(symbols + new_lo, lo - new_lo) |
+                   simd::presence_mask_u16(symbols + hi, new_hi - hi);
       const std::span<const wire::ApiId> snapshot(apis_.data() + new_lo,
                                                   new_hi - new_lo);
       for (auto& c : candidates_) {
@@ -287,6 +283,11 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
         (truncate || hi_ev == cols.size() ||
          hi_ev - fault_index > alpha / 2);
     if (stable_iterations >= kStableGrowthsStop || window_covered) {
+      // Empty every list for the next call.
+      for (const auto& cursor : cursors_) {
+        if (cursor.remaining > 0)
+          waiting_[cursor.literals[cursor.remaining - 1].value()] = kNone;
+      }
       result.matched.assign(matched_.begin(), matched_.end());
       result.beta_final = beta;
       result.theta = theta(result.matched.size());

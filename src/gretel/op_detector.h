@@ -21,25 +21,33 @@
 // fault's request, greedily taking each literal's rightmost occurrence below
 // the previous one.  The slice only grows to the left and its right end
 // stays at that request, so the walk over a larger slice consumes the same
-// positions first.  Each variant keeps a cursor: the literals still to
-// consume and whether its anchor failed.  Invariant after the growth to the
-// slice [lo, hi): the cursor has consumed exactly the literals a
-// from-scratch walk over [lo, hi) would, and its next literal does not
-// occur in [lo, p), p being its last consumed position (or hi).  A walk
-// that stops has therefore searched down to lo, so the next growth to
-// lo' < lo resumes it on the newly exposed rows [lo', lo) alone — skipped
-// with one AND when the next literal's presence bit is absent from them.
-// The anchor (the first literal found) is the rightmost occurrence below
-// the fault in every slice, so a failed anchor check never recovers.
-// Performance faults match forward over slices that grow on both sides; a
-// subsequence match persists in every larger slice, so only unmatched
-// candidates are re-tested.
+// positions first.  The walks run as one backward sweep over the request
+// rows instead of one scan per variant: each live variant keeps a cursor
+// that waits in an intrusive list headed by its next literal (one head per
+// catalog API), and each growth visits the newly exposed rows [lo', lo)
+// once, right to left.  A row detaches the list of its symbol; each cursor
+// on it fails its anchor check or consumes the row and relinks under its
+// next literal.  Sweep invariant after the growth to the slice [lo, hi):
+// every cursor has consumed exactly the literals a from-scratch greedy walk
+// over [lo, hi) would, and a live cursor waits in the list of its next
+// literal, which does not occur in [lo, p), p being its last consumed
+// position (or hi).  A cursor relinked at row r joins a list read only at
+// rows below r, so a run of equal literals never consumes one row twice.
+// Rows whose symbol lies outside the catalog carry no literal and are
+// skipped.  The anchor (the first literal found) is the rightmost
+// occurrence below the fault in every slice, so a cursor whose anchor check
+// fails leaves the lists for good.  Every list is empty again when detect()
+// returns.  Performance faults match forward over slices that grow on both
+// sides; a subsequence match persists in every larger slice, so only
+// unmatched candidates are re-tested.
 //
 // The snapshot arrives as its columnar (SoA) view (core::WindowColumns):
-// the request filter and the per-candidate symbol walks read contiguous
-// uint16/uint8/double columns through the util/simd.h kernels instead of
-// striding through wire::Event records.  SIMD and scalar kernels are
-// bit-identical, so detection output is invariant under the kernel family.
+// the request filter is one branch-free compaction pass over the
+// req/corr/api columns, and the sweep and the forward matcher read the
+// compacted uint16 symbol column (the latter through the util/simd.h
+// kernels) instead of striding through wire::Event records.  SIMD and
+// scalar kernels are bit-identical, so detection output is invariant under
+// the kernel family.
 // Candidates are scored serially on the calling thread: Algorithm 2 runs
 // about once per fault, and a measured fork-join fan-out never paid for
 // its handshake (docs/PERFORMANCE.md).
@@ -78,7 +86,7 @@ class OperationDetector {
   // locates the faulty message inside it; `truncate` selects the
   // operational-fault behaviour.  Not const: the call works in scratch
   // owned by the detector, so steady-state detection allocates only the
-  // result.
+  // result's matched set (SteadyStateAllocs.DetectAllocatesOnlyTheMatchedSet).
   DetectionResult detect(const WindowColumns& cols, std::size_t fault_index,
                          wire::ApiId offending, bool truncate);
 
@@ -108,37 +116,42 @@ class OperationDetector {
   // detect() borrows spans from it and rebuilds nothing per snapshot.
   VariantCache variants_;
 
-  // Where one variant's backward walk stopped (see the header comment).
+  // One variant's backward walk (see the header comment): it waits in the
+  // list of literals[remaining - 1] until the sweep reaches a row of it.
   struct Cursor {
-    std::size_t remaining = 0;  // literals still to consume
-    bool anchor_failed = false;
-
-    // Walks on over the newly exposed request rows [lo, end), whose
-    // presence mask is `rows_mask`; returns whether a literal was consumed.
-    bool resume(std::span<const wire::ApiId> literals,
-                const std::uint16_t* symbols,
-                std::span<const double> request_ts, std::size_t lo,
-                std::size_t end, std::uint64_t rows_mask, double fault_ts);
-    // Consumed literals, or 0 when the walk is unanchored or too shallow.
-    std::size_t evidence(std::size_t literal_count) const;
+    const wire::ApiId* literals = nullptr;
+    std::uint32_t count = 0;      // literals in the variant
+    std::uint32_t remaining = 0;  // literals still to consume
+    std::uint32_t candidate = 0;  // candidates_[candidate]
+    std::uint32_t next = 0;       // next cursor in the same list, or kNone
   };
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
   struct Candidate {
     FingerprintDb::Index index;
     const VariantCache::VariantSet* variants = nullptr;
-    std::size_t first_cursor = 0;  // cursors_[first_cursor + vi]
-    std::size_t evidence = 0;      // deepest variant's evidence
+    std::size_t evidence = 0;  // deepest variant's evidence
     // A variant consumed its whole prefix (backward walk) or matched
     // (forward match): conclusive, and it stays so as the slice grows.
     bool complete = false;
   };
 
+  // Links cursor `ci` into the list of its next literal.
+  void wait(std::uint32_t ci);
+  // Sweeps the request rows [lo, end) right to left (see the header
+  // comment); `best` tracks the deepest evidence.
+  void sweep(std::size_t lo, std::size_t end, const WindowColumns& cols,
+             double fault_ts, std::size_t& best);
+
   // Per-call scratch, bounded by the window and the candidate count and
   // reused across calls, so steady-state detection allocates nothing here.
-  std::vector<wire::ApiId> apis_;          // request-side symbols
-  std::vector<double> api_ts_;             // their timestamps
-  std::vector<std::size_t> event_index_;   // their rows in the window
+  // The request columns keep the largest window's size; a call uses the
+  // leading rows its filter kept.
+  std::vector<wire::ApiId> apis_;           // request-side symbols
+  std::vector<std::uint32_t> event_index_;  // their rows in the window
   std::vector<Candidate> candidates_;
   std::vector<Cursor> cursors_;
+  // Per catalog API: the first cursor waiting on it, or kNone.
+  std::vector<std::uint32_t> waiting_;
   std::vector<FingerprintDb::Index> matched_;
   std::vector<FingerprintDb::Index> prev_matched_;
 };

@@ -12,7 +12,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -70,6 +72,8 @@ struct WindowColumns {
 struct FreezeInfo {
   // Sequence number of the window's first event (column row 0).
   std::uint64_t first_seq = 0;
+  // Rows in the window (0 when the ring no longer holds the center).
+  std::size_t rows = 0;
   std::size_t center_index = 0;
   // Telemetry losses (quarantined frames, overflow drops) that occurred
   // inside the snapshot's span.  Non-zero means the snapshot has gaps the
@@ -119,24 +123,18 @@ class DualBuffer {
     return ring_.first_seq() <= lo;
   }
 
-  // Freezes the α messages centred on `center`, [center-α/2, center+α/2),
-  // into `cols` without copying any event: the columns are filled straight
-  // from the ring, and the events themselves stay readable through at()
-  // until the next push evicts them.  The returned FreezeInfo locates the
-  // window (first_seq, center_index) and reports its telemetry losses and
-  // whether eviction clamped the past half.
+  // Where freeze(center) places its window, without reading any event:
+  // the window's first sequence number, its row count, the center's row,
+  // its telemetry losses and whether eviction clamped the past half.
   //
   // If ingestion has run so far ahead that the ring already evicted
-  // `center` itself, there is no meaningful window left: `cols` comes back
-  // empty instead of letting `center - first` wrap to a huge index.
-  FreezeInfo freeze(std::uint64_t center, WindowColumns& cols) const {
+  // `center` itself, there is no meaningful window left: the window comes
+  // back empty instead of letting `center - first` wrap to a huge index.
+  FreezeInfo locate(std::uint64_t center) const {
     FreezeInfo info;
     // The serial detector freezes α/2 events past a center the ring holds
     // for 2α, so this only guards callers that fall further behind.
-    if (ring_.first_seq() > center) {
-      cols.resize(0);
-      return info;
-    }
+    if (ring_.first_seq() > center) return info;
     const auto lo = center > alpha_ / 2 ? center - alpha_ / 2 : 0;
     const auto hi = std::min(center + alpha_ / 2, ring_.end_seq());
     // The window may have been clamped at the front.
@@ -145,17 +143,44 @@ class DualBuffer {
     info.center_index = static_cast<std::size_t>(center - first);
     info.clamped_front = first > lo;
     // A center not pushed yet yields an empty window, as a clamped one does.
-    cols.resize(hi > first ? static_cast<std::size_t>(hi - first) : 0);
-    std::size_t row = 0;
-    ring_.for_each(first, hi,
-                   [&](const wire::Event& e) { cols.set(row++, e); });
-    if (hi > first) {
+    info.rows = hi > first ? static_cast<std::size_t>(hi - first) : 0;
+    if (info.rows > 0) {
       // The loss ring is pushed in lockstep with the event ring, so the
       // same sequence numbers are resident in both.  In-window losses are
       // the cumulative count at the last event minus at the first.
       info.losses = loss_ring_.at(hi - 1) - loss_ring_.at(first);
     }
     return info;
+  }
+
+  // Freezes the α messages centred on `center`, [center-α/2, center+α/2),
+  // into `cols` without copying any event: the columns are filled straight
+  // from the ring, and the events themselves stay readable through at()
+  // until the next push evicts them.  Returns locate(center); `cols` holds
+  // its `rows` rows.
+  FreezeInfo freeze(std::uint64_t center, WindowColumns& cols) const {
+    const FreezeInfo info = locate(center);
+    cols.resize(info.rows);
+    std::size_t row = 0;
+    ring_.for_each(info.first_seq, info.first_seq + info.rows,
+                   [&](const wire::Event& e) { cols.set(row++, e); });
+    return info;
+  }
+
+  // The last error event among the `reach` rows before a non-empty
+  // window's center row (the center clamped to the last row), the window
+  // clamped at its front: what a scan of the frozen error column over
+  // [center − reach, center) finds, read from the ring without freezing.
+  // Returns its sequence number, or nullopt when no such row is an error.
+  std::optional<std::uint64_t> last_error_before(const FreezeInfo& window,
+                                                 std::size_t reach) const {
+    assert(window.rows > 0);
+    const auto center = std::min(window.center_index, window.rows - 1);
+    const auto from = window.first_seq + (center > reach ? center - reach : 0);
+    for (auto seq = window.first_seq + center; seq-- > from;) {
+      if (ring_.at(seq).is_error()) return seq;
+    }
+    return std::nullopt;
   }
 
   // The resident event with sequence number `seq` (e.g. a row of the last

@@ -100,13 +100,6 @@ inline std::size_t find_first_set_u8(const std::uint8_t* flags,
   return npos;
 }
 
-inline std::size_t find_last_set_u8(const std::uint8_t* flags, std::size_t n) {
-  for (std::size_t i = n; i-- > 0;) {
-    if (flags[i]) return i;
-  }
-  return npos;
-}
-
 inline std::size_t count_set_u8(const std::uint8_t* flags, std::size_t n) {
   std::size_t count = 0;
   for (std::size_t i = 0; i < n; ++i) count += flags[i] ? 1 : 0;
@@ -176,25 +169,6 @@ inline std::size_t find_first_set_u8(const std::uint8_t* flags,
   return npos;
 }
 
-inline std::size_t find_last_set_u8(const std::uint8_t* flags, std::size_t n) {
-  const __m256i zero = _mm256_setzero_si256();
-  std::size_t i = n;
-  while (i >= 32) {
-    i -= 32;
-    const __m256i chunk =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(flags + i));
-    const auto mask = ~static_cast<std::uint32_t>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(chunk, zero)));
-    if (mask) {
-      return i + 31 - static_cast<std::size_t>(std::countl_zero(mask));
-    }
-  }
-  while (i-- > 0) {
-    if (flags[i]) return i;
-  }
-  return npos;
-}
-
 inline std::size_t count_set_u8(const std::uint8_t* flags, std::size_t n) {
   const __m256i zero = _mm256_setzero_si256();
   std::size_t count = 0;
@@ -218,7 +192,6 @@ inline std::size_t count_set_u8(const std::uint8_t* flags, std::size_t n) {
 //   find_first_eq_u16(data, n, v) — smallest i in [0, n) with data[i] == v.
 //   find_last_eq_u16(data, n, v)  — largest such i.
 //   find_first_set_u8(flags, n)   — smallest i in [0, n) with flags[i] != 0.
-//   find_last_set_u8(flags, n)    — largest such i.
 //   count_set_u8(flags, n)        — number of nonzero flags.
 // All return npos when no element qualifies; n == 0 is valid.
 // ---------------------------------------------------------------------------
@@ -245,13 +218,6 @@ inline std::size_t find_first_set_u8(const std::uint8_t* flags,
   if (!force_scalar()) return vec::find_first_set_u8(flags, n);
 #endif
   return scalar::find_first_set_u8(flags, n);
-}
-
-inline std::size_t find_last_set_u8(const std::uint8_t* flags, std::size_t n) {
-#if defined(GRETEL_SIMD_AVX2)
-  if (!force_scalar()) return vec::find_last_set_u8(flags, n);
-#endif
-  return scalar::find_last_set_u8(flags, n);
 }
 
 inline std::size_t count_set_u8(const std::uint8_t* flags, std::size_t n) {

@@ -11,15 +11,23 @@
 // by whole seconds, so each tick of a pass queues the same records as the
 // same tick of the pass before: the steady state in which every reused
 // source-ring slot already holds a buffer as large as its next record.
+//
+// Detection is counted apart, on the windows of a faulty capture: once
+// its scratch has grown to the largest window, OperationDetector::detect
+// allocates only the result's matched set.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "gretel/analyzer.h"
+#include "gretel/op_detector.h"
 #include "gretel/training.h"
+#include "net/capture.h"
 #include "stream/stream_analyzer.h"
 #include "tempest/workload.h"
 #include "wire/amqp_codec.h"
@@ -232,6 +240,66 @@ TEST(SteadyStateAllocs, StreamOfferAndAdvanceAllocateNothing) {
   EXPECT_EQ(sa.queued(), 0u);
   EXPECT_EQ(reports, 0u);
   EXPECT_EQ(sa.counters().reports, 0u);
+}
+
+TEST(SteadyStateAllocs, DetectAllocatesOnlyTheMatchedSet) {
+  // A faulty capture, decoded into events.
+  tempest::WorkloadSpec spec;
+  spec.concurrent_tests = 40;
+  spec.faults = 8;
+  spec.seed = 3;
+  const auto w = tempest::make_parallel_workload(env().catalog, spec);
+  stack::WorkflowExecutor executor(&env().deployment, &env().catalog.apis(),
+                                   &env().catalog.infra(), 78);
+  net::CaptureTap tap(&env().catalog.apis(),
+                      env().deployment.service_by_port());
+  std::vector<wire::Event> events;
+  for (const auto& r : executor.execute(w.launches)) {
+    if (auto ev = tap.decode(r)) events.push_back(*ev);
+  }
+
+  // One window per REST error, centred on it as the detector freezes it.
+  const auto config = env().options().config;
+  const std::size_t half = config.alpha() / 2;
+  struct Fault {
+    core::WindowColumns cols;
+    std::size_t index = 0;
+    wire::ApiId api;
+  };
+  std::vector<Fault> faults;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (!events[i].is_error() || events[i].kind != wire::ApiKind::Rest)
+      continue;
+    const std::size_t lo = i > half ? i - half : 0;
+    const std::size_t hi = std::min(i + half, events.size());
+    Fault f;
+    f.cols.build(std::span<const wire::Event>(events.data() + lo, hi - lo));
+    f.index = i - lo;
+    f.api = events[i].api;
+    faults.push_back(std::move(f));
+  }
+  ASSERT_GE(faults.size(), 8u);
+
+  core::OperationDetector det(&env().training.db, &env().catalog.apis(),
+                              config);
+  for (const bool truncate : {true, false}) {
+    for (const auto& f : faults) det.detect(f.cols, f.index, f.api, truncate);
+  }
+  std::size_t matched_windows = 0;
+  for (const bool truncate : {true, false}) {
+    for (const auto& f : faults) {
+      core::DetectionResult result;
+      const auto allocs = count_allocs([&] {
+        result = det.detect(f.cols, f.index, f.api, truncate);
+      });
+      // The matched set is one vector: one allocation when non-empty.
+      EXPECT_EQ(allocs, result.matched.empty() ? 0u : 1u)
+          << "truncate " << truncate << " fault row " << f.index;
+      matched_windows += !result.matched.empty();
+    }
+  }
+  // Not vacuous: most windows matched an operation.
+  EXPECT_GT(matched_windows, faults.size());
 }
 
 }  // namespace

@@ -285,14 +285,22 @@ TEST_F(OpDetectorTest, EmptyWindowReturnsNoMatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded property: the detector resumes each variant's walk across β
-// growths and re-tests only unmatched candidates; the reference below
-// recomputes every β step from scratch over the whole slice, with no mask
+// Seeded property: the detector sweeps each growth's new rows once with
+// every variant's cursor waiting on its next literal, and re-tests only
+// unmatched candidates; the reference below recomputes every β step from
+// scratch over the whole slice, one variant walk at a time, with no mask
 // gates and no state carried between steps.  Running both on every
 // left-cropped copy of a window — cropped where β step k reaches the
 // window's first row, so step k is the last — compares them at every step:
-// the matched set, the deepest evidence, β_final and θ.
+// the matched set, the deepest evidence, β_final and θ.  One detector
+// serves every call of a trial, interleaved with calls on other faults,
+// offending APIs and modes, and must agree with a fresh detector each
+// time: its wait lists are empty whenever detect() returns.
 // ---------------------------------------------------------------------------
+
+// The fixture catalog's size: GETs, POSTs, RPCs.  Window symbols at or
+// above it lie outside the catalog.
+constexpr int kFixtureApis = 14;
 
 // Algorithm 2's fixed tuning (op_detector.cpp).
 constexpr std::size_t kRefMinLiteralSuffix = 4;
@@ -308,6 +316,15 @@ struct RefCoverage {
   std::size_t multi_variant = 0;       // candidates with several variants
   std::size_t corr_filtered = 0;       // windows reduced by correlation id
   std::size_t nonempty_matches = 0;
+  // A walk consumed two adjacent equal literals (a run of one symbol).
+  std::size_t equal_literal_runs = 0;
+  // A β step in which two or more walks consumed the same row: their
+  // cursors waited on one symbol at that row.
+  std::size_t shared_rows = 0;
+  // Request rows outside the catalog inside a backward slice.
+  std::size_t foreign_symbols = 0;
+  // Per slice row of the current β step: walks that consumed it.
+  std::vector<std::size_t> row_uses;
 };
 
 // Greedy backward walk, one symbol per step from the fault down.
@@ -327,6 +344,9 @@ std::size_t ref_backward_evidence(std::span<const ApiId> literals,
       return 0;
     }
     --i;
+    ++cov.row_uses[p];
+    if (i + 1 < literals.size() && literals[i] == literals[i + 1])
+      ++cov.equal_literal_runs;
   }
   const std::size_t consumed = literals.size() - i;
   if (consumed < std::min(kRefMinLiteralSuffix, literals.size())) return 0;
@@ -399,6 +419,9 @@ DetectionResult reference_detect(const OperationDetector& det,
     std::vector<FingerprintDb::Index> matched;
     std::size_t best = 0;
     if (truncate) {
+      cov.row_uses.assign(slice.size(), 0);
+      for (const auto api : slice)
+        cov.foreign_symbols += api.value() >= kFixtureApis;
       std::vector<std::size_t> evidence(candidates.size(), 0);
       std::vector<bool> complete(candidates.size(), false);
       for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
@@ -413,6 +436,9 @@ DetectionResult reference_detect(const OperationDetector& det,
         }
         best = std::max(best, evidence[ci]);
       }
+      if (std::any_of(cov.row_uses.begin(), cov.row_uses.end(),
+                      [](std::size_t uses) { return uses >= 2; }))
+        ++cov.shared_rows;
       const auto cutoff = static_cast<std::size_t>(
           std::ceil(kRefEvidenceRatio * static_cast<double>(best)));
       for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
@@ -459,13 +485,14 @@ class OpDetectorTestResume : public OpDetectorTest,
 
 TEST_P(OpDetectorTestResume, MatchesFromScratchReferenceAtEveryBeta) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729);
-  constexpr int kApis = 14;  // the fixture catalog: GETs, POSTs, RPCs
+  constexpr int kApis = kFixtureApis;
   RefCoverage cov;
   std::size_t compared = 0;
 
   for (int trial = 0; trial < 60; ++trial) {
     // Fingerprints share a hot API, repeated inside some of them so those
-    // candidates carry several truncated-prefix variants.
+    // candidates carry several truncated-prefix variants; some repeat a
+    // symbol back to back, giving variants adjacent equal literals.
     const auto hot = static_cast<int>(rng.next_below(kApis));
     FingerprintDb db;
     std::vector<std::vector<int>> sequences;
@@ -476,6 +503,10 @@ TEST_P(OpDetectorTestResume, MatchesFromScratchReferenceAtEveryBeta) {
       for (std::size_t i = 0; i < len; ++i)
         seq.push_back(rng.chance(0.25) ? hot
                                        : static_cast<int>(rng.next_below(kApis)));
+      if (rng.chance(0.3)) {
+        const auto at = rng.next_below(seq.size());
+        seq.insert(seq.begin() + static_cast<std::ptrdiff_t>(at), seq[at]);
+      }
       Fingerprint fp;
       fp.op = wire::OpTemplateId(static_cast<std::uint32_t>(f));
       fp.name = "op-" + std::to_string(f);
@@ -498,7 +529,8 @@ TEST_P(OpDetectorTestResume, MatchesFromScratchReferenceAtEveryBeta) {
 
     // Window: planted fingerprint executions interleaved with noise,
     // responses and correlation ids; occasional long gaps break anchors,
-    // and clock skew between nodes leaves some rows stamped out of order.
+    // clock skew between nodes leaves some rows stamped out of order, and
+    // some noise requests carry symbols outside the catalog.
     const double p_response = 0.1 + 0.6 * rng.next_double();
     const auto n = rng.next_below(110);
     std::vector<Event> window;
@@ -531,7 +563,9 @@ TEST_P(OpDetectorTestResume, MatchesFromScratchReferenceAtEveryBeta) {
         ev.correlation_id = planted_corr;
       } else {
         ev.dir = Direction::Request;
-        ev.api = ApiId(static_cast<std::uint16_t>(rng.next_below(kApis)));
+        ev.api = ApiId(static_cast<std::uint16_t>(
+            rng.chance(0.1) ? kApis + rng.next_below(6)
+                            : rng.next_below(kApis)));
         ev.correlation_id = static_cast<std::uint32_t>(rng.next_below(4));
       }
       window.push_back(ev);
@@ -563,12 +597,22 @@ TEST_P(OpDetectorTestResume, MatchesFromScratchReferenceAtEveryBeta) {
                      std::to_string(beta));
         const auto want = reference_detect(det, db, config, crop, fault,
                                            offending, truncate, cov);
+        // Another fault, offending API and mode on the same detector first.
+        det.detect(window, rng.next_below(n + 1),
+                   ApiId(static_cast<std::uint16_t>(rng.next_below(kApis))),
+                   rng.chance(0.5));
         const auto got = det.detect(crop, fault, offending, truncate);
         EXPECT_EQ(got.matched, want.matched);
         EXPECT_EQ(got.best_evidence, want.best_evidence);
         EXPECT_EQ(got.beta_final, want.beta_final);
         EXPECT_EQ(got.theta, want.theta);
         EXPECT_EQ(got.candidates, want.candidates);
+        const auto fresh = OperationDetector(&db, &catalog_, config)
+                               .detect(crop, fault, offending, truncate);
+        EXPECT_EQ(got.matched, fresh.matched);
+        EXPECT_EQ(got.best_evidence, fresh.best_evidence);
+        EXPECT_EQ(got.beta_final, fresh.beta_final);
+        EXPECT_EQ(got.theta, fresh.theta);
         ++compared;
         if (last) break;
         beta += config.delta();
@@ -582,6 +626,9 @@ TEST_P(OpDetectorTestResume, MatchesFromScratchReferenceAtEveryBeta) {
   EXPECT_GT(cov.multi_variant, 0u);
   EXPECT_GT(cov.corr_filtered, 0u);
   EXPECT_GT(cov.nonempty_matches, 0u);
+  EXPECT_GT(cov.equal_literal_runs, 0u);
+  EXPECT_GT(cov.shared_rows, 0u);
+  EXPECT_GT(cov.foreign_symbols, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OpDetectorTestResume,

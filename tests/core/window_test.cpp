@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "gretel/config.h"
+#include "util/rng.h"
 
 namespace gretel::core {
 namespace {
@@ -190,6 +191,78 @@ TEST(DualBuffer, EvictionBoundaryClampAndStaleCenter) {
   EXPECT_EQ(info.center_index, 0u);
   EXPECT_EQ(info.losses, 0u);
   EXPECT_FALSE(info.clamped_front);
+}
+
+// The trigger's re-anchoring scan reads the ring before anything freezes:
+// last_error_before must find the row a scan of the frozen error column
+// over [center − reach, center) finds, with the center clamped to the last
+// row, on windows clamped at the front by eviction and on windows whose
+// future half never arrived (a deadline-forced report).  locate() must
+// describe exactly what freeze() fills.
+TEST(DualBuffer, LastErrorBeforeMatchesFrozenScan) {
+  util::Rng rng(20161212);
+  std::size_t clamped_hits = 0, forced_hits = 0, misses = 0, reach_cut = 0;
+  for (const std::size_t alpha : {1u, 2u, 3u, 8u, 16u, 200u}) {
+    for (const std::size_t reach : {0u, 1u, 5u, 96u}) {
+      DualBuffer buf(alpha);
+      WindowColumns cols;
+      const double p_error = rng.chance(0.5) ? 0.05 : 0.3;
+      const std::uint64_t total = 3 * alpha + 40;
+      for (std::uint64_t pushed = 1; pushed <= total; ++pushed) {
+        wire::Event ev = event_with(static_cast<std::uint16_t>(pushed % 50));
+        ev.status = rng.chance(p_error) ? 500 : 200;
+        ev.dir = wire::Direction::Response;
+        buf.push(ev, pushed / 7);
+        // Every push for small windows, every α/8-th for large ones.
+        if (pushed % std::max<std::size_t>(1, alpha / 8) != 0) continue;
+        const std::uint64_t end = buf.end_seq();
+        const std::uint64_t first_center = end > 2 * alpha + 2
+                                               ? end - 2 * alpha - 2
+                                               : 0;
+        for (std::uint64_t center = first_center; center < end + 2;
+             ++center) {
+          SCOPED_TRACE("alpha " + std::to_string(alpha) + " reach " +
+                       std::to_string(reach) + " end " + std::to_string(end) +
+                       " center " + std::to_string(center));
+          const auto window = buf.locate(center);
+          const auto info = buf.freeze(center, cols);
+          ASSERT_EQ(window.rows, cols.size());
+          EXPECT_EQ(window.first_seq, info.first_seq);
+          EXPECT_EQ(window.center_index, info.center_index);
+          EXPECT_EQ(window.clamped_front, info.clamped_front);
+          EXPECT_EQ(window.losses, info.losses);
+          if (window.rows == 0) continue;
+
+          const std::size_t row = std::min(window.center_index,
+                                           window.rows - 1);
+          const std::size_t scan_lo = row > reach ? row - reach : 0;
+          if (scan_lo > 0) ++reach_cut;
+          std::optional<std::size_t> want;
+          for (std::size_t r = row; r-- > scan_lo;) {
+            if (cols.err[r]) {
+              want = r;
+              break;
+            }
+          }
+          const auto got = buf.last_error_before(window, reach);
+          ASSERT_EQ(got.has_value(), want.has_value());
+          if (!want) {
+            ++misses;
+            continue;
+          }
+          EXPECT_EQ(*got - window.first_seq, *want);
+          if (window.clamped_front) ++clamped_hits;
+          if (!buf.future_ready(center)) ++forced_hits;
+        }
+      }
+    }
+  }
+  // Not vacuous: each kind of window found an error, some found none, and
+  // some scans stopped at `reach` before the window's front.
+  EXPECT_GT(clamped_hits, 0u);
+  EXPECT_GT(forced_hits, 0u);
+  EXPECT_GT(misses, 0u);
+  EXPECT_GT(reach_cut, 0u);
 }
 
 // Property: for any α and stream length, the frozen window contains at most
