@@ -9,14 +9,22 @@
 // Fig. 8c's densest point (about 1 fault per 100 records), so every report
 // runs Algorithm 2 over a crowded window and RCA over sampled metrics.
 //
+// DecodeDigests pins the capture tap alone: the same five captures plus one
+// damaged by net::ChaosTap (truncation, corruption, duplication and
+// reordering all on) run through a net::CaptureTap, and each capture's
+// TapStats counts and a digest over every decoded wire::Event must equal
+// the line committed in decode_digests.pin.  A decode rewrite that claims
+// "same events" is checked here, including the reject paths.
+//
 // Regenerating the pins is a deliberate step, taken only when a change is
-// meant to alter reports:
+// meant to alter reports (or decoded events):
 //
 //   GRETEL_UPDATE_PINS=1 build/tests/campaign_tests
-//       --gtest_filter='ReportDigests.*'
+//       --gtest_filter='ReportDigests.*:DecodeDigests.*'
 //
-// rewrites tests/campaign/report_digests.pin in the source tree; commit it
-// and name the changed captures and the reason in CHANGES.md.
+// rewrites tests/campaign/report_digests.pin and decode_digests.pin in the
+// source tree; commit them and name the changed captures and the reason in
+// CHANGES.md.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,7 +38,10 @@
 #include "gretel/analyzer.h"
 #include "gretel/training.h"
 #include "monitor/metrics.h"
+#include "net/capture.h"
+#include "net/chaos.h"
 #include "tempest/workload.h"
+#include "util/hash.h"
 
 namespace gretel::campaign {
 namespace {
@@ -81,7 +92,7 @@ std::string pin_line(const Pin& p) {
          std::to_string(p.suppressed);
 }
 
-Pin run_capture(const PinnedCapture& c) {
+std::vector<net::WireRecord> capture_records(const PinnedCapture& c) {
   auto& e = env();
   tempest::WorkloadSpec spec;
   spec.concurrent_tests = c.tests;
@@ -91,7 +102,12 @@ Pin run_capture(const PinnedCapture& c) {
   const auto workload = tempest::make_parallel_workload(e.catalog, spec);
   stack::WorkflowExecutor executor(&e.deployment, &e.catalog.apis(),
                                    &e.catalog.infra(), 1000 + c.seed);
-  const auto records = executor.execute(workload.launches);
+  return executor.execute(workload.launches);
+}
+
+Pin run_capture(const PinnedCapture& c) {
+  auto& e = env();
+  const auto records = capture_records(c);
 
   core::Analyzer::Options opt;
   opt.config.fp_max = e.training.fp_max;
@@ -122,12 +138,20 @@ Pin run_capture(const PinnedCapture& c) {
           analyzer.detector_stats().suppressed_triggers};
 }
 
-std::vector<Pin> read_pins(const std::string& path) {
-  std::vector<Pin> pins;
+std::vector<std::string> read_pin_lines(const std::string& path) {
+  std::vector<std::string> lines;
   std::ifstream in(path);
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
+    lines.push_back(std::move(line));
+  }
+  return lines;
+}
+
+std::vector<Pin> read_pins(const std::string& path) {
+  std::vector<Pin> pins;
+  for (const auto& line : read_pin_lines(path)) {
     std::istringstream fields(line);
     Pin p;
     fields >> p.name >> p.digest >> p.reports >> p.suppressed;
@@ -136,20 +160,29 @@ std::vector<Pin> read_pins(const std::string& path) {
   return pins;
 }
 
+// True (after rewriting `path` with `header` and `lines`) when the run was
+// asked to regenerate the pins.
+bool update_pins(const std::string& path, const char* header,
+                 const std::vector<std::string>& lines) {
+  const char* update = std::getenv("GRETEL_UPDATE_PINS");
+  if (!update || std::string(update) != "1") return false;
+  std::ofstream out(path, std::ios::trunc);
+  out << "# " << header << " -- written by "
+      << "tests/campaign/report_pin_test.cpp\n";
+  for (const auto& l : lines) out << l << "\n";
+  EXPECT_TRUE(out.good()) << "cannot write " << path;
+  return true;
+}
+
 TEST(ReportDigests, MatchCommittedPins) {
   const std::string path = GRETEL_REPORT_PIN_FILE;
   std::vector<Pin> got;
   for (const auto& c : kCaptures) got.push_back(run_capture(c));
 
-  if (const char* update = std::getenv("GRETEL_UPDATE_PINS");
-      update && std::string(update) == "1") {
-    std::ofstream out(path, std::ios::trunc);
-    out << "# capture digest reports suppressed -- written by "
-           "tests/campaign/report_pin_test.cpp\n";
-    for (const auto& p : got) out << pin_line(p) << "\n";
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
+  std::vector<std::string> lines;
+  for (const auto& p : got) lines.push_back(pin_line(p));
+  if (update_pins(path, "capture digest reports suppressed", lines))
     GTEST_SKIP() << "rewrote " << path;
-  }
 
   const auto want = read_pins(path);
   ASSERT_EQ(want.size(), got.size()) << "pin file " << path;
@@ -160,6 +193,94 @@ TEST(ReportDigests, MatchCommittedPins) {
     for (std::size_t j = 0; j < i; ++j)
       EXPECT_NE(got[i].digest, got[j].digest) << got[i].name;
   }
+}
+
+// --- Decode pins ---------------------------------------------------------
+
+// Every rate non-zero, so the capture carries torn, flipped, re-delivered
+// and out-of-order frames through each reject path of the tap.
+net::ChaosConfig decode_chaos() {
+  net::ChaosConfig chaos;
+  chaos.seed = 26;
+  chaos.truncate_rate = 0.03;
+  chaos.corrupt_rate = 0.15;
+  chaos.duplicate_rate = 0.03;
+  chaos.reorder_rate = 0.05;
+  return chaos;
+}
+
+struct DecodePin {
+  std::string name;
+  std::uint64_t digest = util::kFnv1a64Offset;
+  net::TapStats stats;
+};
+
+std::string decode_pin_line(const DecodePin& p) {
+  return p.name + " " + fingerprint_hex(p.digest) + " " +
+         std::to_string(p.stats.decoded) + " " +
+         std::to_string(p.stats.decode_failures) + " " +
+         std::to_string(p.stats.unknown_api) + " " +
+         std::to_string(p.stats.non_monotonic);
+}
+
+template <typename T>
+std::uint64_t fold(std::uint64_t h, T value) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    h = util::fnv1a64_step(
+        h, static_cast<std::uint8_t>(static_cast<std::uint64_t>(value) >>
+                                     (8 * i)));
+  }
+  return h;
+}
+
+DecodePin decode_capture(std::string name,
+                         const std::vector<net::WireRecord>& records) {
+  auto& e = env();
+  net::CaptureTap tap(&e.catalog.apis(), e.deployment.service_by_port());
+  DecodePin pin;
+  pin.name = std::move(name);
+  for (const auto& r : records) {
+    const auto ev = tap.decode(r);
+    if (!ev) continue;
+    auto h = fold(pin.digest, ev->api.value());
+    h = fold(h, static_cast<std::uint8_t>(ev->kind));
+    h = fold(h, static_cast<std::uint8_t>(ev->dir));
+    h = fold(h, ev->status);
+    h = fold(h, ev->correlation_id);
+    h = fold(h, ev->conn_id);
+    pin.digest = fold(h, ev->msg_id);
+  }
+  pin.stats = tap.stats();
+  return pin;
+}
+
+TEST(DecodeDigests, MatchCommittedPins) {
+  const std::string path = GRETEL_DECODE_PIN_FILE;
+  std::vector<DecodePin> got;
+  for (const auto& c : kCaptures)
+    got.push_back(decode_capture(c.name, capture_records(c)));
+  got.push_back(decode_capture(
+      "chaos", net::ChaosTap::apply(decode_chaos(),
+                                    capture_records(kCaptures[0]))));
+
+  std::vector<std::string> lines;
+  for (const auto& p : got) lines.push_back(decode_pin_line(p));
+  if (update_pins(path,
+                  "capture digest decoded decode_failures unknown_api "
+                  "non_monotonic",
+                  lines))
+    GTEST_SKIP() << "rewrote " << path;
+
+  const auto want = read_pin_lines(path);
+  ASSERT_EQ(want.size(), lines.size()) << "pin file " << path;
+  for (std::size_t i = 0; i < lines.size(); ++i)
+    EXPECT_EQ(lines[i], want[i]);
+  // Not vacuous: the chaos capture drives the malformed-frame, unknown-API
+  // and out-of-order paths.
+  const auto& chaos = got.back().stats;
+  EXPECT_GT(chaos.decode_failures, 0u);
+  EXPECT_GT(chaos.unknown_api, 0u);
+  EXPECT_GT(chaos.non_monotonic, 0u);
 }
 
 }  // namespace
