@@ -1,6 +1,8 @@
 // Microbenchmarks of the wire path underlying §7.4.1's throughput: HTTP and
-// AMQP serialize/parse, URI normalization, capture-tap decode, and the
-// noise filter — the per-message costs between the NIC and the dual buffer.
+// AMQP serialize/parse, the tap's header scan and URI trie beside the
+// parser and normalize_uri they are tested against, capture-tap decode,
+// and the noise filter — the per-message costs between the NIC and the
+// dual buffer.
 #include <benchmark/benchmark.h>
 
 #include "gretel/noise_filter.h"
@@ -39,14 +41,25 @@ void BM_HttpSerialize(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(wire::serialize(req));
 }
 
-// The capture tap's shape: views over the input, header array from an
-// arena reset per message.
+// The full parser: views over the input, header array from an arena reset
+// per message.  The reference for BM_HttpScan.
 void BM_HttpParse(benchmark::State& state) {
   const auto bytes = wire::serialize(sample_request());
   util::Arena arena;
   for (auto _ : state) {
     arena.reset();
     benchmark::DoNotOptimize(wire::parse_http_request(bytes, arena));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+
+// The capture tap's shape: framing validated, only the request line and
+// X-Openstack-Request-Id read.
+void BM_HttpScan(benchmark::State& state) {
+  const auto bytes = wire::serialize(sample_request());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wire::scan_http_request(bytes));
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(bytes.size()));
@@ -71,6 +84,20 @@ void BM_NormalizeUri(benchmark::State& state) {
       "/v2.0/ports/0a1b2c3d-4e5f-6071-8293-a4b5c6d7e8f9.json?fields=id";
   for (auto _ : state) {
     benchmark::DoNotOptimize(net::normalize_uri(target));
+  }
+}
+
+// The tap's URI resolution: one trie walk, where normalize_uri (above) and
+// find_rest are the reference.
+void BM_ResolveRest(benchmark::State& state) {
+  wire::ApiCatalog catalog;
+  catalog.add_rest(wire::ServiceKind::Neutron, wire::HttpMethod::Post,
+                   "/v2.0/ports/<ID>.json");
+  const std::string target =
+      "/v2.0/ports/0a1b2c3d-4e5f-6071-8293-a4b5c6d7e8f9.json?fields=id";
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(catalog.resolve_rest(
+        wire::ServiceKind::Neutron, wire::HttpMethod::Post, target));
   }
 }
 
@@ -121,9 +148,11 @@ void BM_NoiseFilter(benchmark::State& state) {
 
 BENCHMARK(BM_HttpSerialize);
 BENCHMARK(BM_HttpParse);
+BENCHMARK(BM_HttpScan);
 BENCHMARK(BM_AmqpSerialize);
 BENCHMARK(BM_AmqpParse);
 BENCHMARK(BM_NormalizeUri);
+BENCHMARK(BM_ResolveRest);
 BENCHMARK(BM_TapDecodeRest);
 BENCHMARK(BM_NoiseFilter)->Arg(100)->Arg(400);
 

@@ -3,8 +3,8 @@
 // throughput.
 //
 // Recorded in BENCH_ingest.json:
-//  1. events/sec on decode+resolve: the zero-copy view parsers and the
-//     transparent catalog lookup of net::CaptureTap.
+//  1. events/sec on decode+resolve: net::CaptureTap's header scans and
+//     catalog URI-trie walk (REST), frame view and service table (RPC).
 //  2. allocations/event: a counting global operator new shows the warmed-up
 //     CaptureTap performs zero steady-state heap allocations per decoded
 //     event.  This is a gate: the bench exits 2 when the count is above 0.
@@ -237,8 +237,8 @@ template <typename DecodeFn>
 DecodeMeasurement measure_decode(const std::vector<net::WireRecord>& pool,
                                  std::size_t passes, DecodeFn&& decode) {
   std::size_t decoded = 0;
-  // Warmup: grows the arena slab list / connection table / malloc pools to
-  // their high-water mark so the measured passes see the steady state.
+  // Warmup: grows the connection table / malloc pools to their high-water
+  // mark so the measured passes see the steady state.
   for (const auto& r : pool) decoded += decode(r);
 
   g_alloc_count.store(0, std::memory_order_relaxed);
@@ -313,7 +313,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%-22s %14s %16s\n", "decode+resolve", "events/s",
               "allocs/event");
-  std::printf("%-22s %14.0f %16.3f\n\n", "hotpath (arena+view)",
+  std::printf("%-22s %14.0f %16.3f\n\n", "hotpath (scan+trie)",
               hot_m.events_per_sec, hot_m.allocs_per_event);
 
   // --- detector ingest ---

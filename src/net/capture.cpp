@@ -1,7 +1,6 @@
 #include "net/capture.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdint>
 #include <limits>
 
@@ -12,14 +11,12 @@ namespace gretel::net {
 
 namespace {
 
-// Heuristic: a path segment is a concrete identifier if it is a UUID-like
-// hex/dash token of length >= 8 or a pure number.  URI characters are ASCII,
-// so classify with range checks rather than locale-aware ctype calls — this
-// runs for every path segment of every captured request.
 inline bool ascii_digit(char c) { return c >= '0' && c <= '9'; }
 inline bool ascii_hex(char c) {
   return ascii_digit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F');
 }
+
+}  // namespace
 
 bool looks_like_identifier(std::string_view seg) {
   if (seg.empty()) return false;
@@ -34,32 +31,16 @@ bool looks_like_identifier(std::string_view seg) {
          seg.find('-') != std::string_view::npos;
 }
 
-// Worst case the output grows by 3 bytes per rewritten segment ("<ID>" for
-// a 1-char stem); non-empty segments need at least one input byte plus a
-// separator, so this bound is safe for any target.
-std::size_t normalized_bound(std::size_t target_size) {
-  return target_size + 3 * (target_size / 2 + 2) + 4;
-}
-
-// Core of URI normalization, writing into a caller-sized buffer (at least
-// normalized_bound(target.size()) bytes).  Returns the output length.
-std::size_t normalize_uri_write(std::string_view target, char* out) {
+std::string normalize_uri(std::string_view target) {
   // Drop the query string.
   if (const auto q = target.find('?'); q != std::string_view::npos)
     target = target.substr(0, q);
 
-  char* w = out;
-  const auto append = [&w](std::string_view s) {
-    for (char c : s) *w++ = c;
-  };
-
-  std::size_t pos = 0;
-  while (pos <= target.size()) {
+  std::string out;
+  out.reserve(target.size());
+  for (std::size_t pos = 0;;) {
     const auto slash = target.find('/', pos);
-    std::string_view seg =
-        slash == std::string_view::npos
-            ? target.substr(pos)
-            : target.substr(pos, slash - pos);
+    const std::string_view seg = target.substr(pos, slash - pos);
 
     // Split a trailing ".json" / ".xml" style extension off the segment so
     // "/ports/<uuid>.json" normalizes to "/ports/<ID>.json".
@@ -71,32 +52,17 @@ std::size_t normalize_uri_write(std::string_view target, char* out) {
       ext = seg.substr(dot);
     }
     if (looks_like_identifier(stem)) {
-      append("<ID>");
-      append(ext);
+      out += "<ID>";
+      out += ext;
     } else {
-      append(seg);
+      out += seg;
     }
 
     if (slash == std::string_view::npos) break;
-    *w++ = '/';
+    out += '/';
     pos = slash + 1;
   }
-  return static_cast<std::size_t>(w - out);
-}
-
-}  // namespace
-
-std::string normalize_uri(std::string_view target) {
-  std::string out;
-  out.resize(normalized_bound(target.size()));
-  out.resize(normalize_uri_write(target, out.data()));
   return out;
-}
-
-std::string_view normalize_uri(std::string_view target, util::Arena& arena) {
-  char* buf =
-      static_cast<char*>(arena.allocate(normalized_bound(target.size()), 1));
-  return {buf, normalize_uri_write(target, buf)};
 }
 
 std::uint32_t parse_correlation_id(std::optional<std::string_view> value) {
@@ -198,7 +164,6 @@ std::optional<wire::Event> CaptureTap::decode(const WireRecord& record) {
     decodes_since_expiry_ = 0;
     expire_connections();
   }
-  arena_.reset();  // previous record's parse scratch dies here
   const auto failures_before = stats_.decode_failures;
   auto event = record.is_amqp ? decode_amqp(record) : decode_rest(record);
   if (stats_.decode_failures != failures_before) quarantine_record(record);
@@ -224,7 +189,7 @@ std::optional<wire::Event> CaptureTap::decode_rest(const WireRecord& record) {
   ev.conn_id = record.conn_id;
 
   if (std::string_view(record.bytes).starts_with("HTTP/")) {
-    const auto resp = wire::parse_http_response(record.bytes, arena_);
+    const auto resp = wire::scan_http_response(record.bytes);
     if (!resp) {
       ++stats_.decode_failures;
       return std::nullopt;
@@ -239,12 +204,11 @@ std::optional<wire::Event> CaptureTap::decode_rest(const WireRecord& record) {
     ev.dir = wire::Direction::Response;
     ev.api = *api;
     ev.status = resp->status;
-    ev.correlation_id =
-        parse_correlation_id(resp->headers.get("X-Openstack-Request-Id"));
+    ev.correlation_id = parse_correlation_id(resp->request_id);
     return ev;
   }
 
-  const auto req = wire::parse_http_request(record.bytes, arena_);
+  const auto req = wire::scan_http_request(record.bytes);
   if (!req) {
     ++stats_.decode_failures;
     return std::nullopt;
@@ -254,16 +218,15 @@ std::optional<wire::Event> CaptureTap::decode_rest(const WireRecord& record) {
     ++stats_.unknown_api;
     return std::nullopt;
   }
-  const auto api = catalog_->find_rest(svc_it->second, req->method,
-                                       normalize_uri(req->target, arena_));
+  const auto api =
+      catalog_->resolve_rest(svc_it->second, req->method, req->target);
   if (!api) {
     ++stats_.unknown_api;
     return std::nullopt;
   }
   ev.dir = wire::Direction::Request;
   ev.api = *api;
-  ev.correlation_id =
-      parse_correlation_id(req->headers.get("X-Openstack-Request-Id"));
+  ev.correlation_id = parse_correlation_id(req->request_id);
   open_conns_.insert_or_assign(record.conn_id, {*api, record.ts});
   return ev;
 }
@@ -279,15 +242,8 @@ std::optional<wire::Event> CaptureTap::decode_amqp(const WireRecord& record) {
   std::string_view topic = frame->routing_key;
   if (const auto dot = topic.find('.'); dot != std::string_view::npos)
     topic = topic.substr(0, dot);
-
-  wire::ServiceKind service = wire::ServiceKind::Unknown;
-  for (int s = 0; s <= static_cast<int>(wire::ServiceKind::Unknown); ++s) {
-    if (wire::to_string(static_cast<wire::ServiceKind>(s)) == topic) {
-      service = static_cast<wire::ServiceKind>(s);
-      break;
-    }
-  }
-  const auto api = catalog_->find_rpc(service, frame->method_name);
+  const auto api = catalog_->find_rpc(wire::service_from_string(topic),
+                                      frame->method_name);
   if (!api) {
     ++stats_.unknown_api;
     return std::nullopt;

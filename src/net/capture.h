@@ -2,10 +2,22 @@
 //
 // The simulated services emit WireRecords — raw bytes plus the transport
 // metadata a packet capture sees (timestamps, addresses, TCP stream id).
-// CaptureTap decodes those bytes with the wire codecs, normalizes concrete
-// URIs back to catalog templates (UUIDs → <ID>), resolves the ApiId, and
-// produces the header-level Events the analyzer consumes.  Ground-truth
-// labels ride alongside the bytes for the evaluation harness only.
+// CaptureTap decodes only what GRETEL reads, at header level (§5.3):
+//  * REST requests: the request line, walked once against the catalog's
+//    per-(service, method) URI trie (ApiCatalog::resolve_rest), which maps
+//    concrete ids back to "<ID>" template segments as it goes;
+//  * REST responses: the status code, attributed to the request last seen
+//    on the same TCP stream;
+//  * both: the headers are scanned only to validate the framing and to
+//    read Content-Length and X-Openstack-Request-Id (wire::scan_http_*);
+//  * RPC frames: the routing-key service, the method name, the msg id and
+//    one pass of the error-marker scan over reply payloads.
+// It produces the flat Events the analyzer consumes.  Ground-truth labels
+// ride alongside the bytes for the evaluation harness only.
+//
+// normalize_uri and the owning/arena HTTP parsers are not on this path;
+// they remain as the references the trie and the header scans are tested
+// against.
 #pragma once
 
 #include <array>
@@ -48,13 +60,14 @@ struct WireRecord {
 
 // Replaces URI segments that look like concrete identifiers (UUIDs, hex
 // blobs, plain numbers) with the catalog placeholder "<ID>".  Query strings
-// are dropped.  Exposed for tests.
+// are dropped.  The reference ApiCatalog::resolve_rest is tested against:
+// resolve_rest(s, m, target) == find_rest(s, m, normalize_uri(target)).
 std::string normalize_uri(std::string_view target);
 
-// Hot-path variant: writes the normalized URI into `arena` scratch and
-// returns a view that dies at the arena's next reset().  Byte-identical
-// output to normalize_uri.
-std::string_view normalize_uri(std::string_view target, util::Arena& arena);
+// normalize_uri's id test for one segment stem: a pure number, or a
+// hex/dash token of length >= 8 holding a dash.  The reference for
+// wire::is_identifier.
+bool looks_like_identifier(std::string_view stem);
 
 // Parses OpenStack's "req-<n>" correlation value; 0 when absent, malformed,
 // or too large for 32 bits (a wrapped id would silently alias another
@@ -101,8 +114,8 @@ class CaptureTap {
  public:
   // The tap needs the API catalog to resolve symbols and the node->service
   // map to attribute a REST request to the service exposing the endpoint.
-  // `arena_slab_bytes` sizes the decode scratch arena's slabs (the
-  // analyzer passes the fixed GretelConfig::decode_arena_kb).
+  // `arena_slab_bytes` sizes the arena() slabs (the analyzer passes the
+  // fixed GretelConfig::decode_arena_kb); decode does not use the arena.
   CaptureTap(const wire::ApiCatalog* catalog,
              std::unordered_map<std::uint16_t, wire::ServiceKind>
                  service_by_port,
@@ -111,9 +124,9 @@ class CaptureTap {
   // Decodes one captured message.  Returns nullopt for undecodable bytes or
   // APIs missing from the catalog (counted in stats).
   //
-  // Zero-allocation steady state: headers, the normalized URI, and all
-  // parse scratch live in the tap's arena (reset per call), the returned
-  // Event is a flat row, and the connection table reuses its slots.
+  // Zero-allocation steady state: the header scans and the trie walk keep
+  // views into record.bytes and need no scratch, the returned Event is a
+  // flat row, and the connection table reuses its slots.
   std::optional<wire::Event> decode(const WireRecord& record);
 
   const TapStats& stats() const { return stats_; }
@@ -128,7 +141,7 @@ class CaptureTap {
   // ring keeps a bounded sample for postmortem.
   std::vector<QuarantinedFrame> quarantine() const;
 
-  // Decode scratch introspection (bench / tests).
+  // Scratch arena introspection; decode() leaves it untouched.
   const util::Arena& arena() const { return arena_; }
 
  private:
@@ -170,7 +183,7 @@ class CaptureTap {
   std::size_t closed_next_ = 0;
   std::size_t closed_count_ = 0;
 
-  util::Arena arena_;  // per-record parse scratch, reset every decode()
+  util::Arena arena_;  // sized by the constructor; no decode step reads it
   TapStats stats_;
   util::SimTime last_ts_;
   // Fixed-capacity quarantine ring: slot i of the latest samples, oldest

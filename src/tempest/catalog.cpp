@@ -160,7 +160,10 @@ class RpcApiFactory {
     const auto round = cursor_ / (kVerbs.size() * kNouns.size());
     ++cursor_;
     std::string name = std::string(verb) + "_" + noun;
-    if (round > 0) name += "_" + std::to_string(round);
+    if (round > 0) {
+      name += '_';
+      name += std::to_string(round);
+    }
     return catalog.add_rpc(service_, std::string(to_string(service_)),
                            std::move(name));
   }

@@ -1,5 +1,7 @@
 #include "wire/amqp_codec.h"
 
+#include "util/swar.h"
+
 namespace gretel::wire {
 
 namespace {
@@ -136,8 +138,26 @@ std::string make_rpc_error_payload(std::string_view exception_class,
 }
 
 bool rpc_payload_has_error(std::string_view payload) {
-  return payload.find("\"_error\"") != std::string_view::npos ||
-         payload.find("\"failure\"") != std::string_view::npos;
+  // Both markers open with a quote.  One pass: flag the quotes eight bytes
+  // at a time and test the two keys only there.
+  constexpr std::string_view kError = "\"_error\"";
+  constexpr std::string_view kFailure = "\"failure\"";
+  const auto marker_at = [payload](std::size_t q) {
+    const auto tail = payload.substr(q);
+    return tail.starts_with(kError) || tail.starts_with(kFailure);
+  };
+  std::size_t i = 0;
+  for (; i + 8 <= payload.size(); i += 8) {
+    for (auto quotes = util::swar::match(util::swar::load(payload.data() + i),
+                                         '"');
+         quotes; quotes = util::swar::drop_first(quotes)) {
+      if (marker_at(i + util::swar::first(quotes))) return true;
+    }
+  }
+  for (; i < payload.size(); ++i) {
+    if (payload[i] == '"' && marker_at(i)) return true;
+  }
+  return false;
 }
 
 }  // namespace gretel::wire

@@ -1,41 +1,65 @@
 #include "wire/api.h"
 
+#include <array>
 #include <cassert>
 
 #include "util/hash.h"
 
 namespace gretel::wire {
 
-std::string_view to_string(ServiceKind s) {
-  switch (s) {
-    case ServiceKind::Horizon:
-      return "horizon";
-    case ServiceKind::Keystone:
-      return "keystone";
-    case ServiceKind::Nova:
-      return "nova";
-    case ServiceKind::NovaCompute:
-      return "nova-compute";
-    case ServiceKind::Neutron:
-      return "neutron";
-    case ServiceKind::NeutronAgent:
-      return "neutron-agent";
-    case ServiceKind::Glance:
-      return "glance";
-    case ServiceKind::Cinder:
-      return "cinder";
-    case ServiceKind::Swift:
-      return "swift";
-    case ServiceKind::RabbitMq:
-      return "rabbitmq";
-    case ServiceKind::MySql:
-      return "mysql";
-    case ServiceKind::Ntp:
-      return "ntp";
-    case ServiceKind::Unknown:
-      return "unknown";
+namespace {
+
+constexpr std::size_t kServiceKinds =
+    static_cast<std::size_t>(ServiceKind::Unknown) + 1;
+
+// Indexed by ServiceKind.
+constexpr std::array<std::string_view, kServiceKinds> kServiceNames{
+    "horizon", "keystone", "nova",     "nova-compute", "neutron",
+    "neutron-agent", "glance", "cinder", "swift", "rabbitmq",
+    "mysql", "ntp", "unknown"};
+
+// service_from_string's probe key: the length (every name is shorter than
+// 16 bytes) and the low three bits of the first byte, which tell apart the
+// names of equal length.
+constexpr std::size_t service_key(std::string_view name) {
+  return (name.size() << 3) | (static_cast<unsigned char>(name[0]) & 7u);
+}
+
+constexpr std::array<std::uint8_t, 128> make_service_table() {
+  std::array<std::uint8_t, 128> t{};
+  for (auto& slot : t) slot = static_cast<std::uint8_t>(ServiceKind::Unknown);
+  for (std::size_t s = 0; s < kServiceKinds; ++s)
+    t[service_key(kServiceNames[s])] = static_cast<std::uint8_t>(s);
+  return t;
+}
+constexpr auto kServiceTable = make_service_table();
+
+constexpr bool service_keys_distinct() {
+  for (std::size_t a = 0; a < kServiceKinds; ++a) {
+    if (kServiceNames[a].size() >= 16) return false;
+    for (std::size_t b = 0; b < a; ++b) {
+      if (service_key(kServiceNames[a]) == service_key(kServiceNames[b]))
+        return false;
+    }
   }
-  return "?";
+  return true;
+}
+static_assert(service_keys_distinct(),
+              "service names need distinct (length, first byte) keys");
+
+}  // namespace
+
+std::string_view to_string(ServiceKind s) {
+  const auto i = static_cast<std::size_t>(s);
+  return i < kServiceKinds ? kServiceNames[i] : "?";
+}
+
+ServiceKind service_from_string(std::string_view token) {
+  if (token.empty() || token.size() >= 16) return ServiceKind::Unknown;
+  const auto s = static_cast<ServiceKind>(kServiceTable[service_key(token)]);
+  return kServiceNames[static_cast<std::size_t>(s)] == token
+             ? s
+             : ServiceKind::Unknown;
 }
 
 std::string_view to_string(HttpMethod m) {
@@ -112,6 +136,7 @@ ApiId ApiCatalog::add_rest(ServiceKind service, HttpMethod method,
   d.method = method;
   d.path = path;
   apis_.push_back(std::move(d));
+  rest_trie_.add(trie_root(service, method), path, id.value());
   by_rest_.emplace(RestKey{service, method, std::move(path)}, id);
   return id;
 }
@@ -140,6 +165,14 @@ std::optional<ApiId> ApiCatalog::find_rest(ServiceKind service,
   const auto it = by_rest_.find(RestKeyView{service, method, path});
   if (it == by_rest_.end()) return std::nullopt;
   return it->second;
+}
+
+std::optional<ApiId> ApiCatalog::resolve_rest(ServiceKind service,
+                                              HttpMethod method,
+                                              std::string_view target) const {
+  const auto value = rest_trie_.find(trie_root(service, method), target);
+  if (!value) return std::nullopt;
+  return ApiId(*value);
 }
 
 std::optional<ApiId> ApiCatalog::find_rpc(ServiceKind service,

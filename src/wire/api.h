@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "util/ids.h"
+#include "wire/uri_trie.h"
 
 namespace gretel::wire {
 
@@ -36,6 +37,9 @@ enum class ServiceKind : std::uint8_t {
 };
 
 std::string_view to_string(ServiceKind s);
+// Inverse of to_string(ServiceKind); Unknown for any other token.  One
+// table probe keyed by the token's length and first byte, then one compare.
+ServiceKind service_from_string(std::string_view token);
 
 enum class HttpMethod : std::uint8_t { Get, Post, Put, Delete, Head, Patch };
 
@@ -71,11 +75,12 @@ struct ApiDescriptor {
 // Registry of every known API.  Append-only; ids are dense indices, which
 // lets downstream tables (symbols, per-API latency series) be flat vectors.
 //
-// Resolution is on the per-message hot path, so the lookup tables use
-// heterogeneous (transparent) hashing: find_rest/find_rpc probe with a
-// string_view-keyed struct and never materialize a key string.  The owning
-// map keys double as the interned copy of each resolved URI template / RPC
-// method name.
+// Resolution is on the per-message hot path.  A captured request target
+// resolves through resolve_rest, one walk over the segment trie that
+// add_rest extends (wire/uri_trie.h), so a tap sees APIs added after it was
+// built.  The exact-key tables use heterogeneous (transparent) hashing:
+// find_rest/find_rpc probe with a string_view-keyed struct and never
+// materialize a key string.
 class ApiCatalog {
  public:
   ApiId add_rest(ServiceKind service, HttpMethod method, std::string path);
@@ -92,6 +97,13 @@ class ApiCatalog {
                                  std::string_view path) const;
   std::optional<ApiId> find_rpc(ServiceKind service,
                                 std::string_view rpc_method) const;
+
+  // Resolves a concrete request target (identifiers, query string and
+  // all) to its template's ApiId: exactly what
+  // find_rest(service, method, net::normalize_uri(target)) resolves, in one
+  // allocation-free walk.
+  std::optional<ApiId> resolve_rest(ServiceKind service, HttpMethod method,
+                                    std::string_view target) const;
 
   // Counts split by kind, optionally restricted to one service.
   std::size_t count(ApiKind kind) const;
@@ -143,8 +155,15 @@ class ApiCatalog {
     }
   };
 
+  static std::size_t trie_root(ServiceKind service, HttpMethod method) {
+    return static_cast<std::size_t>(service) *
+               (static_cast<std::size_t>(HttpMethod::Patch) + 1) +
+           static_cast<std::size_t>(method);
+  }
+
   std::vector<ApiDescriptor> apis_;
   std::unordered_map<RestKey, ApiId, KeyHash, KeyEq> by_rest_;
+  UriTrie rest_trie_;  // one root per (service, method)
   std::unordered_map<RpcKey, ApiId, KeyHash, KeyEq> by_rpc_;
 };
 

@@ -94,4 +94,27 @@ std::optional<HttpRequestView> parse_http_request(std::string_view bytes,
 std::optional<HttpResponseView> parse_http_response(std::string_view bytes,
                                                     util::Arena& arena);
 
+// --- Header-level scans (what the capture tap reads) ---
+//
+// The tap needs the request line or status code, the first
+// X-Openstack-Request-Id value, and whether the message is well framed.
+// The scans accept and reject exactly the bytes the parsers above accept
+// and reject, but read each header only to validate it and to pick out
+// Content-Length and X-Openstack-Request-Id: nothing is tabled, so they
+// need no arena.  Views are valid while the input buffer lives.
+
+struct HttpRequestHead {
+  HttpMethod method = HttpMethod::Get;
+  std::string_view target;
+  std::optional<std::string_view> request_id;
+};
+
+struct HttpResponseHead {
+  std::uint16_t status = 200;
+  std::optional<std::string_view> request_id;
+};
+
+std::optional<HttpRequestHead> scan_http_request(std::string_view bytes);
+std::optional<HttpResponseHead> scan_http_response(std::string_view bytes);
+
 }  // namespace gretel::wire

@@ -79,8 +79,11 @@ TEST(Journal, RotatesSegmentsAndPurgesCoveredOnes) {
   TempDir dir;
   auto j = ReportJournal::open(dir.path, /*segment_records=*/2, nullptr);
   ASSERT_TRUE(j.has_value());
-  for (int i = 0; i < 7; ++i)
-    j->append(1, at(1.0), 0.0, "p" + std::to_string(i));
+  for (int i = 0; i < 7; ++i) {
+    std::string payload = "p";
+    payload += std::to_string(i);
+    j->append(1, at(1.0), 0.0, payload);
+  }
   // 7 records, 2 per segment -> segments at 0, 2, 4, 6.
   std::size_t segments = 0;
   for (const auto& e : fs::directory_iterator(dir.path)) {
@@ -173,8 +176,11 @@ TEST(Journal, ReadFromFiltersBySeq) {
   TempDir dir;
   auto j = ReportJournal::open(dir.path, 2, nullptr);
   ASSERT_TRUE(j.has_value());
-  for (int i = 0; i < 5; ++i)
-    j->append(1, at(1.0), 0.0, "p" + std::to_string(i));
+  for (int i = 0; i < 5; ++i) {
+    std::string payload = "p";
+    payload += std::to_string(i);
+    j->append(1, at(1.0), 0.0, payload);
+  }
   const auto tail = ReportJournal::read_from(dir.path, 3);
   ASSERT_EQ(tail.size(), 2u);
   EXPECT_EQ(tail[0].seq, 3u);

@@ -57,6 +57,66 @@ TEST_P(CodecFuzz, MutatedValidFramesNeverCrash) {
   SUCCEED();
 }
 
+// The tap's header scans accept, reject and read exactly what the parsers
+// do, on random bytes and on valid messages with bytes flipped, inserted
+// (CR, LF, colon, space) or cut.
+TEST_P(CodecFuzz, HeaderScanMatchesParsers) {
+  util::Rng rng(GetParam() * 613);
+  wire::HttpRequest req;
+  req.method = wire::HttpMethod::Put;
+  req.target = "/v2/images/0a1b2c3d-4e5f-6071-8293-a4b5c6d7e8f9/file?x=1";
+  req.headers.set("Host", "glance");
+  req.headers.set("content-length", "11");
+  req.headers.set("X-Openstack-Request-Id", "req-31");
+  req.body = R"({"a": "b"})";
+  wire::HttpResponse resp;
+  resp.status = 409;
+  resp.headers.set("x-openstack-request-id", "req-32");
+  resp.body = R"({"conflict": 1})";
+  const std::string valid[] = {wire::serialize(req), wire::serialize(resp)};
+  static constexpr char kInsert[] = "\r\n: \r";
+
+  util::Arena arena;
+  std::size_t accepted = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string bytes =
+        trial % 10 == 0 ? random_bytes(rng, 128) : valid[trial % 2];
+    for (std::size_t m = rng.next_below(3); m > 0 && !bytes.empty(); --m) {
+      const auto pos = rng.next_below(bytes.size());
+      switch (rng.next_below(3)) {
+        case 0:
+          bytes[pos] = static_cast<char>(rng.next_below(256));
+          break;
+        case 1:
+          bytes.insert(pos, 1, kInsert[rng.next_below(sizeof kInsert - 1)]);
+          break;
+        default:
+          bytes.resize(pos);
+      }
+    }
+    arena.reset();
+    const auto preq = wire::parse_http_request(bytes, arena);
+    const auto sreq = wire::scan_http_request(bytes);
+    ASSERT_EQ(sreq.has_value(), preq.has_value()) << bytes;
+    if (preq) {
+      EXPECT_EQ(sreq->method, preq->method);
+      EXPECT_EQ(sreq->target, preq->target);
+      EXPECT_EQ(sreq->request_id,
+                preq->headers.get("X-Openstack-Request-Id"));
+    }
+    const auto presp = wire::parse_http_response(bytes, arena);
+    const auto sresp = wire::scan_http_response(bytes);
+    ASSERT_EQ(sresp.has_value(), presp.has_value()) << bytes;
+    if (presp) {
+      EXPECT_EQ(sresp->status, presp->status);
+      EXPECT_EQ(sresp->request_id,
+                presp->headers.get("X-Openstack-Request-Id"));
+    }
+    accepted += preq.has_value() + presp.has_value();
+  }
+  EXPECT_GT(accepted, 200u);  // the mutations leave many messages valid
+}
+
 TEST_P(CodecFuzz, AmqpRoundTripArbitraryPayload) {
   util::Rng rng(GetParam() * 97);
   for (int trial = 0; trial < 50; ++trial) {

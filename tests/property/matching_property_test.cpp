@@ -23,8 +23,10 @@ ApiCatalog mixed_catalog() {
                  "/api" + std::to_string(i));
   }
   for (int i = 0; i < 4; ++i) {
+    std::string method = "m";
+    method += std::to_string(i);
     cat.add_rpc(wire::ServiceKind::NovaCompute, "nova-compute",
-                "m" + std::to_string(i));
+                std::move(method));
   }
   return cat;
 }

@@ -109,6 +109,47 @@ TEST(RpcErrorPayload, FailureKeyAloneDetected) {
   EXPECT_TRUE(rpc_payload_has_error(R"({"failure": "timeout"})"));
 }
 
+TEST(RpcErrorPayload, OnePassMatchesTwoSearches) {
+  const auto reference = [](std::string_view p) {
+    return p.find("\"_error\"") != std::string_view::npos ||
+           p.find("\"failure\"") != std::string_view::npos;
+  };
+  for (const auto* payload :
+       {"\"", "\"\"", "\"_error", "_error\"", "\"\"_error\"", "x\"failure\"",
+        "\"failur\"", "\"failure", "\"fail\"failure\"", "{\"_error\": 1}",
+        "\"_errorr\"", "\"_error\"\"", "abc"}) {
+    EXPECT_EQ(rpc_payload_has_error(payload), reference(payload)) << payload;
+  }
+  // Every string of up to 6 bytes over the markers' alphabet, quoted.
+  static constexpr char kAlphabet[] = "\"_erofailu";
+  std::string s;
+  for (int n = 0; n < 1'000'000; ++n) {
+    s.clear();
+    for (int k = n; k > 0; k /= 10) s += kAlphabet[k % 10];
+    s = "\"" + s + "\"";
+    ASSERT_EQ(rpc_payload_has_error(s), reference(s)) << s;
+  }
+  // Markers, torn markers and bare quotes at every offset of payloads up
+  // to 40 bytes, across the eight-byte steps of the scan.
+  std::size_t hits = 0;
+  for (const std::string_view mark :
+       {"\"_error\"", "\"failure\"", "\"_error", "\"failure", "\"failur\"",
+        "_error\"", "\"\"_error\"\"", "\"", "\"\""}) {
+    for (std::size_t len = 0; len <= 40; ++len) {
+      for (std::size_t at = 0; at <= len; ++at) {
+        s.assign(len, 'x');
+        for (std::size_t k = 0; k < len; k += 3) s[k] = '"';
+        s.insert(at, mark);
+        s.resize(std::max(len, mark.size()));
+        const bool want = reference(s);
+        ASSERT_EQ(rpc_payload_has_error(s), want) << s;
+        hits += want;
+      }
+    }
+  }
+  EXPECT_GT(hits, 1000u);
+}
+
 // --- Views into the input buffer ---
 
 // The view parse reproduces the owning frame it was serialized from, field

@@ -111,5 +111,23 @@ TEST(HttpMethodParse, RoundTrip) {
   EXPECT_FALSE(parse_http_method("get").has_value());
 }
 
+TEST(ServiceFromString, InvertsToString) {
+  for (int i = 0; i <= static_cast<int>(ServiceKind::Unknown); ++i) {
+    const auto s = static_cast<ServiceKind>(i);
+    EXPECT_EQ(service_from_string(to_string(s)), s) << to_string(s);
+  }
+}
+
+TEST(ServiceFromString, OtherTokensAreUnknown) {
+  // Same length and first byte as a service name, a prefix or extension of
+  // one, other case, and lengths past the probe table.
+  for (const auto* token :
+       {"", "n", "nova-", "novx", "hxrizon", "nova-computer", "neutron-agents",
+        "Nova", "NOVA", "compute", "nova.node-1", "neutron-agent-xx-long",
+        "a-very-long-topic-name"}) {
+    EXPECT_EQ(service_from_string(token), ServiceKind::Unknown) << token;
+  }
+}
+
 }  // namespace
 }  // namespace gretel::wire

@@ -256,5 +256,106 @@ TEST(HttpCodecView, ManyHeadersStayDistinctAcrossArenaGrowth) {
   }
 }
 
+// --- Header scans against the parsers ---
+
+// The scan's verdict and fields against the parser's, request and
+// response readings of the same bytes alike.
+void expect_scans_match_parsers(std::string_view bytes) {
+  util::Arena arena;
+  const auto req = parse_http_request(bytes, arena);
+  const auto req_head = scan_http_request(bytes);
+  ASSERT_EQ(req_head.has_value(), req.has_value()) << bytes;
+  if (req) {
+    EXPECT_EQ(req_head->method, req->method);
+    EXPECT_EQ(req_head->target, req->target);
+    EXPECT_EQ(req_head->request_id,
+              req->headers.get("X-Openstack-Request-Id"));
+  }
+  const auto resp = parse_http_response(bytes, arena);
+  const auto resp_head = scan_http_response(bytes);
+  ASSERT_EQ(resp_head.has_value(), resp.has_value()) << bytes;
+  if (resp) {
+    EXPECT_EQ(resp_head->status, resp->status);
+    EXPECT_EQ(resp_head->request_id,
+              resp->headers.get("X-Openstack-Request-Id"));
+  }
+}
+
+TEST(HttpHeaderScan, ReadsRequestLineAndRequestId) {
+  auto req = sample_request();
+  req.headers.set("X-Openstack-Request-Id", "req-42");
+  const auto bytes = serialize(req);
+  const auto head = scan_http_request(bytes);
+  ASSERT_TRUE(head.has_value());
+  EXPECT_EQ(head->method, HttpMethod::Post);
+  EXPECT_EQ(head->target, "/v2.0/ports.json");
+  EXPECT_EQ(head->request_id, "req-42");
+  expect_scans_match_parsers(bytes);
+}
+
+TEST(HttpHeaderScan, MoreThanThirtyTwoHeaders) {
+  for (const int n : {31, 32, 33, 40, 64}) {
+    HttpResponse resp;
+    resp.status = 503;
+    resp.body = "unavailable";
+    for (int i = 0; i < n; ++i) {
+      std::string name = "X-H";
+      name += std::to_string(i);
+      resp.headers.set(std::move(name), "v");
+    }
+    resp.headers.set("X-Openstack-Request-Id", "req-9");
+    const auto bytes = serialize(resp);
+    const auto head = scan_http_response(bytes);
+    ASSERT_TRUE(head.has_value()) << n;
+    EXPECT_EQ(head->status, 503);
+    EXPECT_EQ(head->request_id, "req-9");
+    expect_scans_match_parsers(bytes);
+    // A malformed header past the parser's inline table still rejects.
+    std::string broken = bytes;
+    broken.insert(broken.find("X-Openstack"), "no colon here\r\n");
+    EXPECT_FALSE(scan_http_response(broken).has_value());
+    expect_scans_match_parsers(broken);
+  }
+}
+
+TEST(HttpHeaderScan, FirstOfDuplicatedHeadersWins) {
+  const std::string head = "POST /x HTTP/1.1\r\n";
+  for (const std::string headers :
+       {"Content-Length: 3\r\nContent-Length: junk\r\n",
+        "Content-Length: junk\r\nContent-Length: 3\r\n",
+        "content-length: 3\r\n", "CONTENT-LENGTH:3\r\n",
+        "content-length: 4\r\n", "Content-Length: 3 \r\n",
+        "Content-Length: +3\r\n", "Content-Length: \r\n",
+        "Content-Length: 99999999999999999999999\r\n",
+        "x-openstack-request-id: req-1\r\nX-Openstack-Request-Id: req-2\r\n",
+        "X-OPENSTACK-REQUEST-ID:req-7\r\n"}) {
+    const auto bytes = head + headers + "\r\nabc";
+    expect_scans_match_parsers(bytes);
+  }
+  EXPECT_TRUE(scan_http_request(head + "content-length: 3\r\n\r\nabc"));
+  EXPECT_FALSE(scan_http_request(head + "content-length: 4\r\n\r\nabc"));
+  EXPECT_FALSE(scan_http_request(
+      head + "Content-Length: junk\r\nContent-Length: 3\r\n\r\nabc"));
+  EXPECT_EQ(scan_http_request(head +
+                              "x-openstack-request-id: req-1\r\n"
+                              "X-Openstack-Request-Id: req-2\r\n\r\n")
+                ->request_id,
+            "req-1");
+}
+
+TEST(HttpHeaderScan, LoneCarriageReturn) {
+  for (const std::string bytes :
+       {"GET /a\rb HTTP/1.1\r\n\r\n", "GET /a HTTP/1.1\r\nX: a\rb\r\n\r\n",
+        "GET /a HTTP/1.1\r\nX\r: b\r\n\r\n", "GET /a HTTP/1.1\r\n\r",
+        "GET /a HTTP/1.1\r\nX: b\r\n\r", "GET /a HTTP/1.1\r\nX: b\r",
+        "GET /a HTTP/1.1\r\n\rX: b\r\n\r\n", "GET /a HTTP/1.1\r\r\n\r\n",
+        "HTTP/1.1 200 O\rK\r\n\r\n", "HTTP/1.1 200 OK\r\n\r\r\n\r\n",
+        "GET /a HTTP/1.1\n\r\n\r\n", "GET /a HTTP/1.1\r\nX: b\n\r\n"}) {
+    expect_scans_match_parsers(bytes);
+  }
+  EXPECT_TRUE(scan_http_request("GET /a\rb HTTP/1.1\r\n\r\n"));
+  EXPECT_FALSE(scan_http_request("GET /a HTTP/1.1\r\n\r"));
+}
+
 }  // namespace
 }  // namespace gretel::wire

@@ -16,7 +16,9 @@ WireRecord record_at(std::int64_t ms, int tag) {
   r.src_node = wire::NodeId(1);
   r.dst_node = wire::NodeId(2);
   r.conn_id = static_cast<std::uint32_t>(tag);
-  r.bytes = "r" + std::to_string(tag);
+  std::string bytes = "r";
+  bytes += std::to_string(tag);
+  r.bytes = std::move(bytes);
   return r;
 }
 
