@@ -9,7 +9,6 @@ namespace gretel::core {
 FingerprintDb::Index FingerprintDb::add(Fingerprint fp) {
   const auto index = static_cast<Index>(fingerprints_.size());
   max_size_ = std::max(max_size_, fp.sequence.size());
-  masks_.push_back(symbol_fingerprint(fp.sequence));
 
   // Deduplicated inverted index (a fingerprint may repeat an API).
   std::vector<wire::ApiId> seen;
@@ -29,10 +28,6 @@ const std::vector<FingerprintDb::Index>& FingerprintDb::containing(
 }
 
 VariantCache::VariantCache(const FingerprintDb& db, const Matcher& matcher) {
-  const auto add = [](VariantSet& set, std::vector<wire::ApiId> literals) {
-    set.masks.push_back(symbol_fingerprint(literals));
-    set.literals.push_back(std::move(literals));
-  };
   // Fingerprints in ascending index order, so each api's list follows
   // FingerprintDb::containing.
   for (FingerprintDb::Index idx = 0; idx < db.size(); ++idx) {
@@ -57,13 +52,13 @@ VariantCache::VariantCache(const FingerprintDb& db, const Matcher& matcher) {
             std::span<const wire::ApiId>(fp.sequence.data(), pos + 1));
         if (literals.size() == prev_len) continue;
         prev_len = literals.size();
-        if (!literals.empty()) add(c.truncated, std::move(literals));
+        if (!literals.empty()) c.truncated.push_back(std::move(literals));
       }
       // If nothing anchors (e.g. the offending API is the leading read-only
       // call), fall back to the offending API itself.
-      if (c.truncated.literals.empty()) add(c.truncated, {api});
-      add(c.full, full_literals.empty() ? std::vector<wire::ApiId>{api}
-                                        : full_literals);
+      if (c.truncated.empty()) c.truncated.push_back({api});
+      c.full = full_literals.empty() ? std::vector<wire::ApiId>{api}
+                                     : full_literals;
 
       auto& list = by_api_[api];
       if (list.empty()) list.reserve(db.containing(api).size());

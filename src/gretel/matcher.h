@@ -40,13 +40,6 @@ inline const std::uint16_t* symbol_data(std::span<const wire::ApiId> seq) {
   return reinterpret_cast<const std::uint16_t*>(seq.data());
 }
 
-// 64-bit symbol-presence fingerprint of a sequence (see simd.h): lets
-// Algorithm 2 reject candidates sharing no symbol with the snapshot — or
-// missing a required literal — with one AND before any O(n) scan.
-inline std::uint64_t symbol_fingerprint(std::span<const wire::ApiId> seq) {
-  return simd::presence_mask_u16(symbol_data(seq), seq.size());
-}
-
 class Matcher {
  public:
   // When `include_rpc` is false (the paper's §6 optimization), RPC symbols

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "util/simd.h"
-
 namespace gretel::core {
 
 OperationDetector::OperationDetector(const FingerprintDb* db,
@@ -152,7 +150,6 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
         cols.req[i] & ((fault_corr == 0) | (cols.corr[i] == fault_corr));
   }
   if (requests == 0) return result;
-  const std::uint16_t* symbols = symbol_data(apis_);
   // First request row at or after window row `row`.
   const auto request_row = [this, requests](std::size_t row) {
     const auto first = event_index_.begin();
@@ -166,6 +163,27 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
   // use both sides of the buffer.
   const std::size_t fault_hi = request_row(fault_row + 1);
 
+  const std::size_t alpha = config_.alpha();
+  const std::size_t delta = config_.delta();
+  // The slice of growth β in window rows, [lo_ev, hi_ev), and whether it
+  // covers the window, which ends the growth.
+  struct Slice {
+    std::size_t lo_ev;
+    std::size_t hi_ev;
+    bool covers_window;
+  };
+  const auto slice_at = [&](std::size_t beta) {
+    Slice s;
+    s.lo_ev = fault_index > beta ? fault_index - beta : 0;
+    s.hi_ev = truncate ? std::min(fault_index + 1, cols.size())
+                       : std::min(fault_index + beta + 1, cols.size());
+    s.covers_window =
+        (s.lo_ev == 0 || fault_index - s.lo_ev >= alpha / 2) &&
+        (truncate || s.hi_ev == cols.size() ||
+         s.hi_ev - fault_index > alpha / 2);
+    return s;
+  };
+
   // The offending API may occur several times inside a fingerprint and the
   // detector cannot know which occurrence failed, so each occurrence's
   // truncated prefix is a separate literal variant to try (they are
@@ -175,23 +193,27 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
   // performance faults the whole fingerprint, which runs to completion and
   // is matched against the entire context buffer (§5.3.1).
   //
-  // Presence-fingerprint prefilter: a candidate whose sequence shares no
-  // symbol with the window's request-side symbols can never produce
-  // evidence in any β slice — one AND of 64-bit masks discards it before
-  // any scan.  The filter is conservative (collisions only admit extras),
-  // so the matched set is unchanged.
-  //
+  // Performance faults' slices only grow, so a candidate that does not
+  // match the last slice the growth can reach — the first from β0 in steps
+  // of δ that covers the window — matches at no step and is dropped here.
+  std::span<const wire::ApiId> reach;
+  if (!truncate) {
+    std::size_t beta = config_.beta0();
+    Slice last = slice_at(beta);
+    while (!last.covers_window) last = slice_at(beta += delta);
+    const std::size_t first = request_row(last.lo_ev);
+    reach = {apis_.data() + first, request_row(last.hi_ev) - first};
+  }
   // Each truncated variant's cursor starts waiting on its last literal.
-  const std::uint64_t window_mask = simd::presence_mask_u16(symbols, requests);
   candidates_.clear();
   cursors_.clear();
   for (const auto& cv : candidate_variants) {
-    if ((db_->sequence_mask(cv.index) & window_mask) == 0) continue;
+    if (!truncate && !matcher_.matches(cv.full, reach)) continue;
     Candidate c;
     c.index = cv.index;
-    c.variants = truncate ? &cv.truncated : &cv.full;
+    c.full = cv.full;
     if (truncate) {
-      for (const auto& literals : c.variants->literals) {
+      for (const auto& literals : cv.truncated) {
         const auto count = static_cast<std::uint32_t>(literals.size());
         cursors_.push_back({literals.data(), count, count,
                             static_cast<std::uint32_t>(candidates_.size()),
@@ -201,20 +223,13 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
     }
     candidates_.push_back(c);
   }
-  // Even with every candidate gated out, the β loop still runs to its
-  // usual stopping point so beta_final/theta report as usual.
+  // Even with no candidate left, the β loop still runs to its usual
+  // stopping point so beta_final/theta report as usual.
 
-  const std::size_t alpha = config_.alpha();
+  // The backward slice [lo, fault_hi) in request coordinates starts empty
+  // at the fault's request and only grows: each growth exposes [new_lo, lo).
   std::size_t beta = config_.beta0();
-  const std::size_t delta = config_.delta();
-
-  // The slice [lo, hi) in request coordinates starts empty at the fault's
-  // request and only grows: each growth exposes [new_lo, lo) on the left
-  // and, matching forward, [hi, new_hi) on the right.
   std::size_t lo = fault_hi;
-  std::size_t hi = fault_hi;
-  // Presence mask of [lo, hi), matching forward.
-  std::uint64_t snap_mask = 0;
   const double fault_ts = cols.ts_s[fault_row];
 
   prev_matched_.clear();
@@ -223,42 +238,28 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
   int stable_iterations = 0;
 
   while (true) {
-    const std::size_t lo_ev = fault_index > beta ? fault_index - beta : 0;
-    const std::size_t hi_ev =
-        truncate ? std::min(fault_index + 1, cols.size())
-                 : std::min(fault_index + beta + 1, cols.size());
-    const std::size_t new_lo = request_row(lo_ev);
-    const std::size_t new_hi = request_row(hi_ev);
+    const Slice slice = slice_at(beta);
+    const std::size_t new_lo = request_row(slice.lo_ev);
 
     // Evidence per candidate; the matched set keeps those whose evidence is
     // within kEvidenceRatio of the deepest candidate's, plus every
-    // candidate with a *complete* variant — the entire truncated prefix in
-    // the window is conclusive no matter how short it is (an early-step
-    // fault has little history by definition).  Evidence only grows with
-    // the slice, so `best` is a running maximum.
+    // candidate with a *complete* variant: a truncated prefix consumed
+    // whole with at least kMinLiteralSuffix literals behind it (sweep()
+    // marks nothing shorter complete; short prefixes must clear the
+    // cutoff), or a forward match.  Evidence only grows with the slice, so
+    // `best` is a running maximum.
     if (truncate) {
       sweep(new_lo, lo, cols, fault_ts, best);
     } else {
       // Performance faults: forward match over the slice.
-      snap_mask |= simd::presence_mask_u16(symbols + new_lo, lo - new_lo) |
-                   simd::presence_mask_u16(symbols + hi, new_hi - hi);
-      const std::span<const wire::ApiId> snapshot(apis_.data() + new_lo,
-                                                  new_hi - new_lo);
+      const std::span<const wire::ApiId> snapshot(
+          apis_.data() + new_lo, request_row(slice.hi_ev) - new_lo);
       for (auto& c : candidates_) {
-        if (c.complete) continue;
-        for (std::size_t vi = 0; vi < c.variants->literals.size(); ++vi) {
-          // A forward match needs *every* literal present: a variant with a
-          // presence bit outside the slice's mask cannot match.
-          if ((c.variants->masks[vi] & ~snap_mask) != 0) continue;
-          if (matcher_.matches(c.variants->literals[vi], snapshot)) {
-            c.complete = true;
-            break;
-          }
-        }
+        if (!c.complete && matcher_.matches(c.full, snapshot))
+          c.complete = true;
       }
     }
     lo = new_lo;
-    hi = new_hi;
     const auto cutoff = static_cast<std::size_t>(
         std::ceil(kEvidenceRatio * static_cast<double>(best)));
     matched_.clear();
@@ -278,11 +279,7 @@ DetectionResult OperationDetector::detect(const WindowColumns& cols,
     } else {
       stable_iterations = 0;
     }
-    const bool window_covered =
-        (lo_ev == 0 || fault_index - lo_ev >= alpha / 2) &&
-        (truncate || hi_ev == cols.size() ||
-         hi_ev - fault_index > alpha / 2);
-    if (stable_iterations >= kStableGrowthsStop || window_covered) {
+    if (stable_iterations >= kStableGrowthsStop || slice.covers_window) {
       // Empty every list for the next call.
       for (const auto& cursor : cursors_) {
         if (cursor.remaining > 0)

@@ -3,13 +3,11 @@
 //
 // Given the frozen sliding window and the offending API, the detector:
 //  1. pulls the candidate fingerprints containing that API (inverted index),
-//  2. prunes candidates that share no symbol with the window — one AND of
-//     64-bit presence fingerprints (FingerprintDb::sequence_mask vs the
-//     window's mask) rejects them before any O(n) scan,
-//  3. truncates each survivor at the API's last occurrence (operational
-//     faults only — performance faults match the full fingerprint since the
-//     operation runs to completion),
-//  4. grows a context buffer β around the fault by δ per iteration, matching
+//  2. truncates each candidate at the API's occurrences (operational faults
+//     only); a performance fault's operation runs to completion, so its
+//     candidates match the full fingerprint, and those that do not match
+//     the last slice the growth can reach are dropped up front,
+//  3. grows a context buffer β around the fault by δ per iteration, matching
 //     candidates' state-change literals against the snapshot, and stops
 //     once the matched set and the deepest evidence have held still for
 //     kStableGrowthsStop growths (further context could only admit
@@ -38,8 +36,10 @@
 // occurrence below the fault in every slice, so a cursor whose anchor check
 // fails leaves the lists for good.  Every list is empty again when detect()
 // returns.  Performance faults match forward over slices that grow on both
-// sides; a subsequence match persists in every larger slice, so only
-// unmatched candidates are re-tested.
+// sides.  A subsequence match persists in every larger slice, so a
+// candidate that fails the last slice the growth can reach (the first one
+// covering the window) fails every step and is dropped before the first;
+// the others are re-tested at each growth until they match.
 //
 // The snapshot arrives as its columnar (SoA) view (core::WindowColumns):
 // the request filter is one branch-free compaction pass over the
@@ -128,7 +128,7 @@ class OperationDetector {
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
   struct Candidate {
     FingerprintDb::Index index;
-    const VariantCache::VariantSet* variants = nullptr;
+    std::span<const wire::ApiId> full;  // literals matched forward
     std::size_t evidence = 0;  // deepest variant's evidence
     // A variant consumed its whole prefix (backward walk) or matched
     // (forward match): conclusive, and it stays so as the slice grows.

@@ -227,27 +227,4 @@ inline std::size_t count_set_u8(const std::uint8_t* flags, std::size_t n) {
   return scalar::count_set_u8(flags, n);
 }
 
-// ---------------------------------------------------------------------------
-// 64-bit symbol-presence fingerprints.  Each u16 symbol hashes to one of 64
-// buckets; a sequence's fingerprint is the OR of its symbols' bucket bits.
-// If (a_mask & b_mask) == 0, the two sequences share no symbol; if
-// (a_mask & ~b_mask) != 0, some symbol of `a` does not occur in `b`.  Both
-// tests are conservative in the useful direction (hash collisions only make
-// the filter admit extra candidates, never reject a real match), so Alg. 2
-// can discard non-overlapping candidates with a single AND before any O(n)
-// scan.
-// ---------------------------------------------------------------------------
-
-inline std::uint64_t presence_bit_u16(std::uint16_t v) {
-  // Multiplicative hash into 64 buckets (Knuth's 2654435761).
-  return 1ull << ((static_cast<std::uint32_t>(v) * 2654435761u) >> 26);
-}
-
-inline std::uint64_t presence_mask_u16(const std::uint16_t* data,
-                                       std::size_t n) {
-  std::uint64_t mask = 0;
-  for (std::size_t i = 0; i < n; ++i) mask |= presence_bit_u16(data[i]);
-  return mask;
-}
-
 }  // namespace gretel::simd

@@ -323,6 +323,11 @@ struct RefCoverage {
   std::size_t shared_rows = 0;
   // Request rows outside the catalog inside a backward slice.
   std::size_t foreign_symbols = 0;
+  // A forward candidate that matches the whole request column but not the
+  // last slice the growth can reach.
+  std::size_t forward_gated = 0;
+  // A forward candidate whose first match comes after the first growth.
+  std::size_t forward_late = 0;
   // Per slice row of the current β step: walks that consumed it.
   std::vector<std::size_t> row_uses;
 };
@@ -371,9 +376,6 @@ DetectionResult reference_detect(const OperationDetector& det,
   }
   for (std::size_t ci = 0; ci < candidates.size(); ++ci)
     EXPECT_EQ(cached[ci].index, candidates[ci]);
-  const auto variants_of = [&](std::size_t ci) -> const auto& {
-    return (truncate ? cached[ci].truncated : cached[ci].full).literals;
-  };
   result.candidates = candidates.size();
   if (candidates.empty() || window.empty()) return result;
   const std::size_t fault_row = std::min(fault_index, window.size() - 1);
@@ -397,19 +399,43 @@ DetectionResult reference_detect(const OperationDetector& det,
   const double fault_ts = window[fault_row].ts.to_seconds();
 
   const std::size_t alpha = config.alpha();
+  const auto row_to_request = [&rows](std::size_t row) {
+    return static_cast<std::size_t>(
+        std::lower_bound(rows.begin(), rows.end(), row) - rows.begin());
+  };
+  if (!truncate) {
+    // Coverage only: the first β step covering the window gives the last
+    // slice the growth can reach.
+    for (std::size_t beta = config.beta0();; beta += config.delta()) {
+      const std::size_t lo_ev = fault_index > beta ? fault_index - beta : 0;
+      const std::size_t hi_ev =
+          std::min(fault_index + beta + 1, window.size());
+      if ((lo_ev == 0 || fault_index - lo_ev >= alpha / 2) &&
+          (hi_ev == window.size() || hi_ev - fault_index > alpha / 2)) {
+        const std::size_t lo = row_to_request(lo_ev);
+        const std::span<const ApiId> last(apis.data() + lo,
+                                          row_to_request(hi_ev) - lo);
+        for (const auto& c : cached) {
+          cov.forward_gated += det.matcher().matches(c.full, apis) &&
+                               !det.matcher().matches(c.full, last);
+        }
+        break;
+      }
+    }
+  }
+
   std::size_t beta = config.beta0();
   std::vector<FingerprintDb::Index> prev_matched;
   std::size_t prev_best = 0;
   int stable = 0;
-  while (true) {
+  // Each forward candidate's first matching step (coverage only).
+  constexpr std::size_t kNever = ~std::size_t{0};
+  std::vector<std::size_t> first_match(candidates.size(), kNever);
+  for (std::size_t step = 0;; ++step) {
     const std::size_t lo_ev = fault_index > beta ? fault_index - beta : 0;
     const std::size_t hi_ev =
         truncate ? std::min(fault_index + 1, window.size())
                  : std::min(fault_index + beta + 1, window.size());
-    const auto row_to_request = [&rows](std::size_t row) {
-      return static_cast<std::size_t>(
-          std::lower_bound(rows.begin(), rows.end(), row) - rows.begin());
-    };
     const std::size_t lo = row_to_request(lo_ev);
     const std::size_t hi = row_to_request(hi_ev);
     if (lo == hi) ++cov.empty_slices;
@@ -425,7 +451,7 @@ DetectionResult reference_detect(const OperationDetector& det,
       std::vector<std::size_t> evidence(candidates.size(), 0);
       std::vector<bool> complete(candidates.size(), false);
       for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-        const auto& variants = variants_of(ci);
+        const auto& variants = cached[ci].truncated;
         if (variants.size() > 1) ++cov.multi_variant;
         for (const auto& literals : variants) {
           const auto consumed = ref_backward_evidence(literals, slice,
@@ -447,10 +473,11 @@ DetectionResult reference_detect(const OperationDetector& det,
       }
     } else {
       for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-        for (const auto& literals : variants_of(ci)) {
-          if (det.matcher().matches(literals, slice)) {
-            matched.push_back(candidates[ci]);
-            break;
+        if (det.matcher().matches(cached[ci].full, slice)) {
+          matched.push_back(candidates[ci]);
+          if (first_match[ci] == kNever) {
+            first_match[ci] = step;
+            cov.forward_late += step > 0;
           }
         }
       }
@@ -629,6 +656,8 @@ TEST_P(OpDetectorTestResume, MatchesFromScratchReferenceAtEveryBeta) {
   EXPECT_GT(cov.equal_literal_runs, 0u);
   EXPECT_GT(cov.shared_rows, 0u);
   EXPECT_GT(cov.foreign_symbols, 0u);
+  EXPECT_GT(cov.forward_gated, 0u);
+  EXPECT_GT(cov.forward_late, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OpDetectorTestResume,

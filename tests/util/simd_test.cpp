@@ -155,39 +155,5 @@ TEST(SimdKernels, ForceScalarAgreesWithVectorDispatch) {
   }
 }
 
-TEST(SimdKernels, PresenceMaskIsOrOfBits) {
-  util::Rng rng(0xB100);
-  for (std::size_t n = 0; n <= kMaxWidth; ++n) {
-    auto data = random_u16(rng, n, 1200);
-    std::uint64_t expect = 0;
-    for (auto v : data) expect |= presence_bit_u16(v);
-    EXPECT_EQ(presence_mask_u16(data.data(), n), expect);
-  }
-}
-
-TEST(SimdKernels, PresenceMaskSupersetAndDisjointnessAreConservative) {
-  // The two gating directions used by the detector:
-  //  * subset of symbols  -> subset of bits (never a spurious reject of a
-  //    real subsequence match),
-  //  * shared symbol      -> shared bit (zero AND truly means no overlap).
-  util::Rng rng(0xC0DE);
-  for (int trial = 0; trial < 200; ++trial) {
-    const auto a = random_u16(rng, 1 + rng.next_below(40), 1200);
-    // b = a plus extra symbols: a's mask must be a subset of b's.
-    auto b = a;
-    const auto extra = rng.next_below(20);
-    for (std::size_t i = 0; i < extra; ++i)
-      b.push_back(static_cast<std::uint16_t>(rng.next_below(1200)));
-    const auto ma = presence_mask_u16(a.data(), a.size());
-    const auto mb = presence_mask_u16(b.data(), b.size());
-    EXPECT_EQ(ma & ~mb, 0u) << "subset symbols must give subset bits";
-    EXPECT_NE(ma & mb, 0u) << "shared symbols must share a bit";
-  }
-}
-
-TEST(SimdKernels, PresenceMaskEmptySequence) {
-  EXPECT_EQ(presence_mask_u16(nullptr, 0), 0u);
-}
-
 }  // namespace
 }  // namespace gretel::simd
