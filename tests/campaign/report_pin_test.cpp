@@ -16,20 +16,31 @@
 // the line committed in decode_digests.pin.  A decode rewrite that claims
 // "same events" is checked here, including the reject paths.
 //
+// PersistDigests pins the bytes a durable stream::StreamAnalyzer leaves on
+// disk: for a plain session, one with a mid-stream checkpoint_now(), and a
+// crash followed by restore() that continues and checkpoints twice more,
+// every file left in the persistence directory (WAL segments and retained
+// checkpoints, by name) and the FNV-1a 64 of its bytes must equal
+// persist_digests.pin.  The digest is not the CRC-32 the formats embed, so
+// an encoder or checksum rewrite cannot hide a change from it.
+//
 // Regenerating the pins is a deliberate step, taken only when a change is
 // meant to alter reports (or decoded events):
 //
 //   GRETEL_UPDATE_PINS=1 build/tests/campaign_tests
-//       --gtest_filter='ReportDigests.*:DecodeDigests.*'
+//       --gtest_filter='ReportDigests.*:DecodeDigests.*:PersistDigests.*'
 //
-// rewrites tests/campaign/report_digests.pin and decode_digests.pin in the
-// source tree; commit them and name the changed captures and the reason in
-// CHANGES.md.
+// rewrites tests/campaign/report_digests.pin, decode_digests.pin and
+// persist_digests.pin in the source tree; commit them and name the changed
+// captures and the reason in CHANGES.md.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,7 +51,9 @@
 #include "monitor/metrics.h"
 #include "net/capture.h"
 #include "net/chaos.h"
+#include "stream/stream_analyzer.h"
 #include "tempest/workload.h"
+#include "util/atomic_file.h"
 #include "util/hash.h"
 
 namespace gretel::campaign {
@@ -281,6 +294,152 @@ TEST(DecodeDigests, MatchCommittedPins) {
   EXPECT_GT(chaos.decode_failures, 0u);
   EXPECT_GT(chaos.unknown_api, 0u);
   EXPECT_GT(chaos.non_monotonic, 0u);
+}
+
+// --- Persistence pins ----------------------------------------------------
+
+namespace fs = std::filesystem;
+
+struct TempDir {
+  std::string path;
+  explicit TempDir(const std::string& tag) {
+    path = (fs::temp_directory_path() /
+            ("grt-persist-pin-" + std::to_string(::getpid()) + "-" + tag))
+               .string();
+    fs::remove_all(path);
+    fs::create_directories(path);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    fs::remove_all(path, ec);
+  }
+};
+
+// A short checkpoint cadence, so each session prunes checkpoints many
+// times.  With 8-record segments the journal also rotates and purges; with
+// the default segment size every record stays on disk and is pinned.
+stream::StreamOptions persist_stream(std::size_t segment_records = 8) {
+  stream::StreamOptions s;
+  s.tick_ms = 200.0;
+  s.checkpoint_interval_s = 2.0;
+  s.journal_segment_records = segment_records;
+  return s;
+}
+
+core::Analyzer::Options persist_options() {
+  core::Analyzer::Options opt;
+  opt.config.fp_max = env().training.fp_max;
+  opt.config.p_rate = 150.0;
+  return opt;
+}
+
+std::unique_ptr<stream::StreamAnalyzer> durable_stream(
+    const std::string& dir, stream::StreamOptions opts = persist_stream()) {
+  auto& e = env();
+  auto sa = std::make_unique<stream::StreamAnalyzer>(
+      &e.training.db, &e.catalog.apis(), &e.deployment, persist_options(),
+      stream::StreamAnalyzer::ReportSink{}, opts);
+  EXPECT_TRUE(sa->enable_durability(dir));
+  return sa;
+}
+
+// Samples node metrics over the capture into the stream's analyzer, so
+// every report carries its RCA.
+void sample_metrics(stream::StreamAnalyzer& sa,
+                    const std::vector<net::WireRecord>& records) {
+  monitor::ResourceMonitor mon(&env().deployment, SimDuration::seconds(1),
+                               2026);
+  mon.sample_range(SimTime::epoch(),
+                   records.back().ts + SimDuration::seconds(3),
+                   sa.analyzer().metrics());
+}
+
+void feed(stream::StreamAnalyzer& sa,
+          const std::vector<net::WireRecord>& records, std::size_t from,
+          std::size_t to) {
+  for (std::size_t i = from; i < to; ++i) {
+    sa.advance_to(records[i].ts);
+    sa.offer(records[i]);
+  }
+}
+
+// One line per file left in `dir`, in name order: session, name, size and
+// the FNV-1a 64 of the bytes.
+void digest_dir(const std::string& session, const std::string& dir,
+                std::vector<std::string>& lines) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir))
+    names.push_back(entry.path().filename().string());
+  std::sort(names.begin(), names.end());
+  EXPECT_FALSE(names.empty()) << session;
+  for (const auto& name : names) {
+    const auto bytes = util::read_file(dir + "/" + name);
+    ASSERT_TRUE(bytes.has_value()) << name;
+    lines.push_back(session + " " + name + " " +
+                    std::to_string(bytes->size()) + " " +
+                    fingerprint_hex(util::fnv1a64(*bytes)));
+  }
+}
+
+TEST(PersistDigests, MatchCommittedPins) {
+  const std::string path = GRETEL_PERSIST_PIN_FILE;
+  auto& e = env();
+  const auto records = capture_records(kCaptures[0]);
+  ASSERT_FALSE(records.empty());
+  const std::size_t split = records.size() * 7 / 10;
+  std::vector<std::string> lines;
+
+  {
+    TempDir dir("plain");
+    auto sa = durable_stream(dir.path, persist_stream(4096));
+    sample_metrics(*sa, records);
+    feed(*sa, records, 0, records.size());
+    sa->finish();
+    EXPECT_GT(sa->journal_next_seq(), 0u);
+    digest_dir("plain", dir.path, lines);
+  }
+  {
+    // checkpoint_now() between ticks, with records still queued.
+    TempDir dir("mid");
+    auto sa = durable_stream(dir.path);
+    sample_metrics(*sa, records);
+    feed(*sa, records, 0, split);
+    EXPECT_TRUE(sa->checkpoint_now());
+    feed(*sa, records, split, records.size());
+    sa->finish();
+    digest_dir("mid", dir.path, lines);
+  }
+  {
+    // A crash 70% of the way in (no finish), then restore() over the
+    // directory: the restored stream replays the journal tail, continues
+    // and checkpoints twice, pruning files it found when it armed.
+    TempDir dir("restore");
+    {
+      auto sa = durable_stream(dir.path);
+      sample_metrics(*sa, records);
+      feed(*sa, records, 0, split);
+    }
+    stream::RecoveryInfo ri;
+    auto sa = stream::StreamAnalyzer::restore(
+        &e.training.db, &e.catalog.apis(), &e.deployment, persist_options(),
+        dir.path, {}, &ri, persist_stream());
+    ASSERT_NE(sa, nullptr);
+    EXPECT_TRUE(ri.recovered);
+    EXPECT_FALSE(ri.replayed.empty());
+    sample_metrics(*sa, records);
+    feed(*sa, records, split, records.size());
+    EXPECT_TRUE(sa->checkpoint_now());
+    EXPECT_TRUE(sa->checkpoint_now());
+    digest_dir("restore", dir.path, lines);
+  }
+
+  if (update_pins(path, "session file bytes fnv1a64", lines))
+    GTEST_SKIP() << "rewrote " << path;
+
+  const auto want = read_pin_lines(path);
+  ASSERT_EQ(want.size(), lines.size()) << "pin file " << path;
+  for (std::size_t i = 0; i < lines.size(); ++i)
+    EXPECT_EQ(lines[i], want[i]);
 }
 
 }  // namespace
