@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "util/binio.h"
 
@@ -122,21 +123,26 @@ void LatencyTracker::save_state(std::string& out) const {
   // always produces the same bytes (checkpoint files diff cleanly and the
   // recovery tests can compare blobs directly).
   {
-    std::vector<std::pair<std::uint64_t, std::int64_t>> rest, rpc;
+    // One scratch vector sized up front; sorting on (rpc, id, ts) puts
+    // every REST entry, in key order, before every RPC one.
+    std::vector<std::tuple<bool, std::uint64_t, std::int64_t>> entries;
+    entries.reserve(pending_.size());
     pending_.for_each([&](const PendingKey& k, util::SimTime ts) {
-      (k.rpc ? rpc : rest).push_back({k.id, ts.nanos()});
+      entries.emplace_back(k.rpc, k.id, ts.nanos());
     });
-    std::sort(rest.begin(), rest.end());
-    std::sort(rpc.begin(), rpc.end());
-    util::put_u32(out, static_cast<std::uint32_t>(rest.size()));
-    for (const auto& [conn, ts] : rest) {
-      util::put_u32(out, static_cast<std::uint32_t>(conn));
-      util::put_i64(out, ts);
+    std::sort(entries.begin(), entries.end());
+    const auto rpc = std::partition_point(
+        entries.begin(), entries.end(),
+        [](const auto& e) { return !std::get<0>(e); });
+    util::put_u32(out, static_cast<std::uint32_t>(rpc - entries.begin()));
+    for (auto it = entries.begin(); it != rpc; ++it) {
+      util::put_u32(out, static_cast<std::uint32_t>(std::get<1>(*it)));
+      util::put_i64(out, std::get<2>(*it));
     }
-    util::put_u32(out, static_cast<std::uint32_t>(rpc.size()));
-    for (const auto& [msg, ts] : rpc) {
-      util::put_u64(out, msg);
-      util::put_i64(out, ts);
+    util::put_u32(out, static_cast<std::uint32_t>(entries.end() - rpc));
+    for (auto it = rpc; it != entries.end(); ++it) {
+      util::put_u64(out, std::get<1>(*it));
+      util::put_i64(out, std::get<2>(*it));
     }
   }
   {

@@ -12,21 +12,24 @@ namespace gretel::util {
 
 namespace {
 using FileHandle = std::unique_ptr<std::FILE, int (*)(std::FILE*)>;
+}  // namespace
 
+bool sync_parent_dir(const std::string& path) {
 #if defined(__unix__) || defined(__APPLE__)
-void sync_parent_dir(const std::string& path) {
   const auto slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos
                               ? std::string(".")
                               : path.substr(0, slash == 0 ? 1 : slash);
   const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-}
+  if (fd < 0) return false;
+  const bool synced = ::fsync(fd) == 0;
+  ::close(fd);
+  return synced;
+#else
+  (void)path;
+  return true;
 #endif
-}  // namespace
+}
 
 bool write_file_atomic(const std::string& path, std::string_view data,
                        bool sync_dir) {
@@ -53,12 +56,7 @@ bool write_file_atomic(const std::string& path, std::string_view data,
     std::remove(tmp.c_str());
     return false;
   }
-#if defined(__unix__) || defined(__APPLE__)
-  if (sync_dir) sync_parent_dir(path);
-#else
-  (void)sync_dir;
-#endif
-  return true;
+  return !sync_dir || sync_parent_dir(path);
 }
 
 std::optional<std::string> read_file(const std::string& path) {
