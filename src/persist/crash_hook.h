@@ -18,6 +18,9 @@
 //   "checkpoint.pre_rename"   complete temp file, rename never happened
 //   "checkpoint.post_rename"  checkpoint durable, pruning never happened
 //
+// One point injects an I/O failure instead of a crash (nothing is thrown):
+//   "journal.fsync_fail"      a journal record's fsync reports failure
+//
 // The hook is process-global and intended for single-threaded tests; the
 // default (no hook) makes every fail point free and the durability paths
 // crash-less.

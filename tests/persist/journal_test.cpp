@@ -1,6 +1,7 @@
 // Report journal (GRTWAL01) contract: fsync-before-acknowledge sequencing,
 // segment rotation and purge, torn-tail truncation on open, the
-// mid-append crash artifact, and the recovery read path.
+// mid-append crash artifact, a failed fsync leaving no record behind, and
+// the recovery read path.
 #include "persist/journal.h"
 
 #include <gtest/gtest.h>
@@ -153,6 +154,49 @@ TEST(Journal, MidAppendCrashLosesOnlyTheUnacknowledgedRecord) {
   const auto recs = ReportJournal::read_from(dir.path, 0);
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].payload, "acked");
+}
+
+TEST(Journal, FailedFsyncIsCutBackAndLaterRecordsSurviveReopen) {
+  const auto fsync_fails = [](std::string_view p) {
+    return p == "journal.fsync_fail";
+  };
+  TempDir dir;
+  {
+    auto j = ReportJournal::open(dir.path, /*segment_records=*/2, nullptr);
+    ASSERT_TRUE(j.has_value());
+    EXPECT_EQ(j->append(1, at(1.0), 0.0, "r0"), 0u);
+    EXPECT_EQ(j->append(1, at(1.0), 0.0, "r1"), 1u);
+    // The record's bytes reach the file but its fsync fails: seq 2 is not
+    // acknowledged, once as the first record of a fresh segment and once
+    // behind an acknowledged record in it.
+    set_crash_hook(fsync_fails);
+    EXPECT_EQ(j->append(2, at(2.0), 0.0, "lost-a"), 2u);
+    clear_crash_hook();
+    EXPECT_EQ(j->next_seq(), 2u);
+    EXPECT_EQ(j->append(2, at(2.0), 0.0, "r2"), 2u);
+    set_crash_hook(fsync_fails);
+    EXPECT_EQ(j->append(3, at(3.0), 0.0, "lost-b"), 3u);
+    clear_crash_hook();
+    EXPECT_EQ(j->next_seq(), 3u);
+    for (int i = 3; i < 6; ++i) {
+      std::string payload = "r";
+      payload += std::to_string(i);
+      EXPECT_EQ(j->append(3, at(3.0), 0.0, payload),
+                static_cast<std::uint64_t>(i));
+    }
+  }
+  // Every acknowledged record, and none of the failed ones, is on disk.
+  std::size_t truncated = 0;
+  auto j = ReportJournal::open(dir.path, 2, &truncated);
+  ASSERT_TRUE(j.has_value());
+  EXPECT_EQ(truncated, 0u);
+  EXPECT_EQ(j->next_seq(), 6u);
+  const auto recs = ReportJournal::read_from(dir.path, 0);
+  ASSERT_EQ(recs.size(), 6u);
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    EXPECT_EQ(recs[i].seq, i);
+    EXPECT_EQ(recs[i].payload, "r" + std::to_string(i));
+  }
 }
 
 TEST(Journal, HeaderlessNewestSegmentIsDropped) {
